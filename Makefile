@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet test test-race test-short bench benchcmp tier1 tier2 fleet-e2e all
+.PHONY: build vet test test-race test-short bench benchcmp tier1 tier2 fleet-e2e perfbench all
 
 all: tier1
 
@@ -34,6 +34,13 @@ test-race:
 # mid-sweep with the exactly-once store-write oracle checked after.
 fleet-e2e:
 	$(GO) test -race -timeout 30m -run 'TestFleetE2E' -v ./internal/fleet/
+
+# perfbench: vet and test the repo benchmark (perfbench/, a nested module
+# importing repro/internal/* through a replace directive). Neither `go
+# build ./...` nor `go test ./...` descends into it, so an internal API
+# change that breaks the benchmark only shows up here.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench: regenerate the tracked bench/BENCH_sim.json performance baseline.
 # Macro benchmarks (BenchmarkMatrix: whole figure pipelines) run once per

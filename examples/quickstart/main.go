@@ -54,9 +54,9 @@ func main() {
 		for _, accs := range res.Accs {
 			sum += accs["acc"]
 		}
-		traffic := res.Stats.Get("noc.bytehops.data") +
-			res.Stats.Get("noc.bytehops.control") +
-			res.Stats.Get("noc.bytehops.offloaded")
+		traffic := res.Stats["noc.bytehops.data"] +
+			res.Stats["noc.bytehops.control"] +
+			res.Stats["noc.bytehops.offloaded"]
 		fmt.Printf("%-12v %12d %16d %14d\n", sys, res.Cycles, traffic, sum)
 		if want := uint64(n) * (n - 1) / 2; sum != want {
 			log.Fatalf("wrong sum: %d != %d", sum, want)

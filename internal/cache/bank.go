@@ -5,7 +5,6 @@ import (
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // txnWork is one queued per-line transaction body.
@@ -122,11 +121,11 @@ func (b *Bank) ensurePresent(line uint64, onReady func(fromMem bool)) {
 		b.lane.ctr.l3Misses.Inc()
 		ctrl := h.ctrlNodeFor(line)
 		h.net.Send(&noc.Message{
-			Src: b.id, Dst: ctrl, Bytes: CtrlBytes, Class: stats.TrafficControl,
+			Src: b.id, Dst: ctrl, Bytes: CtrlBytes, Class: noc.TrafficControl,
 			OnDeliver: func() {
 				h.dram.Access(line, h.cfg.LineBytes, false, func() {
 					h.net.Send(&noc.Message{
-						Src: ctrl, Dst: b.id, Bytes: LineBytes, Class: stats.TrafficData,
+						Src: ctrl, Dst: b.id, Bytes: LineBytes, Class: noc.TrafficData,
 						OnDeliver: func() {
 							b.install(line)
 							onReady(true)
@@ -162,10 +161,10 @@ func (b *Bank) install(line uint64) {
 		}
 		if len(dsts) > 0 {
 			b.lane.ctr.l3Recalls.Inc()
-			h.net.Multicast(b.id, dsts, CtrlBytes, stats.TrafficControl, func(dst int) {
+			h.net.Multicast(b.id, dsts, CtrlBytes, noc.TrafficControl, func(dst int) {
 				if h.tiles[dst].InvalidateLine(vline) {
 					// Dirty private copy: flows to DRAM.
-					h.net.Send(&noc.Message{Src: dst, Dst: h.ctrlNodeFor(vline), Bytes: LineBytes, Class: stats.TrafficData,
+					h.net.Send(&noc.Message{Src: dst, Dst: h.ctrlNodeFor(vline), Bytes: LineBytes, Class: noc.TrafficData,
 						OnDeliver: func() { h.dram.Access(vline, h.cfg.LineBytes, true, nil) }})
 				}
 			})
@@ -174,7 +173,7 @@ func (b *Bank) install(line uint64) {
 	if dirty {
 		b.lane.ctr.l3Writebacks.Inc()
 		ctrl := h.ctrlNodeFor(vline)
-		h.net.Send(&noc.Message{Src: b.id, Dst: ctrl, Bytes: LineBytes, Class: stats.TrafficData,
+		h.net.Send(&noc.Message{Src: b.id, Dst: ctrl, Bytes: LineBytes, Class: noc.TrafficData,
 			OnDeliver: func() { h.dram.Access(vline, h.cfg.LineBytes, true, nil) }})
 	}
 }
@@ -222,12 +221,12 @@ func (b *Bank) serveGetS(line uint64, l *Line, d *dirInfo, requester int, fromMe
 		owner := d.owner
 		// Downgrade the owner to S; dirty data returns to the bank.
 		b.lane.ctr.l3Downgrades.Inc()
-		h.net.Send(&noc.Message{Src: b.id, Dst: owner, Bytes: CtrlBytes, Class: stats.TrafficControl,
+		h.net.Send(&noc.Message{Src: b.id, Dst: owner, Bytes: CtrlBytes, Class: noc.TrafficControl,
 			OnDeliver: func() {
 				wasDirty := h.tiles[owner].downgradeLine(line)
-				bytes, class := CtrlBytes, stats.TrafficControl
+				bytes, class := CtrlBytes, noc.TrafficControl
 				if wasDirty {
-					bytes, class = LineBytes, stats.TrafficData
+					bytes, class = LineBytes, noc.TrafficData
 				}
 				h.net.Send(&noc.Message{Src: owner, Dst: b.id, Bytes: bytes, Class: class,
 					OnDeliver: func() {
@@ -286,11 +285,11 @@ func (b *Bank) invalidateOthers(line uint64, d *dirInfo, requester int, done fun
 	}
 	b.lane.ctr.l3Invalidations.Add(uint64(len(dsts)))
 	remaining := len(dsts)
-	h.net.Multicast(b.id, dsts, CtrlBytes, stats.TrafficControl, func(dst int) {
+	h.net.Multicast(b.id, dsts, CtrlBytes, noc.TrafficControl, func(dst int) {
 		wasDirty := h.tiles[dst].InvalidateLine(line)
-		bytes, class := CtrlBytes, stats.TrafficControl
+		bytes, class := CtrlBytes, noc.TrafficControl
 		if wasDirty {
-			bytes, class = LineBytes, stats.TrafficData
+			bytes, class = LineBytes, noc.TrafficData
 		}
 		h.net.Send(&noc.Message{Src: dst, Dst: b.id, Bytes: bytes, Class: class,
 			OnDeliver: func() {
@@ -322,7 +321,7 @@ func (b *Bank) handleWriteback(line uint64, from int) {
 			} else {
 				// Raced with an L3 eviction: forward straight to DRAM.
 				ctrl := h.ctrlNodeFor(line)
-				h.net.Send(&noc.Message{Src: b.id, Dst: ctrl, Bytes: LineBytes, Class: stats.TrafficData,
+				h.net.Send(&noc.Message{Src: b.id, Dst: ctrl, Bytes: LineBytes, Class: noc.TrafficData,
 					OnDeliver: func() { h.dram.Access(line, h.cfg.LineBytes, true, nil) }})
 			}
 			release()
@@ -346,12 +345,12 @@ func (b *Bank) StreamRead(line uint64, onDone func(fromMem bool)) {
 				owner := d.owner
 				h := b.h
 				b.lane.ctr.l3Downgrades.Inc()
-				h.net.Send(&noc.Message{Src: b.id, Dst: owner, Bytes: CtrlBytes, Class: stats.TrafficControl,
+				h.net.Send(&noc.Message{Src: b.id, Dst: owner, Bytes: CtrlBytes, Class: noc.TrafficControl,
 					OnDeliver: func() {
 						wasDirty := h.tiles[owner].downgradeLine(line)
-						bytes, class := CtrlBytes, stats.TrafficControl
+						bytes, class := CtrlBytes, noc.TrafficControl
 						if wasDirty {
-							bytes, class = LineBytes, stats.TrafficData
+							bytes, class = LineBytes, noc.TrafficData
 						}
 						h.net.Send(&noc.Message{Src: owner, Dst: b.id, Bytes: bytes, Class: class,
 							OnDeliver: func() {

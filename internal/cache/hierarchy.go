@@ -8,7 +8,6 @@ import (
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Level identifies where a request was served, for miss-rate stats and the
@@ -86,9 +85,10 @@ type hierCounters struct {
 }
 
 // hierLane is one shard's single-writer slice of the hierarchy's
-// observability state: its own counter registry (Stats sums all lanes, so
-// totals are shard-count-invariant) and its own tracer pointer, so
-// components on different shard engines never share a mutable ring.
+// observability state: its own counter registry (the machine's counter
+// snapshot sums all lanes, so totals are shard-count-invariant) and its
+// own tracer pointer, so components on different shard engines never
+// share a mutable ring.
 type hierLane struct {
 	reg    *obs.Registry
 	ctr    hierCounters
@@ -177,7 +177,7 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 // L3 bank at mesh node i schedule on (and count against) the engine and
 // lane of shard shardOf[i]. Call it on a freshly built hierarchy, before
 // any traffic — counters already accumulated stay on the old lane and
-// vanish from Stats.
+// vanish from Registries.
 func (h *Hierarchy) AttachShards(g *sim.ShardGroup, shardOf []int32) {
 	if len(shardOf) != len(h.tiles) {
 		panic(fmt.Sprintf("cache: shard map covers %d nodes, hierarchy has %d", len(shardOf), len(h.tiles)))
@@ -223,16 +223,15 @@ func (h *Hierarchy) Reset() {
 	h.PrefetchHook = nil
 }
 
-// Stats snapshots the hierarchy's counters as a stats set (the export and
-// test surface; hot-path counting happens on interned registry slots).
-// With multiple shard lanes the per-lane counts sum, so totals are
-// independent of the shard count.
-func (h *Hierarchy) Stats() *stats.Set {
-	s := stats.NewSet()
-	for _, l := range h.lanes {
-		l.reg.ExportTo(s.Add)
+// Registries returns the per-shard-lane counter registries. Each lane is
+// written only by its shard, so read them after a run; summing them gives
+// totals independent of the shard count.
+func (h *Hierarchy) Registries() []*obs.Registry {
+	regs := make([]*obs.Registry, len(h.lanes))
+	for i, l := range h.lanes {
+		regs[i] = l.reg
 	}
-	return s
+	return regs
 }
 
 // SetTracer attaches (or detaches, with nil) an event tracer to every
@@ -451,16 +450,16 @@ func (t *Tile) requestLine(line uint64, kind reqKind, onDone func(Level)) {
 	}
 	bank := h.banks[h.HomeBank(line)]
 	h.net.Send(&noc.Message{
-		Src: t.id, Dst: bank.id, Bytes: CtrlBytes, Class: stats.TrafficControl,
+		Src: t.id, Dst: bank.id, Bytes: CtrlBytes, Class: noc.TrafficControl,
 		OnDeliver: func() {
 			bank.handleCoherence(line, kind, t.id, func(grant LineState, fromMem bool) {
 				respBytes := LineBytes
 				if kind == reqUpgrade {
 					respBytes = CtrlBytes
 				}
-				class := stats.TrafficData
+				class := noc.TrafficData
 				if kind == reqUpgrade {
-					class = stats.TrafficControl
+					class = noc.TrafficControl
 				}
 				h.net.Send(&noc.Message{
 					Src: bank.id, Dst: t.id, Bytes: respBytes, Class: class,
@@ -564,7 +563,7 @@ func (t *Tile) HasLine(line uint64) bool {
 func (h *Hierarchy) sendWriteback(from int, line uint64) {
 	bank := h.banks[h.HomeBank(line)]
 	h.net.Send(&noc.Message{
-		Src: from, Dst: bank.id, Bytes: LineBytes, Class: stats.TrafficData,
+		Src: from, Dst: bank.id, Bytes: LineBytes, Class: noc.TrafficData,
 		OnDeliver: func() { bank.handleWriteback(line, from) },
 	})
 }

@@ -27,6 +27,15 @@ func testMachine() (*sim.Engine, *Hierarchy) {
 
 // access runs one blocking access and returns the serving level and elapsed
 // cycles.
+// counter sums one counter over the hierarchy's shard-lane registries.
+func counter(h *Hierarchy, name string) uint64 {
+	var v uint64
+	for _, r := range h.Registries() {
+		v += r.Get(name)
+	}
+	return v
+}
+
 func access(e *sim.Engine, h *Hierarchy, tile int, addr uint64, write bool) (Level, sim.Time) {
 	start := e.Now()
 	var lv Level
@@ -79,12 +88,12 @@ func TestExclusiveGrantOnSoleReader(t *testing.T) {
 		t.Fatalf("sole reader got %v, want E", l)
 	}
 	// Silent E->M upgrade on write, no extra coherence traffic.
-	before := h.Stats().Get("l3.invalidations")
+	before := counter(h, "l3.invalidations")
 	lv, _ := access(e, h, 0, 0x1000, true)
 	if lv != ServedL1 {
 		t.Fatalf("write to E line served at %v, want L1", lv)
 	}
-	if h.Stats().Get("l3.invalidations") != before {
+	if counter(h, "l3.invalidations") != before {
 		t.Fatal("E->M upgrade generated invalidations")
 	}
 }
@@ -156,7 +165,7 @@ func TestUpgradeFromShared(t *testing.T) {
 	if h.Tile(1).HasLine(0x1000) {
 		t.Fatal("other sharer survived the upgrade")
 	}
-	if h.Stats().Get("l2.upgrades") == 0 {
+	if counter(h, "l2.upgrades") == 0 {
 		t.Fatal("upgrade path not taken")
 	}
 }
@@ -215,14 +224,14 @@ func TestMSHRMergesSameLineMisses(t *testing.T) {
 	done := 0
 	h.Tile(0).Access(0x2000, false, 0, func(Level) { done++ })
 	h.Tile(0).Access(0x2040-0x20, false, 0, func(Level) { done++ }) // same line
-	before := h.Stats().Get("l3.misses")
+	before := counter(h, "l3.misses")
 	_ = before
 	e.Run()
 	if done != 2 {
 		t.Fatalf("completed %d accesses, want 2", done)
 	}
-	if h.Stats().Get("l3.misses") != 1 {
-		t.Fatalf("l3 misses = %d, want 1 (merged)", h.Stats().Get("l3.misses"))
+	if counter(h, "l3.misses") != 1 {
+		t.Fatalf("l3 misses = %d, want 1 (merged)", counter(h, "l3.misses"))
 	}
 }
 
@@ -236,7 +245,7 @@ func TestEvictionWritesBack(t *testing.T) {
 	for i := uint64(1); i <= 8; i++ {
 		access(e, h, 0, i*1024, false)
 	}
-	if h.Stats().Get("l2.writebacks") == 0 {
+	if counter(h, "l2.writebacks") == 0 {
 		t.Fatal("dirty eviction produced no writeback")
 	}
 	// The bank's copy must have the data (dirty bit set at L3).

@@ -44,7 +44,7 @@ func TestMRSWReadersShare(t *testing.T) {
 	if granted != 3 {
 		t.Fatalf("only %d readers granted, want 3 concurrent", granted)
 	}
-	if b.h.Stats().Get("lock.conflicts") != 0 {
+	if counter(b.h, "lock.conflicts") != 0 {
 		t.Fatal("concurrent readers counted as conflicts")
 	}
 }
@@ -71,8 +71,8 @@ func TestMRSWWriterBlockedByOtherReaders(t *testing.T) {
 	if writerIn {
 		t.Fatal("writer admitted while another stream reads")
 	}
-	if b.h.Stats().Get("lock.conflicts") != 1 {
-		t.Fatalf("conflicts = %d, want 1", b.h.Stats().Get("lock.conflicts"))
+	if counter(b.h, "lock.conflicts") != 1 {
+		t.Fatalf("conflicts = %d, want 1", counter(b.h, "lock.conflicts"))
 	}
 	b.ReleaseLock(0, keyR, false, LockMRSW)
 	if !writerIn {
@@ -91,7 +91,7 @@ func TestSameStreamAlwaysProceeds(t *testing.T) {
 	if grants != 3 {
 		t.Fatalf("same-stream grants = %d, want 3", grants)
 	}
-	if b.h.Stats().Get("lock.conflicts") != 0 {
+	if counter(b.h, "lock.conflicts") != 0 {
 		t.Fatal("same-stream re-entry counted as conflict")
 	}
 	b.ReleaseLock(0, keyS1, true, LockMRSW)

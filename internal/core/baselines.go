@@ -4,7 +4,6 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/noc"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // This file models the prior-work offloading baselines of §VI on the same
@@ -44,7 +43,7 @@ func (cr *coreRun) instRoundTrip(s *compiler.Stream, n int) func(done func()) {
 		cr.shared.ctr.instOffloads.Inc()
 		// Request to the meet (target) bank.
 		cr.net().Send(&noc.Message{Src: cr.coreID, Dst: target, Bytes: instRequestBytes,
-			Class: stats.TrafficOffload, OnDeliver: func() {
+			Class: noc.TrafficOffload, OnDeliver: func() {
 				// Fetch operands at their banks and forward to the meet.
 				operands := cr.operandElems(s, n)
 				remaining := len(operands) + 1
@@ -63,7 +62,7 @@ func (cr *coreRun) instRoundTrip(s *compiler.Stream, n int) func(done func()) {
 						m.Hier.Bank(target).StreamWrite(line, func(bool) {
 							// Ack to the core.
 							cr.net().Send(&noc.Message{Src: target, Dst: cr.coreID,
-								Bytes: 8 + s.RetBytes, Class: stats.TrafficOffload,
+								Bytes: 8 + s.RetBytes, Class: noc.TrafficOffload,
 								OnDeliver: done})
 						})
 					})
@@ -80,7 +79,7 @@ func (cr *coreRun) instRoundTrip(s *compiler.Stream, n int) func(done func()) {
 						}
 						if opBank != target {
 							cr.net().Send(&noc.Message{Src: opBank, Dst: target,
-								Bytes: int(op.size), Class: stats.TrafficOffload, OnDeliver: send})
+								Bytes: int(op.size), Class: noc.TrafficOffload, OnDeliver: send})
 						} else {
 							send()
 						}
@@ -132,12 +131,12 @@ func (cr *coreRun) perElemRoundTrip(s *compiler.Stream, n int) func(done func())
 		line := m.Hier.LineAddr(e.pa)
 		cr.shared.ctr.singleInvocations.Inc()
 		cr.net().Send(&noc.Message{Src: cr.coreID, Dst: bank, Bytes: 16,
-			Class: stats.TrafficOffload, OnDeliver: func() {
+			Class: noc.TrafficOffload, OnDeliver: func() {
 				finishWith := func(at sim.Time) {
 					m.Engine.ScheduleAt(at, func() {
 						respond := func() {
 							cr.net().Send(&noc.Message{Src: bank, Dst: cr.coreID,
-								Bytes: 8 + s.RetBytes, Class: stats.TrafficOffload,
+								Bytes: 8 + s.RetBytes, Class: noc.TrafficOffload,
 								OnDeliver: done})
 						}
 						if s.Write {
@@ -180,7 +179,7 @@ func (ch *chainStream) start() {
 	}
 	first := ch.cr.m.Hier.HomeBank(ch.elems[0].pa)
 	ch.cr.net().Send(&noc.Message{Src: ch.cr.coreID, Dst: first, Bytes: 24,
-		Class: stats.TrafficOffload, OnDeliver: func() { ch.step(first) }})
+		Class: noc.TrafficOffload, OnDeliver: func() { ch.step(first) }})
 }
 
 func (ch *chainStream) step(bank int) {
@@ -188,7 +187,7 @@ func (ch *chainStream) step(bank int) {
 	if ch.idx >= len(ch.elems) {
 		// Final value back to the core.
 		ch.cr.net().Send(&noc.Message{Src: bank, Dst: ch.cr.coreID, Bytes: 16,
-			Class: stats.TrafficOffload, OnDeliver: ch.finish})
+			Class: noc.TrafficOffload, OnDeliver: ch.finish})
 		return
 	}
 	i := ch.idx
@@ -205,7 +204,7 @@ func (ch *chainStream) step(bank int) {
 			}
 			if next != bank {
 				ch.cr.net().Send(&noc.Message{Src: bank, Dst: next,
-					Bytes: chainContinuationBytes, Class: stats.TrafficOffload,
+					Bytes: chainContinuationBytes, Class: noc.TrafficOffload,
 					OnDeliver: func() { ch.step(next) }})
 			} else {
 				ch.step(bank)

@@ -29,15 +29,15 @@ func TestINSTUsesMeetBankOffloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Get("inst.offloads") == 0 {
+	if res.Stats["inst.offloads"] == 0 {
 		t.Fatal("INST issued no offload requests for the MO store")
 	}
 	// Every iteration is one request: offloads ≈ element count.
-	if got := res.Stats.Get("inst.offloads"); got != testN {
+	if got := res.Stats["inst.offloads"]; got != testN {
 		t.Fatalf("INST offloads = %d, want %d (one per iteration)", got, testN)
 	}
 	// The per-iteration round trips show up as offload-class traffic.
-	if res.Stats.Get("noc.bytehops.offloaded") == 0 {
+	if res.Stats["noc.bytehops.offloaded"] == 0 {
 		t.Fatal("INST produced no offload traffic")
 	}
 }
@@ -51,11 +51,11 @@ func TestINSTCannotOffloadReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Get("inst.offloads") != 0 {
+	if res.Stats["inst.offloads"] != 0 {
 		t.Fatal("INST offloaded a reduction (unsupported per §VI)")
 	}
 	// But it still benefits from stream prefetching (§VI).
-	if res.Stats.Get("ns.sload") == 0 {
+	if res.Stats["ns.sload"] == 0 {
 		t.Fatal("INST lost its stream-prefetch benefit")
 	}
 }
@@ -70,10 +70,10 @@ func TestSINGLEFallsBackOnMultiOperand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Get("single.invocations") != 0 || res.Stats.Get("single.chain_hops") != 0 {
+	if res.Stats["single.invocations"] != 0 || res.Stats["single.chain_hops"] != 0 {
 		t.Fatal("SINGLE offloaded a multi-operand function (unsupported per §II-C)")
 	}
-	if res.Stats.Get("ns.sload") == 0 {
+	if res.Stats["ns.sload"] == 0 {
 		t.Fatal("SINGLE fallback lost stream prefetching")
 	}
 }
@@ -89,10 +89,10 @@ func TestSINGLEPerElementOnIndirectAtomic(t *testing.T) {
 	}
 	// "SINGLE cannot achieve autonomy on indirect atomics and falls back
 	// to iteration-level offloading" (§VII-B).
-	if res.Stats.Get("single.invocations") == 0 {
+	if res.Stats["single.invocations"] == 0 {
 		t.Fatal("SINGLE did not fall back to per-element invocations")
 	}
-	if res.Stats.Get("single.chain_hops") != 0 {
+	if res.Stats["single.chain_hops"] != 0 {
 		t.Fatal("indirect atomics must not chain")
 	}
 }
@@ -120,7 +120,7 @@ func TestChainStreamVisitsEveryElement(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 32 queries × 8 nodes = 256 chain hops (one per visited node).
-	if got := res.Stats.Get("single.chain_hops"); got != queries*8 {
+	if got := res.Stats["single.chain_hops"]; got != queries*8 {
 		t.Fatalf("chain hops = %d, want %d", got, queries*8)
 	}
 }

@@ -29,10 +29,10 @@ func TestContextSwitchDrainsAndResumes(t *testing.T) {
 	plain, _ := runWithSwitch(t, 0, 0)
 	switched, m := runWithSwitch(t, 2000, 5000)
 
-	if switched.Stats.Get("ns.ctxswitch_drains") == 0 {
+	if switched.Stats["ns.ctxswitch_drains"] == 0 {
 		t.Fatal("no streams drained at the context switch")
 	}
-	if switched.Stats.Get("ns.resumes") == 0 {
+	if switched.Stats["ns.resumes"] == 0 {
 		t.Fatal("no streams resumed after the context switch")
 	}
 	// Functional result unchanged (precise state preserved).

@@ -116,7 +116,7 @@ func TestNoAliasesInEvaluationWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Stats.Get("ns.alias_detected"); got != 0 {
+	if got := res.Stats["ns.alias_detected"]; got != 0 {
 		t.Fatalf("false-positive aliases detected: %d", got)
 	}
 }
@@ -154,7 +154,7 @@ func TestAliasUnwind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Get("ns.alias_checks") == 0 && cntChecks(res) == 0 {
+	if res.Stats["ns.alias_checks"] == 0 && cntChecks(res) == 0 {
 		t.Log("no range checks recorded (counter lives in RangeTable)")
 	}
 	var sum uint64
@@ -170,7 +170,7 @@ func TestAliasUnwind(t *testing.T) {
 	}
 }
 
-func cntChecks(res *RunResult) uint64 { return res.Stats.Get("ns.alias_detected") }
+func cntChecks(res *RunResult) uint64 { return res.Stats["ns.alias_detected"] }
 
 func TestAliasSuspendResumeDirect(t *testing.T) {
 	// Drive the Figure 7b path explicitly: run a kernel whose core

@@ -13,7 +13,6 @@ import (
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // streamMode is how the runtime executes one stream under the selected
@@ -43,7 +42,10 @@ type RunResult struct {
 	Cycles       sim.Time
 	DynOps       map[compiler.Category]uint64
 	OffloadedOps uint64
-	Stats        *stats.Set
+	// Stats is the machine's counter snapshot (machine.Counters) at the
+	// end of the invocation; counters accumulate across invocations on
+	// one machine.
+	Stats map[string]uint64
 	// Accs are the per-core reduction results (validation).
 	Accs []map[string]uint64
 	// Plan is the compiled plan (nil for Base).
@@ -348,7 +350,7 @@ func Run(m *machine.Machine, k *ir.Kernel, sys System, params Params, kparams ma
 		last = t // stream drain beyond last core op
 	}
 	res.Cycles = last
-	res.Stats = m.CollectStats()
+	res.Stats = m.Counters()
 	// The run is over: nothing references the trace buffers (the streams
 	// holding element slices died with their coreRuns), so recycle them.
 	for _, cr := range runs {

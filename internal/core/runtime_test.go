@@ -5,10 +5,7 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/machine"
-	"repro/internal/stats"
 )
-
-var _ = stats.NewSet // used by runWarm
 
 // testMachine builds a small 4×4 machine with scaled-down caches (so the
 // §IV-B footprint-based offload policy fires on test-sized arrays) and the
@@ -118,18 +115,15 @@ func runWarm(t *testing.T, sys System, k *ir.Kernel, fill func(*machine.Machine,
 	if _, err := Run(m, k, sys, p, nil, d); err != nil {
 		t.Fatalf("%v warmup: %v", sys, err)
 	}
-	before := m.CollectStats()
+	before := m.Counters()
 	startCycle := m.Engine.Now()
 	res, err := Run(m, k, sys, p, nil, d)
 	if err != nil {
 		t.Fatalf("%v: %v", sys, err)
 	}
-	after := res.Stats
-	delta := stats.NewSet()
-	for _, name := range after.Names() {
-		delta.Add(name, after.Get(name)-before.Get(name))
+	for name, v := range res.Stats {
+		res.Stats[name] = v - before[name]
 	}
-	res.Stats = delta
 	res.Cycles = res.Cycles - startCycle
 	return res
 }
@@ -239,8 +233,8 @@ func TestNSReducesTrafficVsBase(t *testing.T) {
 	fill := func(m *machine.Machine, d *ir.Data) { fillSeq(d, "A", testN) }
 	base := runWarm(t, Base, k, fill)
 	ns := runWarm(t, NS, k, fill)
-	bTotal := base.Stats.Get("noc.bytehops.data") + base.Stats.Get("noc.bytehops.control") + base.Stats.Get("noc.bytehops.offloaded")
-	nTotal := ns.Stats.Get("noc.bytehops.data") + ns.Stats.Get("noc.bytehops.control") + ns.Stats.Get("noc.bytehops.offloaded")
+	bTotal := base.Stats["noc.bytehops.data"] + base.Stats["noc.bytehops.control"] + base.Stats["noc.bytehops.offloaded"]
+	nTotal := ns.Stats["noc.bytehops.data"] + ns.Stats["noc.bytehops.control"] + ns.Stats["noc.bytehops.offloaded"]
 	if nTotal >= bTotal {
 		t.Fatalf("NS traffic %d not below Base %d", nTotal, bTotal)
 	}
@@ -283,9 +277,9 @@ func TestRangeSyncTrafficPresentOnlyInNS(t *testing.T) {
 	}
 	ns := runOn(t, NS, k, fill)
 	nosync := runOn(t, NSNoSync, k, fill)
-	if ns.Stats.Get("noc.bytehops.offloaded") <= nosync.Stats.Get("noc.bytehops.offloaded") {
+	if ns.Stats["noc.bytehops.offloaded"] <= nosync.Stats["noc.bytehops.offloaded"] {
 		t.Fatalf("range-sync should add offload-class traffic: NS %d vs no-sync %d",
-			ns.Stats.Get("noc.bytehops.offloaded"), nosync.Stats.Get("noc.bytehops.offloaded"))
+			ns.Stats["noc.bytehops.offloaded"], nosync.Stats["noc.bytehops.offloaded"])
 	}
 }
 
@@ -317,7 +311,7 @@ func TestMRSWReducesLockConflicts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Stats.Get("lock.conflicts")
+		return res.Stats["lock.conflicts"]
 	}
 	excl := run(false)
 	mrsw := run(true)
@@ -359,7 +353,7 @@ func TestSINGLEChainsPointerWorkload(t *testing.T) {
 		}
 	}
 	res := runOn(t, SINGLE, k, fill)
-	if res.Stats.Get("single.chain_hops") == 0 {
+	if res.Stats["single.chain_hops"] == 0 {
 		t.Fatal("SINGLE did not chain the pointer workload")
 	}
 }
@@ -367,7 +361,7 @@ func TestSINGLEChainsPointerWorkload(t *testing.T) {
 func TestINSTOffloadsPerIteration(t *testing.T) {
 	k := atomicKernel(testN, 64)
 	res := runOn(t, INST, k, func(m *machine.Machine, d *ir.Data) { fillSeq(d, "A", testN) })
-	if res.Stats.Get("inst.offloads") == 0 {
+	if res.Stats["inst.offloads"] == 0 {
 		t.Fatal("INST issued no per-iteration offloads")
 	}
 }
@@ -397,15 +391,14 @@ func TestTrafficClassesPopulated(t *testing.T) {
 		fillSeq(d, "B", testN)
 	}
 	ns := runOn(t, NS, k, fill)
-	if ns.Stats.Get("noc.bytehops.offloaded") == 0 {
+	if ns.Stats["noc.bytehops.offloaded"] == 0 {
 		t.Fatal("NS produced no offload-class traffic")
 	}
 	base := runOn(t, Base, k, fill)
-	if base.Stats.Get("noc.bytehops.data") == 0 {
+	if base.Stats["noc.bytehops.data"] == 0 {
 		t.Fatal("Base produced no data traffic")
 	}
-	if base.Stats.Get("noc.bytehops.offloaded") != 0 {
+	if base.Stats["noc.bytehops.offloaded"] != 0 {
 		t.Fatal("Base produced offload traffic")
 	}
-	_ = stats.TrafficData
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Message payload sizes (bytes) for the coarse-grained protocol of §IV-B.
@@ -193,7 +192,7 @@ func (rs *remoteStream) start() {
 	rs.emit(obs.KindStreamConfig, first, uint64(first))
 	cfgBytes := isa.EncodedBytes(rs.cr.isaConfigOf(rs.s))
 	rs.cr.net().Send(&noc.Message{
-		Src: rs.cr.coreID, Dst: first, Bytes: cfgBytes, Class: stats.TrafficOffload,
+		Src: rs.cr.coreID, Dst: first, Bytes: cfgBytes, Class: noc.TrafficOffload,
 		OnDeliver: func() {
 			rs.curBank = first
 			rs.advance()
@@ -287,7 +286,7 @@ func (rs *remoteStream) Resume() {
 	rs.cr.shared.ctr.resumes.Inc()
 	rs.emit(obs.KindStreamResume, bank, uint64(bank))
 	rs.cr.net().Send(&noc.Message{Src: rs.cr.coreID, Dst: bank, Bytes: cfgBytes,
-		Class: stats.TrafficOffload, OnDeliver: rs.advanceEv})
+		Class: noc.TrafficOffload, OnDeliver: rs.advanceEv})
 }
 
 func (rs *remoteStream) drained() bool {
@@ -393,7 +392,7 @@ func (rs *remoteStream) processElem(i int) {
 		}
 		rs.curBank = bank
 		rs.cr.net().Send(&noc.Message{Src: from, Dst: bank, Bytes: bytes,
-			Class: stats.TrafficOffload, OnDeliver: func() { rs.afterMigrate(i, line, bank) }})
+			Class: noc.TrafficOffload, OnDeliver: func() { rs.afterMigrate(i, line, bank) }})
 		return
 	}
 	rs.afterMigrate(i, line, bank)
@@ -414,7 +413,7 @@ func (rs *remoteStream) afterMigrate(i int, line uint64, bank int) {
 		depBank := m.Hier.HomeBank(dep.elems[di].pa)
 		if depBank != bank {
 			net.Send(&noc.Message{Src: depBank, Dst: bank,
-				Bytes: int(dep.elems[di].size), Class: stats.TrafficOffload})
+				Bytes: int(dep.elems[di].size), Class: noc.TrafficOffload})
 		}
 	}
 	// Indirect request hop: base bank → target bank (Figure 5 step 7).
@@ -433,7 +432,7 @@ func (rs *remoteStream) afterMigrate(i int, line uint64, bank int) {
 					bytes += int(rs.elems[i].size)
 				}
 				net.Send(&noc.Message{Src: baseBank, Dst: bank,
-					Bytes: bytes, Class: stats.TrafficOffload})
+					Bytes: bytes, Class: noc.TrafficOffload})
 			}
 		}
 	}
@@ -701,7 +700,7 @@ func (rs *remoteStream) doneThroughWindow(w int) bool {
 
 func (rs *remoteStream) sendResponse(i, bank, bytes int) {
 	rs.cr.net().Send(&noc.Message{Src: bank, Dst: rs.cr.coreID, Bytes: bytes,
-		Class: stats.TrafficOffload, OnDeliver: func() {
+		Class: noc.TrafficOffload, OnDeliver: func() {
 			at := rs.cr.m.Engine.Now()
 			rs.respAt[i] = at
 			rs.respDone[i] = true
@@ -728,7 +727,7 @@ func (rs *remoteStream) windowProcessed(win, bank int) {
 			// §V: streams still report progress so the core cannot
 			// commit ahead; reports are batched (no ordering needed).
 			cr.net().Send(&noc.Message{Src: bank, Dst: cr.coreID,
-				Bytes: creditBytes, Class: stats.TrafficOffload})
+				Bytes: creditBytes, Class: noc.TrafficOffload})
 		}
 		return
 	}
@@ -736,7 +735,7 @@ func (rs *remoteStream) windowProcessed(win, bank int) {
 	needRangeMsg := rs.s.Kind != isa.KindAffine || !cr.params.AffineRangesAtCore
 	if needRangeMsg {
 		cr.net().Send(&noc.Message{Src: bank, Dst: cr.coreID, Bytes: rangeBytes,
-			Class: stats.TrafficOffload, OnDeliver: func() {
+			Class: noc.TrafficOffload, OnDeliver: func() {
 				cr.ranges.Update(rs.s.Sid, lo, hi, cr.m.Engine.Now())
 				rs.rangeArrived[win] = true
 				rs.tryCommit()
@@ -797,7 +796,7 @@ func (rs *remoteStream) commitWindow(win, endElem int) {
 		// Batch the grant over everything tryCommit has released.
 		hi := rs.nextCommit
 		cr.net().Send(&noc.Message{Src: cr.coreID, Dst: bank, Bytes: creditBytes,
-			Class: stats.TrafficOffload, OnDeliver: func() {
+			Class: noc.TrafficOffload, OnDeliver: func() {
 				if hi > rs.winCommitted {
 					rs.winCommitted = hi
 				}
@@ -808,7 +807,7 @@ func (rs *remoteStream) commitWindow(win, endElem int) {
 		return
 	}
 	cr.net().Send(&noc.Message{Src: cr.coreID, Dst: bank, Bytes: commitBytes,
-		Class: stats.TrafficOffload, OnDeliver: func() {
+		Class: noc.TrafficOffload, OnDeliver: func() {
 			// Write back the window's buffered stores (in element order,
 			// for determinism). The dedup scratch lives on rs and is only
 			// touched inside this synchronous loop, so pipelined commits
@@ -831,7 +830,7 @@ func (rs *remoteStream) commitWindow(win, endElem int) {
 					return
 				}
 				cr.net().Send(&noc.Message{Src: bank, Dst: cr.coreID, Bytes: doneBytes,
-					Class: stats.TrafficOffload, OnDeliver: func() {
+					Class: noc.TrafficOffload, OnDeliver: func() {
 						rs.winCommitted++
 						rs.tryCommit()
 						rs.checkDrain()
@@ -870,7 +869,7 @@ func (rs *remoteStream) finish() {
 		remaining := len(banks)
 		for _, b := range banks {
 			cr.net().Send(&noc.Message{Src: b, Dst: cr.coreID,
-				Bytes: rs.s.RetBytes + 4, Class: stats.TrafficOffload,
+				Bytes: rs.s.RetBytes + 4, Class: noc.TrafficOffload,
 				OnDeliver: func() {
 					remaining--
 					if remaining == 0 {
@@ -888,7 +887,7 @@ func (rs *remoteStream) finish() {
 		bank = cr.coreID
 	}
 	cr.net().Send(&noc.Message{Src: cr.coreID, Dst: bank, Bytes: endBytes,
-		Class: stats.TrafficOffload, OnDeliver: rs.signalFinished})
+		Class: noc.TrafficOffload, OnDeliver: rs.signalFinished})
 }
 
 func (rs *remoteStream) signalFinished() {

@@ -6,10 +6,6 @@
 // model preserves; absolute joules are indicative only.
 package energy
 
-import (
-	"repro/internal/stats"
-)
-
 // Coefficients are per-event energies in picojoules and leakage in
 // watts. Values are representative of 22 nm McPAT output for the Table V
 // configuration.
@@ -63,20 +59,21 @@ func (b Breakdown) Total() float64 {
 	return b.Core + b.Caches + b.NoC + b.DRAM + b.SE + b.Static
 }
 
-// Estimate computes the energy of one run from its statistics. ops is the
-// total retired micro-op count; cycles the runtime.
-func Estimate(c Coefficients, s *stats.Set, ops uint64, cycles uint64) Breakdown {
+// Estimate computes the energy of one run from its counter snapshot
+// (machine.Counters). ops is the total retired micro-op count; cycles the
+// runtime.
+func Estimate(c Coefficients, s map[string]uint64, ops uint64, cycles uint64) Breakdown {
 	pj := func(v float64) float64 { return v * 1e-12 }
 	var b Breakdown
 	b.Core = pj(c.CoreOpPJ * float64(ops))
-	b.Caches = pj(c.L1AccessPJ*float64(s.Get("l1.hits")+s.Get("l1.misses")) +
-		c.L2AccessPJ*float64(s.Get("l2.hits")+s.Get("l2.misses")) +
-		c.L3AccessPJ*float64(s.Get("l3.hits")+s.Get("l3.misses")))
-	bh := s.Get("noc.bytehops.data") + s.Get("noc.bytehops.control") + s.Get("noc.bytehops.offloaded")
+	b.Caches = pj(c.L1AccessPJ*float64(s["l1.hits"]+s["l1.misses"]) +
+		c.L2AccessPJ*float64(s["l2.hits"]+s["l2.misses"]) +
+		c.L3AccessPJ*float64(s["l3.hits"]+s["l3.misses"]))
+	bh := s["noc.bytehops.data"] + s["noc.bytehops.control"] + s["noc.bytehops.offloaded"]
 	b.NoC = pj(c.NoCByteHopPJ * float64(bh))
-	b.DRAM = pj(c.DRAMBytePJ * float64(s.Get("dram.bytes")))
-	b.SE = pj(c.SEOpPJ*float64(s.Get("ns.sload")+s.Get("ns.migrations")+s.Get("ns.remote_compute")) +
-		c.SCCOpPJ*float64(s.Get("ns.remote_compute")))
+	b.DRAM = pj(c.DRAMBytePJ * float64(s["dram.bytes"]))
+	b.SE = pj(c.SEOpPJ*float64(s["ns.sload"]+s["ns.migrations"]+s["ns.remote_compute"]) +
+		c.SCCOpPJ*float64(s["ns.remote_compute"]))
 	seconds := float64(cycles) / (c.ClockGHz * 1e9)
 	b.Static = c.LeakageW * seconds
 	return b

@@ -2,17 +2,16 @@ package energy
 
 import (
 	"testing"
-
-	"repro/internal/stats"
 )
 
 func TestEstimateComponents(t *testing.T) {
-	s := stats.NewSet()
-	s.Add("l1.hits", 1000)
-	s.Add("l2.hits", 100)
-	s.Add("l3.hits", 10)
-	s.Add("noc.bytehops.data", 5000)
-	s.Add("dram.bytes", 640)
+	s := map[string]uint64{
+		"l1.hits":           1000,
+		"l2.hits":           100,
+		"l3.hits":           10,
+		"noc.bytehops.data": 5000,
+		"dram.bytes":        640,
+	}
 	c := ForCore("OOO8")
 	b := Estimate(c, s, 10000, 2_000_000)
 	if b.Core <= 0 || b.Caches <= 0 || b.NoC <= 0 || b.DRAM <= 0 || b.Static <= 0 {
@@ -39,8 +38,7 @@ func TestCoreSizeOrdering(t *testing.T) {
 
 func TestLessTrafficLessEnergy(t *testing.T) {
 	mk := func(bh uint64) float64 {
-		s := stats.NewSet()
-		s.Add("noc.bytehops.data", bh)
+		s := map[string]uint64{"noc.bytehops.data": bh}
 		return Estimate(ForCore("OOO8"), s, 1000, 1000).Total()
 	}
 	if mk(1_000_000) <= mk(10_000) {

@@ -6,12 +6,12 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/runner"
-	"repro/internal/stats"
 	"repro/internal/workloads"
 )
 
@@ -134,10 +134,18 @@ func (t *Table) Cell(row, col string) (float64, bool) {
 	return 0, false
 }
 
-// geoMean of positive values; 0 when empty.
+// geoMean returns the geometric mean of xs, the aggregate the paper uses
+// for cross-workload speedups; 0 when empty. Non-positive inputs panic.
 func geoMean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	return stats.GeoMean(xs)
+	logSum := 0.0
+	for _, x := range xs {
+		if x <= 0 {
+			panic(fmt.Sprintf("harness: geoMean of non-positive value %v", x))
+		}
+		logSum += math.Log(x)
+	}
+	return math.Exp(logSum / float64(len(xs)))
 }

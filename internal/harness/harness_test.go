@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"math"
 	"strings"
 	"testing"
+	tquick "testing/quick"
 
 	"repro/internal/core"
 )
@@ -194,4 +196,45 @@ func TestTableRendering(t *testing.T) {
 	if _, ok := tab.Cell("r1", "missing"); ok {
 		t.Fatal("missing column found")
 	}
+}
+
+func TestGeoMean(t *testing.T) {
+	got := geoMean([]float64{1, 4})
+	if math.Abs(got-2) > 1e-12 {
+		t.Fatalf("geoMean(1,4) = %v, want 2", got)
+	}
+	if geoMean(nil) != 0 {
+		t.Fatal("geoMean(nil) should be 0")
+	}
+}
+
+func TestGeoMeanProperty(t *testing.T) {
+	// Property: geomean lies between min and max of positive inputs.
+	f := func(raw []uint8) bool {
+		xs := make([]float64, 0, len(raw))
+		for _, v := range raw {
+			xs = append(xs, float64(v)+1) // ensure positive
+		}
+		if len(xs) == 0 {
+			return true
+		}
+		g := geoMean(xs)
+		lo, hi := xs[0], xs[0]
+		for _, x := range xs {
+			lo, hi = math.Min(lo, x), math.Max(hi, x)
+		}
+		return g >= lo-1e-9 && g <= hi+1e-9
+	}
+	if err := tquick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestGeoMeanNonPositivePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("geoMean with 0 should panic")
+		}
+	}()
+	geoMean([]float64{1, 0})
 }

@@ -1,7 +1,7 @@
 // Package machine assembles the full simulated system of Table V: the
 // event engine, the W×H mesh, the DRAM controllers, the three-level cache
-// hierarchy with directory coherence, per-tile TLBs, and the address space
-// with huge-page support. The near-stream runtime (internal/core) and the
+// hierarchy with directory coherence, and the address space with
+// huge-page support. The near-stream runtime (internal/core) and the
 // experiment harness build on a Machine.
 package machine
 
@@ -13,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/prefetch"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/tlb"
 )
 
@@ -39,7 +38,8 @@ type Config struct {
 	// EnablePrefetchers turns on the Bingo + stride prefetchers (the
 	// Base system only, §VI).
 	EnablePrefetchers bool
-	// Seed feeds every deterministic RNG.
+	// Seed feeds the address space's base-page scatter RNG, the only
+	// seeded machine state; a pooled machine changes seed with Reseed.
 	Seed uint64
 	// Shards partitions the mesh into that many row bands, each simulated
 	// by its own engine in barrier-synchronized windows (conservative
@@ -93,12 +93,7 @@ type Machine struct {
 	Dram    *mem.Memory
 	Hier    *cache.Hierarchy
 	AS      *tlb.AddressSpace
-	// TLBs are the per-tile L2 TLBs (2k-entry, Table V); SE_L3 TLBs are
-	// separate 1k-entry ones.
-	TLBs    []*tlb.TLB
-	SETLBs  []*tlb.TLB
 	PFUnits []*prefetch.Unit
-	Stats   *stats.Set
 	// Obs interns runtime counters (the core layer's registry); Tracer and
 	// Sampler are the machine-wide observability hooks, nil unless a run
 	// opts in via SetTracer / an attached sampler.
@@ -167,16 +162,7 @@ func New(cfg Config) *Machine {
 		Dram:    dram,
 		Hier:    hier,
 		AS:      tlb.NewAddressSpace(cfg.UseHugePages, cfg.Seed),
-		Stats:   stats.NewSet(),
 		Obs:     obs.NewRegistry(),
-	}
-	for i := 0; i < net.Nodes(); i++ {
-		m.TLBs = append(m.TLBs, tlb.New(tlb.Config{
-			Entries: 2048, Ways: 16, HitLatency: 1, WalkLatency: 30,
-		}))
-		m.SETLBs = append(m.SETLBs, tlb.New(tlb.Config{
-			Entries: 1024, Ways: 16, HitLatency: 8, WalkLatency: 30,
-		}))
 	}
 	if cfg.EnablePrefetchers {
 		for i := 0; i < net.Nodes(); i++ {
@@ -190,14 +176,13 @@ func New(cfg Config) *Machine {
 }
 
 // Reset returns the machine to its just-built state so a pooled machine
-// can run another job: engines rewound, links and buses idle, caches and
-// TLBs cold with their replacement rngs replaying from the seed, the
-// address space forgetting every mapping, all counters zeroed, tracers
-// and sampler detached. The Reset contract is observational equivalence
-// to New(m.Cfg) — a job run on a Reset machine must produce bit-identical
-// results — which holds because every piece of run state is either
-// cleared here or rebuilt per run (cores and SE state live in core.Run,
-// not on the Machine). Shard structure, precomputed routes and interned
+// can run another job: engines rewound, links and buses idle, caches
+// cold, the address space forgetting every mapping and replaying its
+// seed, all counters zeroed, tracers and sampler detached. The Reset
+// contract is observational equivalence to New(m.Cfg) — a job run on a
+// Reset machine must produce bit-identical results — which holds because
+// every piece of run state is either cleared here or rebuilt per run
+// (cores and SE state live in core.Run, not on the Machine). Shard structure, precomputed routes and interned
 // counter ids survive: they are functions of Cfg alone.
 func (m *Machine) Reset() {
 	m.SetTracer(nil)
@@ -208,13 +193,6 @@ func (m *Machine) Reset() {
 	m.Dram.Reset()
 	m.Hier.Reset()
 	m.AS.Reset()
-	for _, t := range m.TLBs {
-		t.Reset()
-	}
-	for _, t := range m.SETLBs {
-		t.Reset()
-	}
-	m.Stats.Reset()
 	m.Obs.Reset()
 	for _, u := range m.PFUnits {
 		u.Reset()
@@ -225,6 +203,15 @@ func (m *Machine) Reset() {
 			m.PFUnits[tile].Observe(addr, pc)
 		}
 	}
+}
+
+// Reseed switches a just-Reset machine to another seed: afterwards it is
+// observationally equivalent to New with m.Cfg.Seed = seed. Seed reaches
+// machine state only through the address space, so the machine pool keys
+// machines without it and reseeds on checkout.
+func (m *Machine) Reseed(seed uint64) {
+	m.Cfg.Seed = seed
+	m.AS.Reseed(seed)
 }
 
 // SetTracer attaches one event tracer to every traced component (nil
@@ -397,29 +384,31 @@ func (m *Machine) Tiles() int { return m.Net.Nodes() }
 // Cores returns the worker-core count.
 func (m *Machine) Cores() int { return m.Cfg.Cores }
 
-// Translate maps a virtual to a physical address (functional; the TLB
-// latency models charge their own cycles).
+// Translate maps a virtual to a physical address. Translation is
+// functional and costs no cycles: every workload runs on huge pages, so
+// core-side TLB misses are negligible; the SE_L3 TLB's misses are charged
+// by the near-stream runtime.
 func (m *Machine) Translate(va uint64) uint64 { return m.AS.Translate(va) }
 
 // HomeBank returns the L3 bank of a virtual address.
 func (m *Machine) HomeBank(va uint64) int { return m.Hier.HomeBank(m.Translate(va)) }
 
-// CollectStats merges every component's counters into one set.
-func (m *Machine) CollectStats() *stats.Set {
-	out := stats.NewSet()
-	out.Merge(m.Stats)
-	m.Obs.ExportTo(out.Add)
-	out.Merge(m.Hier.Stats())
-	out.Merge(m.Dram.Stats())
-	for _, t := range m.TLBs {
-		out.Merge(t.Stats)
+// Registries lists every counter registry the machine owns: the runtime
+// registry (Obs), the NoC's (including its per-class traffic,
+// noc.bytehops.<class> and noc.messages.<class>), and the cache and DRAM
+// lanes.
+func (m *Machine) Registries() []*obs.Registry {
+	regs := append([]*obs.Registry{m.Obs, m.Net.Registry()}, m.Hier.Registries()...)
+	return append(regs, m.Dram.Registries()...)
+}
+
+// Counters snapshots every counter of Registries into one map keyed by
+// counter name. Per-lane registries sum, so the snapshot does not depend
+// on the shard count. Zero counters are omitted.
+func (m *Machine) Counters() map[string]uint64 {
+	out := make(map[string]uint64)
+	for _, r := range m.Registries() {
+		r.SumInto(out)
 	}
-	for _, t := range m.SETLBs {
-		out.Merge(t.Stats)
-	}
-	out.Merge(m.Net.Stats())
-	out.Add("noc.bytehops.data", m.Net.Traffic.ByteHops(stats.TrafficData))
-	out.Add("noc.bytehops.control", m.Net.Traffic.ByteHops(stats.TrafficControl))
-	out.Add("noc.bytehops.offloaded", m.Net.Traffic.ByteHops(stats.TrafficOffload))
 	return out
 }

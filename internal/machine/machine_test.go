@@ -27,9 +27,6 @@ func TestNewAssemblesEverything(t *testing.T) {
 	if m.Tiles() != 16 || m.Cores() != 16 {
 		t.Fatalf("tiles=%d cores=%d", m.Tiles(), m.Cores())
 	}
-	if len(m.TLBs) != 16 || len(m.SETLBs) != 16 {
-		t.Fatal("per-tile TLBs missing")
-	}
 	if m.Hier.Tiles() != 16 {
 		t.Fatal("hierarchy size mismatch")
 	}
@@ -64,13 +61,25 @@ func TestCollectStatsMergesTraffic(t *testing.T) {
 	if !done {
 		t.Fatal("access incomplete")
 	}
-	s := m.CollectStats()
-	total := s.Get("noc.bytehops.data") + s.Get("noc.bytehops.control")
-	if total == 0 {
-		t.Fatal("CollectStats lost the NoC traffic")
+	s := m.Counters()
+	if s["noc.bytehops.data"]+s["noc.bytehops.control"] == 0 {
+		t.Fatal("Counters lost the NoC traffic")
 	}
-	if s.Get("l3.misses") == 0 {
-		t.Fatal("CollectStats lost the hierarchy counters")
+	if s["noc.messages.data"]+s["noc.messages.control"] == 0 {
+		t.Fatal("Counters lost the NoC message counts")
+	}
+	if s["l3.misses"] == 0 || s["dram.reads"] == 0 {
+		t.Fatal("Counters lost the hierarchy or DRAM counters")
+	}
+	for name, v := range s {
+		if v == 0 {
+			t.Fatalf("snapshot holds zero counter %s", name)
+		}
+	}
+	// Reset must zero every counter, traffic included.
+	m.Reset()
+	if after := m.Counters(); len(after) != 0 {
+		t.Fatalf("counters survive Reset: %v", after)
 	}
 }
 

@@ -8,13 +8,12 @@ import (
 	"repro/internal/sim"
 )
 
-// driveMachine runs a deterministic access script through a machine's full
-// stack — tiles, coherence, NoC, DRAM — and returns the merged stats plus
-// the final clock. Each tile issues a mix of local, cross-mesh and
-// conflicting (shared-line) accesses from its own engine, so the script
-// exercises every cross-shard interaction: request/response messages,
-// invalidation multicasts, writebacks, and DRAM bursts at the corners.
-func driveMachine(t *testing.T, shards int, force bool) (map[string]uint64, sim.Time, uint64) {
+// driveMachine runs runScript on a machine of the given shard count and
+// returns the counter snapshot plus the final clock and delivery count.
+// With reuse set the script runs twice, with a Reset in between, and the
+// second run's results return: a Reset machine must be indistinguishable
+// from a fresh one.
+func driveMachine(t *testing.T, shards int, force, reuse bool) (map[string]uint64, sim.Time, uint64) {
 	t.Helper()
 	cfg := CI()
 	cfg.Shards = shards
@@ -23,6 +22,22 @@ func driveMachine(t *testing.T, shards int, force bool) (map[string]uint64, sim.
 	if force {
 		m.Group.ForceParallel(true)
 	}
+	if reuse {
+		runScript(t, m)
+		m.Reset()
+	}
+	runScript(t, m)
+	return m.Counters(), m.Now(), m.Net.Delivered
+}
+
+// runScript runs a deterministic access script through a machine's full
+// stack — tiles, coherence, NoC, DRAM. Each tile issues a mix of local,
+// cross-mesh and conflicting (shared-line) accesses from its own engine,
+// so the script exercises every cross-shard interaction:
+// request/response messages, invalidation multicasts, writebacks, and
+// DRAM bursts at the corners.
+func runScript(t *testing.T, m *Machine) {
+	t.Helper()
 	tiles := m.Tiles()
 	// Completion counts are per-tile: each tile's callbacks fire on its own
 	// shard's goroutine, so a shared counter would race under -race.
@@ -56,40 +71,46 @@ func driveMachine(t *testing.T, shards int, force bool) (map[string]uint64, sim.
 		total += d
 	}
 	if total != want {
-		t.Fatalf("shards=%d force=%v: %d/%d accesses completed", shards, force, total, want)
+		t.Fatalf("shards=%d: %d/%d accesses completed", m.Shards(), total, want)
 	}
-	s := m.CollectStats()
-	out := make(map[string]uint64)
-	for _, name := range s.Names() {
-		out[name] = s.Get(name)
-	}
-	return out, m.Now(), m.Net.Delivered
 }
 
 // TestShardedMachineMatchesSerial is the machine-level determinism oracle:
-// the full stack simulated at 2 and 4 shards must produce exactly the
-// serial (1-shard) counters, clock and delivery count. Run with -race to
-// check the parallel windows too (ForceParallel overrides the
+// the full stack simulated at 1, 2 and 4 shards, on a fresh machine and
+// on a Reset one, must produce exactly the fresh serial (1-shard) counter
+// snapshot — NoC traffic included — clock and delivery count. Run with
+// -race to check the parallel windows too (ForceParallel overrides the
 // single-processor inline fallback).
 func TestShardedMachineMatchesSerial(t *testing.T) {
-	base, clock1, del1 := driveMachine(t, 1, false)
-	for _, k := range []int{2, 4} {
+	base, clock1, del1 := driveMachine(t, 1, false, false)
+	for _, name := range []string{"noc.bytehops.data", "noc.messages.control", "l3.misses", "dram.reads"} {
+		if base[name] == 0 {
+			t.Fatalf("serial snapshot lacks %s", name)
+		}
+	}
+	for _, k := range []int{1, 2, 4} {
 		for _, force := range []bool{false, true} {
-			stats, clock, del := driveMachine(t, k, force)
-			if clock != clock1 {
-				t.Errorf("shards=%d force=%v: clock %d, serial %d", k, force, clock, clock1)
-			}
-			if del != del1 {
-				t.Errorf("shards=%d force=%v: delivered %d, serial %d", k, force, del, del1)
-			}
-			for name, v := range base {
-				if stats[name] != v {
-					t.Errorf("shards=%d force=%v: %s = %d, serial %d", k, force, name, stats[name], v)
+			for _, reuse := range []bool{false, true} {
+				if k == 1 && !reuse {
+					continue // the baseline itself
 				}
-			}
-			for name := range stats {
-				if _, ok := base[name]; !ok {
-					t.Errorf("shards=%d force=%v: extra counter %s = %d", k, force, name, stats[name])
+				run := fmt.Sprintf("shards=%d force=%v reuse=%v", k, force, reuse)
+				snap, clock, del := driveMachine(t, k, force, reuse)
+				if clock != clock1 {
+					t.Errorf("%s: clock %d, serial %d", run, clock, clock1)
+				}
+				if del != del1 {
+					t.Errorf("%s: delivered %d, serial %d", run, del, del1)
+				}
+				for name, v := range base {
+					if snap[name] != v {
+						t.Errorf("%s: %s = %d, serial %d", run, name, snap[name], v)
+					}
+				}
+				for name := range snap {
+					if _, ok := base[name]; !ok {
+						t.Errorf("%s: extra counter %s = %d", run, name, snap[name])
+					}
 				}
 			}
 		}

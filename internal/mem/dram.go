@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Config describes the memory system.
@@ -55,7 +54,7 @@ type Memory struct {
 	nextFree []sim.Time
 	// lanes holds each controller's interned counters and tracer. Lanes are
 	// per controller (not per shard) so a controller only ever writes its
-	// own lane regardless of the partition; Stats sums them.
+	// own lane regardless of the partition; the machine snapshot sums them.
 	lanes []*memLane
 }
 
@@ -123,14 +122,14 @@ func (m *Memory) Reset() {
 	}
 }
 
-// Stats snapshots the memory counters as a stats set, summing the
-// per-controller lanes.
-func (m *Memory) Stats() *stats.Set {
-	s := stats.NewSet()
-	for _, l := range m.lanes {
-		l.reg.ExportTo(s.Add)
+// Registries returns the per-controller counter registries; summing them
+// gives the memory system's totals.
+func (m *Memory) Registries() []*obs.Registry {
+	regs := make([]*obs.Registry, len(m.lanes))
+	for i, l := range m.lanes {
+		regs[i] = l.reg
 	}
-	return s
+	return regs
 }
 
 // SetTracer attaches (or detaches, with nil) an event tracer to every

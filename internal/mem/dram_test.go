@@ -59,17 +59,26 @@ func TestControllersIndependent(t *testing.T) {
 	}
 }
 
+// counter sums one counter over the per-controller registries.
+func counter(m *Memory, name string) uint64 {
+	var v uint64
+	for _, r := range m.Registries() {
+		v += r.Get(name)
+	}
+	return v
+}
+
 func TestStats(t *testing.T) {
 	e := sim.NewEngine()
 	m := New(e, DefaultConfig())
 	m.Access(0, 64, false, nil)
 	m.Access(64, 64, true, nil)
 	e.Run()
-	if m.Stats().Get("dram.reads") != 1 || m.Stats().Get("dram.writes") != 1 {
-		t.Fatalf("stats wrong: %s", m.Stats())
+	if counter(m, "dram.reads") != 1 || counter(m, "dram.writes") != 1 {
+		t.Fatalf("reads/writes = %d/%d, want 1/1", counter(m, "dram.reads"), counter(m, "dram.writes"))
 	}
-	if m.Stats().Get("dram.bytes") != 128 {
-		t.Fatalf("bytes = %d", m.Stats().Get("dram.bytes"))
+	if counter(m, "dram.bytes") != 128 {
+		t.Fatalf("bytes = %d", counter(m, "dram.bytes"))
 	}
 }
 

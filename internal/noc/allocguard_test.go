@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/stats"
 )
 
 // TestSendAllocFreeWithTracer pins the observability zero-cost contract
@@ -25,7 +24,7 @@ func TestSendAllocFreeWithTracer(t *testing.T) {
 			tr := obs.NewTracer(1 << 10)
 			tr.SetEnabled(tc.enabled)
 			n.SetTracer(tr)
-			m := &Message{Src: 0, Dst: 63, Bytes: 64, Class: stats.TrafficData}
+			m := &Message{Src: 0, Dst: 63, Bytes: 64, Class: TrafficData}
 			for i := 0; i < 256; i++ { // warm the engine queue capacity
 				n.Send(m)
 				e.Run()
@@ -62,7 +61,7 @@ func TestSendAllocFreeWithAttribution(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e, n := testNet(8, 8)
 			n.SetAttribution(tc.lane)
-			m := &Message{Src: 0, Dst: 63, Bytes: 64, Class: stats.TrafficData}
+			m := &Message{Src: 0, Dst: 63, Bytes: 64, Class: TrafficData}
 			for i := 0; i < 256; i++ { // warm the engine queue capacity
 				n.Send(m)
 				e.Run()

@@ -2,8 +2,8 @@
 // dimension-order routing, 256-bit single-cycle links, a multi-stage router
 // pipeline, link contention, and multicast — matching the Garnet
 // configuration of Table V. Every delivered message is charged bytes×hops
-// into a stats.Traffic accumulator, which is the unit Figures 1b, 12 and 15
-// report.
+// to its traffic class's registry counter (noc.bytehops.<class>), the unit
+// Figures 1b, 12 and 15 report.
 package noc
 
 import (
@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Config describes a mesh network.
@@ -48,13 +47,42 @@ func DefaultConfig() Config {
 	}
 }
 
+// TrafficClass labels NoC messages for the Figure 12 breakdown.
+type TrafficClass int
+
+const (
+	// TrafficData is non-offloaded data accesses and writebacks.
+	TrafficData TrafficClass = iota
+	// TrafficControl is coherence and prefetch control messages.
+	TrafficControl
+	// TrafficOffload is near-data data+coordination traffic (credits,
+	// ranges, commits, forwarded stream data, migrations).
+	TrafficOffload
+	numTrafficClasses
+)
+
+// String names the class like the paper's Figure 12 legend; it is also
+// the suffix of the class's noc.bytehops/noc.messages counters.
+func (c TrafficClass) String() string {
+	switch c {
+	case TrafficData:
+		return "data"
+	case TrafficControl:
+		return "control"
+	case TrafficOffload:
+		return "offloaded"
+	default:
+		return fmt.Sprintf("class(%d)", int(c))
+	}
+}
+
 // Message is one network transfer. The zero Dst/Src is node 0; callers set
 // all fields.
 type Message struct {
 	Src, Dst int
 	// Bytes is the payload size; the network adds Config.HeaderBytes.
 	Bytes int
-	Class stats.TrafficClass
+	Class TrafficClass
 	// OnDeliver runs at the destination when the message arrives. It may
 	// be nil for fire-and-forget accounting.
 	OnDeliver func()
@@ -78,9 +106,8 @@ const (
 // at construction: routing a message is a slice walk with no allocation
 // and no map lookups.
 type Network struct {
-	cfg     Config
-	engine  *sim.Engine
-	Traffic stats.Traffic
+	cfg    Config
+	engine *sim.Engine
 	// nextFree tracks when each directed link can accept the next
 	// message (message-granularity wormhole approximation).
 	nextFree []sim.Time
@@ -106,10 +133,12 @@ type Network struct {
 	horizonEv sim.Event
 	// Delivered counts total messages for sanity checks.
 	Delivered uint64
-	// reg holds the interned message counters; tracer (usually nil)
-	// receives per-message events behind an Enabled() branch.
+	// reg holds the interned message counters, including the per-class
+	// byte-hop and message counts; tracer (usually nil) receives
+	// per-message events behind an Enabled() branch.
 	reg                     *obs.Registry
 	ctrSends, ctrMulticasts obs.Counter
+	ctrByteHops, ctrMsgs    [numTrafficClasses]obs.Counter
 	tracer                  *obs.Tracer
 	// attrib (usually nil) receives link-backpressure charges from
 	// deliveryTimeAt. Link reservation is global state mutated only
@@ -163,7 +192,7 @@ type pendingSend struct {
 	seq      uint64   // per-src sequence at the send
 	src, dst int32
 	bytes    int32
-	class    stats.TrafficClass
+	class    TrafficClass
 	// local marks a same-node message already scheduled on its engine:
 	// the barrier only does its accounting.
 	local bool
@@ -185,6 +214,10 @@ func New(engine *sim.Engine, cfg Config) *Network {
 	n := &Network{cfg: cfg, engine: engine, reg: obs.NewRegistry()}
 	n.ctrSends = n.reg.Counter("noc.sends")
 	n.ctrMulticasts = n.reg.Counter("noc.multicasts")
+	for c := TrafficClass(0); c < numTrafficClasses; c++ {
+		n.ctrByteHops[c] = n.reg.Counter("noc.bytehops." + c.String())
+		n.ctrMsgs[c] = n.reg.Counter("noc.messages." + c.String())
+	}
 	nodes := n.Nodes()
 	n.nextFree = make([]sim.Time, nodes*dirCount)
 	n.busyCycles = make([]uint64, nodes*dirCount)
@@ -261,7 +294,6 @@ func (n *Network) AttachShards(g *sim.ShardGroup, shardOf []int32) {
 // clearing them here is defensive (an aborted run must not leak sends
 // into the next job).
 func (n *Network) Reset() {
-	n.Traffic.Reset()
 	clear(n.nextFree)
 	clear(n.busyCycles)
 	clear(n.linkSeen)
@@ -284,11 +316,16 @@ func (n *Network) Reset() {
 	}
 }
 
-// Stats snapshots the network's interned counters into a stats.Set.
-func (n *Network) Stats() *stats.Set {
-	s := stats.NewSet()
-	n.reg.ExportTo(s.Add)
-	return s
+// Registry returns the network's counter registry (message counts and
+// per-class traffic). It is written only single-threaded — serially or
+// at window barriers — so reading it after a run needs no merging.
+func (n *Network) Registry() *obs.Registry { return n.reg }
+
+// record charges a message of size bytes travelling hops mesh links to
+// its traffic class (an out-of-range class panics on the index).
+func (n *Network) record(class TrafficClass, bytes, hops int) {
+	n.ctrByteHops[class].Add(uint64(bytes) * uint64(hops))
+	n.ctrMsgs[class].Inc()
 }
 
 // buildRoutes precomputes the X-Y link-id route of every (src, dst) pair
@@ -438,7 +475,7 @@ func (n *Network) Send(m *Message) {
 	}
 	n.ctrSends.Inc()
 	hops := n.HopCount(m.Src, m.Dst)
-	n.Traffic.Record(m.Class, m.Bytes+n.cfg.HeaderBytes, hops)
+	n.record(m.Class, m.Bytes+n.cfg.HeaderBytes, hops)
 	arrive := n.deliveryTimeAt(n.engine.Now(), m.Src, m.Dst, m.Bytes)
 	if tr := n.tracer; tr.Enabled() {
 		now := n.engine.Now()
@@ -537,7 +574,7 @@ func (n *Network) scheduleDelivery(at sim.Time, fn func()) {
 // the router multicast support of Table V. OnDeliver (if non-nil) runs once
 // per destination. On a sharded network remote deliveries are deferred to
 // the window barrier like Send's.
-func (n *Network) Multicast(src int, dsts []int, bytes int, class stats.TrafficClass, onDeliver func(dst int)) {
+func (n *Network) Multicast(src int, dsts []int, bytes int, class TrafficClass, onDeliver func(dst int)) {
 	n.check(src)
 	if len(dsts) == 0 {
 		return
@@ -582,7 +619,7 @@ func (n *Network) Multicast(src int, dsts []int, bytes int, class stats.TrafficC
 // several destinations count once, stamping the scratch array with a
 // fresh epoch instead of building a per-message set. Exactly one of
 // dsts/dsts32 is non-nil (the serial and deferred call sites).
-func (n *Network) multicastTraffic(src int, dsts []int, dsts32 []int32, bytes int, class stats.TrafficClass) {
+func (n *Network) multicastTraffic(src int, dsts []int, dsts32 []int32, bytes int, class TrafficClass) {
 	n.epoch++
 	if n.epoch == 0 { // wrapped: old stamps are ambiguous, clear them
 		clear(n.linkSeen)
@@ -604,7 +641,7 @@ func (n *Network) multicastTraffic(src int, dsts []int, dsts32 []int32, bytes in
 	for _, d := range dsts32 {
 		count(int(d))
 	}
-	n.Traffic.Record(class, bytes+n.cfg.HeaderBytes, unique)
+	n.record(class, bytes+n.cfg.HeaderBytes, unique)
 	n.ctrMulticasts.Inc()
 }
 
@@ -674,7 +711,7 @@ func (n *Network) routeDeferred(p *pendingSend, limit sim.Time) {
 	}
 	n.ctrSends.Inc()
 	hops := n.HopCount(int(p.src), int(p.dst))
-	n.Traffic.Record(p.class, int(p.bytes)+n.cfg.HeaderBytes, hops)
+	n.record(p.class, int(p.bytes)+n.cfg.HeaderBytes, hops)
 	arrive := n.deliveryTimeAt(p.at, int(p.src), int(p.dst), int(p.bytes))
 	if tr := n.tracer; tr.Enabled() {
 		tr.Emit(obs.Event{Time: uint64(p.at), Dur: uint64(arrive - p.at),

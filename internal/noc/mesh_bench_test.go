@@ -2,8 +2,6 @@ package noc
 
 import (
 	"testing"
-
-	"repro/internal/stats"
 )
 
 // NoC hot-path benchmarks. Send and Multicast run once per protocol
@@ -17,7 +15,7 @@ func BenchmarkSendContended(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.Send(&Message{Src: i % 64, Dst: (i * 13) % 64, Bytes: 64, Class: stats.TrafficData})
+		n.Send(&Message{Src: i % 64, Dst: (i * 13) % 64, Bytes: 64, Class: TrafficData})
 		if i%256 == 255 {
 			e.Run()
 		}
@@ -32,7 +30,7 @@ func BenchmarkMulticastInvalidate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.Multicast(0, dsts, 8, stats.TrafficControl, nil)
+		n.Multicast(0, dsts, 8, TrafficControl, nil)
 		if i%64 == 63 {
 			e.Run()
 		}

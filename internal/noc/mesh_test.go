@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 func testNet(w, h int) (*sim.Engine, *Network) {
@@ -13,6 +12,39 @@ func testNet(w, h int) (*sim.Engine, *Network) {
 	cfg := DefaultConfig()
 	cfg.Width, cfg.Height = w, h
 	return e, New(e, cfg)
+}
+
+// byteHops reads a class's bytes×hops from the network's registry.
+func byteHops(n *Network, c TrafficClass) uint64 {
+	return n.Registry().Get("noc.bytehops." + c.String())
+}
+
+func TestTrafficAccounting(t *testing.T) {
+	_, n := testNet(4, 4)
+	n.record(TrafficData, 64, 3)
+	n.record(TrafficData, 8, 2)
+	n.record(TrafficOffload, 16, 4)
+	if got := byteHops(n, TrafficData); got != 64*3+8*2 {
+		t.Fatalf("data byte-hops = %d", got)
+	}
+	if got := byteHops(n, TrafficOffload); got != 64 {
+		t.Fatalf("offload byte-hops = %d", got)
+	}
+	if got := n.Registry().Get("noc.messages.data"); got != 2 {
+		t.Fatalf("data messages = %d", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-range traffic class should panic")
+		}
+	}()
+	n.record(numTrafficClasses, 8, 1)
+}
+
+func TestTrafficClassString(t *testing.T) {
+	if TrafficData.String() != "data" || TrafficControl.String() != "control" || TrafficOffload.String() != "offloaded" {
+		t.Fatal("traffic class names changed; Figure 12 legend and counter names depend on them")
+	}
 }
 
 func TestCoordRoundTrip(t *testing.T) {
@@ -78,7 +110,7 @@ func TestSendDeliversAndCharges(t *testing.T) {
 	e, n := testNet(8, 8)
 	delivered := false
 	var at sim.Time
-	n.Send(&Message{Src: 0, Dst: 63, Bytes: 64, Class: stats.TrafficData, OnDeliver: func() {
+	n.Send(&Message{Src: 0, Dst: 63, Bytes: 64, Class: TrafficData, OnDeliver: func() {
 		delivered = true
 		at = e.Now()
 	}})
@@ -90,7 +122,7 @@ func TestSendDeliversAndCharges(t *testing.T) {
 		t.Fatal("delivery at time 0 is impossible")
 	}
 	wantBH := uint64(64+n.Config().HeaderBytes) * 14
-	if got := n.Traffic.ByteHops(stats.TrafficData); got != wantBH {
+	if got := byteHops(n, TrafficData); got != wantBH {
 		t.Fatalf("byte-hops = %d, want %d", got, wantBH)
 	}
 }
@@ -98,12 +130,12 @@ func TestSendDeliversAndCharges(t *testing.T) {
 func TestLocalDelivery(t *testing.T) {
 	e, n := testNet(4, 4)
 	var at sim.Time
-	n.Send(&Message{Src: 5, Dst: 5, Bytes: 64, Class: stats.TrafficData, OnDeliver: func() { at = e.Now() }})
+	n.Send(&Message{Src: 5, Dst: 5, Bytes: 64, Class: TrafficData, OnDeliver: func() { at = e.Now() }})
 	e.Run()
 	if at != n.Config().RouterLatency {
 		t.Fatalf("local delivery at %d, want router latency %d", at, n.Config().RouterLatency)
 	}
-	if n.Traffic.ByteHops(stats.TrafficData) != 0 {
+	if byteHops(n, TrafficData) != 0 {
 		t.Fatal("local messages must not be charged link traffic")
 	}
 }
@@ -113,8 +145,8 @@ func TestContentionSerializes(t *testing.T) {
 	// Two max-size messages over the same links: the second must arrive
 	// later than the first.
 	var first, second sim.Time
-	n.Send(&Message{Src: 0, Dst: 7, Bytes: 64, Class: stats.TrafficData, OnDeliver: func() { first = e.Now() }})
-	n.Send(&Message{Src: 0, Dst: 7, Bytes: 64, Class: stats.TrafficData, OnDeliver: func() { second = e.Now() }})
+	n.Send(&Message{Src: 0, Dst: 7, Bytes: 64, Class: TrafficData, OnDeliver: func() { first = e.Now() }})
+	n.Send(&Message{Src: 0, Dst: 7, Bytes: 64, Class: TrafficData, OnDeliver: func() { second = e.Now() }})
 	e.Run()
 	if second <= first {
 		t.Fatalf("contention not modelled: first=%d second=%d", first, second)
@@ -127,7 +159,7 @@ func TestNoContentionModeMatchesLatency(t *testing.T) {
 	cfg.ModelContention = false
 	n := New(e, cfg)
 	var at sim.Time
-	n.Send(&Message{Src: 0, Dst: 63, Bytes: 64, Class: stats.TrafficData, OnDeliver: func() { at = e.Now() }})
+	n.Send(&Message{Src: 0, Dst: 63, Bytes: 64, Class: TrafficData, OnDeliver: func() { at = e.Now() }})
 	e.Run()
 	if want := n.Latency(0, 63, 64); at != want {
 		t.Fatalf("uncontended arrival %d, want Latency() = %d", at, want)
@@ -140,22 +172,22 @@ func TestMulticastSharedLinksChargedOnce(t *testing.T) {
 	// second branch takes 1 extra Y hop → 8 unique links, not 15.
 	dsts := []int{n.NodeAt(7, 0), n.NodeAt(7, 1)}
 	count := 0
-	n.Multicast(0, dsts, 8, stats.TrafficControl, func(dst int) { count++ })
+	n.Multicast(0, dsts, 8, TrafficControl, func(dst int) { count++ })
 	e.Run()
 	if count != 2 {
 		t.Fatalf("multicast delivered %d times, want 2", count)
 	}
 	wantBH := uint64(8+n.Config().HeaderBytes) * 8
-	if got := n.Traffic.ByteHops(stats.TrafficControl); got != wantBH {
+	if got := byteHops(n, TrafficControl); got != wantBH {
 		t.Fatalf("multicast byte-hops = %d, want %d (shared prefix charged once)", got, wantBH)
 	}
 }
 
 func TestMulticastEmpty(t *testing.T) {
 	e, n := testNet(4, 4)
-	n.Multicast(0, nil, 8, stats.TrafficControl, nil)
+	n.Multicast(0, nil, 8, TrafficControl, nil)
 	e.Run()
-	if n.Traffic.Total() != 0 {
+	if byteHops(n, TrafficData)+byteHops(n, TrafficControl)+byteHops(n, TrafficOffload) != 0 {
 		t.Fatal("empty multicast should be free")
 	}
 }
@@ -204,10 +236,10 @@ func TestTrafficByHopsProperty(t *testing.T) {
 			dst := int(p>>6) % 64
 			bytes := int(p%5)*16 + 8
 			want += uint64(bytes+n.Config().HeaderBytes) * uint64(n.HopCount(src, dst))
-			n.Send(&Message{Src: src, Dst: dst, Bytes: bytes, Class: stats.TrafficData})
+			n.Send(&Message{Src: src, Dst: dst, Bytes: bytes, Class: TrafficData})
 		}
 		e.Run()
-		return n.Traffic.ByteHops(stats.TrafficData) == want
+		return byteHops(n, TrafficData) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -220,7 +252,7 @@ func TestUtilizationBounded(t *testing.T) {
 		t.Fatal("idle network should report zero utilization")
 	}
 	for i := 0; i < 200; i++ {
-		n.Send(&Message{Src: i % 16, Dst: (i * 7) % 16, Bytes: 64, Class: stats.TrafficData})
+		n.Send(&Message{Src: i % 16, Dst: (i * 7) % 16, Bytes: 64, Class: TrafficData})
 	}
 	e.Run()
 	u := n.Utilization()
@@ -233,7 +265,7 @@ func TestUtilizationGrowsWithLoad(t *testing.T) {
 	run := func(msgs int) float64 {
 		e, n := testNet(4, 4)
 		for i := 0; i < msgs; i++ {
-			n.Send(&Message{Src: 0, Dst: 15, Bytes: 64, Class: stats.TrafficData})
+			n.Send(&Message{Src: 0, Dst: 15, Bytes: 64, Class: TrafficData})
 		}
 		e.Run()
 		return n.Utilization()
@@ -269,9 +301,9 @@ func TestMulticastAccountingMatchesReference(t *testing.T) {
 		}
 		bytes := 8
 		want := uint64(bytes+n.Config().HeaderBytes) * uint64(len(unique))
-		n.Multicast(src, dsts, bytes, stats.TrafficControl, nil)
+		n.Multicast(src, dsts, bytes, TrafficControl, nil)
 		e.Run()
-		return n.Traffic.ByteHops(stats.TrafficControl) == want
+		return byteHops(n, TrafficControl) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // shardedNet builds a network partitioned over k shards (row bands).
@@ -43,7 +42,7 @@ func driveMeshScript(n *Network, engineOf func(node int) *sim.Engine, run func()
 			if depth == 0 {
 				return
 			}
-			n.Send(&Message{Src: dst, Dst: src, Bytes: bytes, Class: stats.TrafficData,
+			n.Send(&Message{Src: dst, Dst: src, Bytes: bytes, Class: TrafficData,
 				OnDeliver: chain(dst, src, depth-1, bytes+16)})
 		}
 	}
@@ -53,11 +52,11 @@ func driveMeshScript(n *Network, engineOf func(node int) *sim.Engine, run func()
 		e := engineOf(src)
 		i := i
 		e.ScheduleAt(sim.Time(100+13*i), func() {
-			n.Send(&Message{Src: src, Dst: dst, Bytes: 32 + 8*i, Class: stats.TrafficControl,
+			n.Send(&Message{Src: src, Dst: dst, Bytes: 32 + 8*i, Class: TrafficControl,
 				OnDeliver: chain(src, dst, 4, 48)})
 			// Same-node round trip from the same cycle: must keep the
 			// serial router-only latency under any shard count.
-			n.Send(&Message{Src: src, Dst: src, Bytes: 8, Class: stats.TrafficData,
+			n.Send(&Message{Src: src, Dst: src, Bytes: 8, Class: TrafficData,
 				OnDeliver: func() {
 					log[src] = append(log[src], fmt.Sprintf("local at %d", engineOf(src).Now()))
 				}})
@@ -71,10 +70,10 @@ func driveMeshScript(n *Network, engineOf func(node int) *sim.Engine, run func()
 		for r := 0; r < n.Config().Height; r++ {
 			dsts = append(dsts, r*w+(r%w))
 		}
-		n.Multicast(center, dsts, 64, stats.TrafficOffload, func(dst int) {
+		n.Multicast(center, dsts, 64, TrafficOffload, func(dst int) {
 			log[dst] = append(log[dst], fmt.Sprintf("mc at %d", engineOf(dst).Now()))
 		})
-		n.Send(&Message{Src: center, Dst: 0, Bytes: 128, Class: stats.TrafficData})
+		n.Send(&Message{Src: center, Dst: 0, Bytes: 128, Class: TrafficData})
 	})
 	run()
 	return log
@@ -122,13 +121,11 @@ func TestShardedMeshMatchesSerial(t *testing.T) {
 		if nn.Delivered != sn.Delivered {
 			t.Fatalf("k=%d Delivered=%d, serial %d", k, nn.Delivered, sn.Delivered)
 		}
-		for _, c := range []stats.TrafficClass{stats.TrafficData, stats.TrafficControl, stats.TrafficOffload} {
-			if nn.Traffic.ByteHops(c) != sn.Traffic.ByteHops(c) {
-				t.Fatalf("k=%d class %v bytehops %d, serial %d",
-					k, c, nn.Traffic.ByteHops(c), sn.Traffic.ByteHops(c))
-			}
-			if nn.Traffic.Messages(c) != sn.Traffic.Messages(c) {
-				t.Fatalf("k=%d class %v messages mismatch", k, c)
+		for c := TrafficClass(0); c < numTrafficClasses; c++ {
+			for _, name := range []string{"noc.bytehops." + c.String(), "noc.messages." + c.String()} {
+				if got, want := nn.Registry().Get(name), sn.Registry().Get(name); got != want {
+					t.Fatalf("k=%d %s = %d, serial %d", k, name, got, want)
+				}
 			}
 		}
 		if nn.BusyLinkCycles() != sn.BusyLinkCycles() {

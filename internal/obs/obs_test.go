@@ -21,10 +21,13 @@ func TestRegistryInternAndExport(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", r.Len())
 	}
-	out := map[string]uint64{}
-	r.ExportTo(func(n string, v uint64) { out[n] = v })
-	if len(out) != 1 || out["l1.hits"] != 5 {
-		t.Fatalf("export = %v, want only non-zero l1.hits=5", out)
+	if !r.Has("l1.misses") || r.Has("l1.evictions") {
+		t.Fatal("Has must report interning, not value")
+	}
+	out := map[string]uint64{"l1.hits": 1}
+	r.SumInto(out)
+	if len(out) != 1 || out["l1.hits"] != 6 {
+		t.Fatalf("snapshot = %v, want only non-zero l1.hits summed to 6", out)
 	}
 }
 

@@ -13,8 +13,9 @@ package obs
 // Registry interns counter names to dense integer ids at construction
 // time. A component creates its counters once (Counter returns a handle),
 // then every hot-path increment is a slice element add — the map is only
-// touched at interning and export time. stats.Set remains the export and
-// compatibility surface: ExportTo feeds the named values into it.
+// touched at interning and snapshot time. A Registry is the simulator's
+// only counter mechanism: a machine's counter snapshot is the SumInto of
+// every registry it owns.
 //
 // A Registry is single-goroutine, like the simulation that owns it.
 type Registry struct {
@@ -61,13 +62,20 @@ func (r *Registry) Get(name string) uint64 {
 	return 0
 }
 
-// ExportTo feeds every non-zero counter to add. Zero counters are skipped
-// so the exported set matches map-based stats.Set semantics, where a
-// counter exists only once touched.
-func (r *Registry) ExportTo(add func(name string, v uint64)) {
+// Has reports whether name is interned (its value may still be zero).
+func (r *Registry) Has(name string) bool {
+	_, ok := r.index[name]
+	return ok
+}
+
+// SumInto adds every non-zero counter into dst by name. Zero counters are
+// skipped, so a snapshot holds a counter only once it was touched, and
+// summing several registries (per-shard lanes) gives shard-independent
+// totals.
+func (r *Registry) SumInto(dst map[string]uint64) {
 	for i, v := range r.vals {
 		if v != 0 {
-			add(r.names[i], v)
+			dst[r.names[i]] += v
 		}
 	}
 }

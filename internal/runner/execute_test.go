@@ -1,9 +1,14 @@
 package runner
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"strconv"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/machine"
 	"repro/internal/workloads"
 )
 
@@ -26,5 +31,68 @@ func TestExecuteRepeatableInProcess(t *testing.T) {
 	}
 	if *a != *b {
 		t.Fatalf("re-execution diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// counterReads collects the string literals used as map indexes in the
+// named function of a Go source file: the counter names it reads from a
+// machine snapshot.
+func counterReads(t *testing.T, file, fn string) []string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, d := range f.Decls {
+		fd, ok := d.(*ast.FuncDecl)
+		if !ok || fd.Name.Name != fn {
+			continue
+		}
+		ast.Inspect(fd, func(n ast.Node) bool {
+			if ix, ok := n.(*ast.IndexExpr); ok {
+				if lit, ok := ix.Index.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					name, err := strconv.Unquote(lit.Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					names = append(names, name)
+				}
+			}
+			return true
+		})
+	}
+	if len(names) == 0 {
+		t.Fatalf("%s: no counter reads found in %s", file, fn)
+	}
+	return names
+}
+
+// TestResultCounterNamesInterned guards the string-keyed reads behind
+// Figures 10, 12 and 16: every counter name energy.Estimate and
+// executeJob look up must be interned on a CI machine after a Base and
+// after an NS run. A renamed counter would otherwise read as 0 and
+// silently change the figures.
+func TestResultCounterNamesInterned(t *testing.T) {
+	names := append(counterReads(t, "runner.go", "executeJob"),
+		counterReads(t, "../energy/energy.go", "Estimate")...)
+	for _, sys := range []core.System{core.Base, core.NS} {
+		env := &execEnv{machines: newMachinePool(1)}
+		if _, _, err := executeJob(job("histogram", sys), nil, 1, env); err != nil {
+			t.Fatal(err)
+		}
+		var m *machine.Machine
+		for _, l := range env.machines.free {
+			m = l[0]
+		}
+		for _, name := range names {
+			found := false
+			for _, r := range m.Registries() {
+				found = found || r.Has(name)
+			}
+			if !found {
+				t.Errorf("%v: counter %q is read but never interned", sys, name)
+			}
+		}
 	}
 }

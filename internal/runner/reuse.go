@@ -25,8 +25,10 @@ type execEnv struct {
 // machine allocates the mesh routes, cache arrays, directory tables and
 // shard engines — tens of MB and millions of allocations at paper scale
 // — so jobs check one out, Reset it (see machine.Machine.Reset) and
-// return it instead of rebuilding. Keyed by the normalized config (a
-// comparable struct: the config digest); per-key depth is capped at the
+// return it instead of rebuilding. Keyed by the normalized config with
+// Seed zeroed (a comparable struct: the config digest): the seed reaches
+// machine state only through the address space, which get reseeds, so
+// jobs of every seed share one free list. Per-key depth is capped at the
 // pool's worker count, which is the most machines of one config that can
 // ever be in flight.
 type machinePool struct {
@@ -37,6 +39,13 @@ type machinePool struct {
 	misses uint64
 }
 
+// poolKey is the free-list key of cfg: normalized, seedless.
+func poolKey(cfg machine.Config) machine.Config {
+	cfg = machine.Normalize(cfg)
+	cfg.Seed = 0
+	return cfg
+}
+
 func newMachinePool(perKey int) *machinePool {
 	if perKey < 1 {
 		perKey = 1
@@ -44,10 +53,11 @@ func newMachinePool(perKey int) *machinePool {
 	return &machinePool{perKey: perKey, free: make(map[machine.Config][]*machine.Machine)}
 }
 
-// get pops a pooled machine for cfg, Reset and ready to run, or returns
-// nil (a miss: the caller builds fresh and puts it back afterwards).
+// get pops a pooled machine for cfg, Reset, reseeded to cfg.Seed and
+// ready to run, or returns nil (a miss: the caller builds fresh and puts
+// it back afterwards).
 func (mp *machinePool) get(cfg machine.Config) *machine.Machine {
-	key := machine.Normalize(cfg)
+	key := poolKey(cfg)
 	mp.mu.Lock()
 	l := mp.free[key]
 	if n := len(l); n > 0 {
@@ -57,6 +67,7 @@ func (mp *machinePool) get(cfg machine.Config) *machine.Machine {
 		mp.hits++
 		mp.mu.Unlock()
 		m.Reset()
+		m.Reseed(cfg.Seed)
 		return m
 	}
 	mp.misses++
@@ -70,12 +81,13 @@ func (mp *machinePool) get(cfg machine.Config) *machine.Machine {
 // goroutines; a ShardGroup restarts them on its next run.
 func (mp *machinePool) put(m *machine.Machine) {
 	m.Close()
+	key := poolKey(m.Cfg)
 	mp.mu.Lock()
-	if len(mp.free[m.Cfg]) >= mp.perKey {
+	if len(mp.free[key]) >= mp.perKey {
 		mp.mu.Unlock()
 		return
 	}
-	mp.free[m.Cfg] = append(mp.free[m.Cfg], m)
+	mp.free[key] = append(mp.free[key], m)
 	mp.mu.Unlock()
 }
 

@@ -1,10 +1,14 @@
 package runner
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/machine"
+	"repro/internal/sim"
+	"repro/internal/workloads"
 )
 
 // TestArenaTakeAndReset pins the arena contract: Take returns zeroed,
@@ -112,7 +116,7 @@ func TestMachinePoolKeyNormalization(t *testing.T) {
 	mp.put(m2)
 	mp.put(m3)
 	mp.put(m4)
-	key := machine.Normalize(raw)
+	key := poolKey(raw)
 	mp.mu.Lock()
 	depth := len(mp.free[key])
 	mp.mu.Unlock()
@@ -157,6 +161,87 @@ func TestDataSnapshotRestoreRoundTrip(t *testing.T) {
 	for i := uint64(0); i < 4; i++ {
 		if got := d2.Array("b").Get(i); got != 100+i {
 			t.Fatalf("b[%d] = %d after restore, want %d", i, got, 100+i)
+		}
+	}
+}
+
+// TestPooledMachineReseedMatchesFresh pins the seedless pool key: seed
+// reaches a machine only through its address space, so a machine built
+// at seed A, pooled, and checked out for seed B must run bit-identically
+// to a fresh seed-B machine. Base pages (UseHugePages off) make the
+// address-space RNG live, so the seed really moves physical placement.
+func TestPooledMachineReseedMatchesFresh(t *testing.T) {
+	w := workloads.Get("histogram", workloads.ScaleCI)
+	cfg := MachineConfig(job("histogram", core.NS), false)
+	cfg.UseHugePages = false
+	run := func(m *machine.Machine) (*core.RunResult, uint64) {
+		d := ir.NewData(m.AS)
+		d.AllocArrays(w.Kernel)
+		w.Init(d, sim.NewRand(0x9e37))
+		res, err := core.Run(m, w.Kernel, core.NS, core.DefaultParams(m.Tiles()), w.Params, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The last array is placed after the scatter RNG has run.
+		last := w.Kernel.Arrays[len(w.Kernel.Arrays)-1].Name
+		return res, m.Translate(d.Array(last).Base)
+	}
+	cfgA, cfgB := cfg, cfg
+	cfgA.Seed, cfgB.Seed = 3, 11
+	_, paA := run(machine.New(cfgA))
+	freshB, paB := run(machine.New(cfgB))
+	if paA == paB {
+		t.Fatal("seeds 3 and 11 place pages identically; the test would be vacuous")
+	}
+
+	mp := newMachinePool(1)
+	m := machine.New(cfgA)
+	defer m.Close()
+	run(m)
+	mp.put(m)
+	reused := mp.get(cfgB)
+	if reused != m {
+		t.Fatal("seed-B checkout missed the machine pooled at seed A")
+	}
+	if reused.Cfg.Seed != cfgB.Seed {
+		t.Fatalf("reused machine reports seed %d, want %d", reused.Cfg.Seed, cfgB.Seed)
+	}
+	got, pa := run(reused)
+	if pa != paB || got.Cycles != freshB.Cycles || !reflect.DeepEqual(got.Stats, freshB.Stats) {
+		t.Fatalf("reused-at-B diverged from fresh B: pa %#x/%#x cycles %d/%d",
+			pa, paB, got.Cycles, freshB.Cycles)
+	}
+}
+
+// TestPoolBoundedAcrossSeeds is the daemon-growth regression: a batch of
+// 20 distinct seeds must reuse machines across seeds and leave at most
+// workers pooled machines per seedless config, not one per seed.
+func TestPoolBoundedAcrossSeeds(t *testing.T) {
+	const workers = 2
+	p := NewPool(workers)
+	var jobs []Job
+	for seed := uint64(1); seed <= 20; seed++ {
+		j := job("histogram", core.NS)
+		j.Seed = seed
+		jobs = append(jobs, j)
+	}
+	if _, err := p.Run(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if hits, _ := p.MachineReuse(); hits == 0 {
+		t.Fatal("no machine reused across seeds")
+	}
+	mp := p.env.machines
+	mp.mu.Lock()
+	defer mp.mu.Unlock()
+	perConfig := map[machine.Config]int{}
+	for key, l := range mp.free {
+		perConfig[poolKey(key)] += len(l)
+	}
+	for key, n := range perConfig {
+		if n > workers {
+			t.Fatalf("%d machines pooled for one seedless config (mesh %dx%d), want <= %d",
+				n, key.MeshWidth, key.MeshHeight, workers)
 		}
 	}
 }

@@ -202,6 +202,9 @@ func executeJob(j Job, rec *obs.JobRecord, shards int, env *execEnv) (*Result, [
 	params := core.DefaultParams(m.Tiles())
 	j.Overrides.Apply(&params)
 	out := &Result{Workload: j.Workload, System: j.System}
+	// counters is the last invocation's snapshot: machine counters
+	// accumulate across iterations, so it covers the whole job.
+	var counters map[string]uint64
 	for it := 0; it < w.Iters; it++ {
 		res, err := core.Run(m, w.Kernel, j.System, params, w.Params, d)
 		if err != nil {
@@ -212,6 +215,7 @@ func executeJob(j Job, rec *obs.JobRecord, shards int, env *execEnv) (*Result, [
 		}
 		out.StreamableOps += res.DynOps[1] + res.DynOps[2] // mem + compute
 		out.OffloadedOps += res.OffloadedOps
+		counters = res.Stats
 	}
 	m.FinishTrace()
 	m.FinishAttribution()
@@ -226,13 +230,12 @@ func executeJob(j Job, rec *obs.JobRecord, shards int, env *execEnv) (*Result, [
 		rec.SimCycles = out.Cycles
 		rec.Events = out.Events
 	}
-	s := m.CollectStats()
-	out.TrafficData = s.Get("noc.bytehops.data")
-	out.TrafficControl = s.Get("noc.bytehops.control")
-	out.TrafficOffload = s.Get("noc.bytehops.offloaded")
-	out.LockAcquires = s.Get("lock.acquires")
-	out.LockConflicts = s.Get("lock.conflicts")
-	out.Energy = energy.Estimate(energy.ForCore(coreTypeName(j.CoreType)), s, out.TotalOps, out.Cycles)
+	out.TrafficData = counters["noc.bytehops.data"]
+	out.TrafficControl = counters["noc.bytehops.control"]
+	out.TrafficOffload = counters["noc.bytehops.offloaded"]
+	out.LockAcquires = counters["lock.acquires"]
+	out.LockConflicts = counters["lock.conflicts"]
+	out.Energy = energy.Estimate(energy.ForCore(coreTypeName(j.CoreType)), counters, out.TotalOps, out.Cycles)
 	var stalls []uint64
 	if m.Shards() > 1 {
 		stalls = append(stalls, m.Group.StallNanos()...)

@@ -1,6 +1,8 @@
 // Package tlb models address translation: page tables with 4 KB base and
-// 2 MB huge pages, an allocating address space, and set-associative TLBs
-// (L1 D/I, L2, and the SE_L3-colocated TLB of Table V).
+// 2 MB huge pages and an allocating address space. Translation is
+// functional — it charges no cycles; the SE_L3-colocated TLB of Table V
+// is modelled by the near-stream runtime (internal/core), and core-side
+// translation latency is zero because every workload runs on huge pages.
 //
 // Range-based synchronization (§IV-B of the paper) assumes per-data-
 // structure physical contiguity via huge pages; the AddressSpace allocator
@@ -13,7 +15,6 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Page sizes.
@@ -94,6 +95,14 @@ func (as *AddressSpace) Reset() {
 	as.rng = sim.NewRand(as.seed)
 }
 
+// Reseed replaces the seed of the base-page scatter RNG and restarts the
+// RNG from it, so the address space allocates as a fresh one built with
+// seed would. A pooled machine uses it to serve a job with another seed.
+func (as *AddressSpace) Reseed(seed uint64) {
+	as.seed = seed
+	as.rng = sim.NewRand(seed)
+}
+
 // Alloc reserves size bytes and returns the virtual base address. The
 // region is aligned to (and padded to) the page size in use.
 func (as *AddressSpace) Alloc(size uint64) uint64 {
@@ -133,120 +142,6 @@ func (as *AddressSpace) Translate(va uint64) uint64 {
 		panic(fmt.Sprintf("tlb: access to unmapped address %#x", va))
 	}
 	return pa
-}
-
-// entry is one TLB entry.
-type entry struct {
-	vpn   uint64
-	valid bool
-	huge  bool
-	lru   uint64
-}
-
-// Config describes a TLB.
-type Config struct {
-	Entries     int
-	Ways        int
-	HitLatency  sim.Time
-	WalkLatency sim.Time // added on a miss (page-walk cost)
-}
-
-// TLB is a set-associative translation cache. It caches the *existence* of
-// a translation (the page table supplies the bits); what the timing model
-// needs is hit/miss latency and shootdown behaviour.
-type TLB struct {
-	cfg   Config
-	sets  int
-	data  [][]entry
-	clock uint64
-	Stats *stats.Set
-}
-
-// New builds a TLB. Entries must divide evenly into ways.
-func New(cfg Config) *TLB {
-	if cfg.Entries <= 0 || cfg.Ways <= 0 || cfg.Entries%cfg.Ways != 0 {
-		panic(fmt.Sprintf("tlb: bad geometry %d entries / %d ways", cfg.Entries, cfg.Ways))
-	}
-	sets := cfg.Entries / cfg.Ways
-	data := make([][]entry, sets)
-	for i := range data {
-		data[i] = make([]entry, cfg.Ways)
-	}
-	return &TLB{cfg: cfg, sets: sets, data: data, Stats: stats.NewSet()}
-}
-
-func (t *TLB) setFor(vpn uint64) int { return int(vpn % uint64(t.sets)) }
-
-// Lookup translates va with pt, returning the access latency and whether it
-// hit. Misses walk the page table and install the entry.
-func (t *TLB) Lookup(va uint64, pt *PageTable) (lat sim.Time, hit bool) {
-	_, huge, ok := pt.Translate(va)
-	if !ok {
-		panic(fmt.Sprintf("tlb: lookup of unmapped address %#x", va))
-	}
-	vpn := va >> BasePageBits
-	if huge {
-		vpn = va >> HugePageBits
-	}
-	t.clock++
-	set := t.data[t.setFor(vpn)]
-	for i := range set {
-		if set[i].valid && set[i].vpn == vpn && set[i].huge == huge {
-			set[i].lru = t.clock
-			t.Stats.Inc("tlb.hits")
-			return t.cfg.HitLatency, true
-		}
-	}
-	t.Stats.Inc("tlb.misses")
-	// Install, evicting LRU.
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].lru < set[victim].lru {
-			victim = i
-		}
-	}
-	set[victim] = entry{vpn: vpn, valid: true, huge: huge, lru: t.clock}
-	return t.cfg.HitLatency + t.cfg.WalkLatency, false
-}
-
-// Shootdown invalidates every entry covering va. The SE_L3 TLB participates
-// in shootdowns per §IV-B.
-func (t *TLB) Shootdown(va uint64) {
-	for _, vpn := range []uint64{va >> BasePageBits, va >> HugePageBits} {
-		set := t.data[t.setFor(vpn)]
-		for i := range set {
-			if set[i].valid && set[i].vpn == vpn {
-				set[i].valid = false
-				t.Stats.Inc("tlb.shootdowns")
-			}
-		}
-	}
-}
-
-// Reset returns the TLB to its just-built state: every entry invalid,
-// the LRU clock at zero, and all counters cleared. Unlike Flush it does
-// not count as a context switch — pooled-machine reuse must leave the
-// stats indistinguishable from a fresh build.
-func (t *TLB) Reset() {
-	for _, set := range t.data {
-		clear(set)
-	}
-	t.clock = 0
-	t.Stats.Reset()
-}
-
-// Flush invalidates the whole TLB (context switch).
-func (t *TLB) Flush() {
-	for _, set := range t.data {
-		for i := range set {
-			set[i].valid = false
-		}
-	}
-	t.Stats.Inc("tlb.flushes")
 }
 
 func align(x, a uint64) uint64 {

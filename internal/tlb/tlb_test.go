@@ -96,87 +96,25 @@ func TestTranslateUnmappedPanics(t *testing.T) {
 	as.Translate(0)
 }
 
-func testTLB() *TLB {
-	return New(Config{Entries: 8, Ways: 2, HitLatency: 1, WalkLatency: 20})
-}
-
-func TestTLBHitMiss(t *testing.T) {
-	tl := testTLB()
-	pt := NewPageTable()
-	pt.MapBase(1, 1)
-	lat, hit := tl.Lookup(1<<BasePageBits, pt)
-	if hit || lat != 21 {
-		t.Fatalf("first lookup: hit=%v lat=%d, want miss/21", hit, lat)
-	}
-	lat, hit = tl.Lookup(1<<BasePageBits|100, pt)
-	if !hit || lat != 1 {
-		t.Fatalf("second lookup: hit=%v lat=%d, want hit/1", hit, lat)
-	}
-	if tl.Stats.Get("tlb.hits") != 1 || tl.Stats.Get("tlb.misses") != 1 {
-		t.Fatalf("stats: %s", tl.Stats)
-	}
-}
-
-func TestTLBHugeCoversWholePage(t *testing.T) {
-	tl := testTLB()
-	pt := NewPageTable()
-	pt.MapHuge(0, 1)
-	tl.Lookup(100, pt)
-	// A different 4KB page inside the same huge page must hit.
-	if _, hit := tl.Lookup(5*BasePageSize, pt); !hit {
-		t.Fatal("huge-page entry should cover all contained base pages")
-	}
-}
-
-func TestTLBEviction(t *testing.T) {
-	tl := New(Config{Entries: 2, Ways: 2, HitLatency: 1, WalkLatency: 20})
-	pt := NewPageTable()
-	for i := uint64(0); i < 3; i++ {
-		pt.MapBase(i*2, i) // same set (set count is 1)
-	}
-	tl.Lookup(0, pt)
-	tl.Lookup(2<<BasePageBits, pt)
-	tl.Lookup(4<<BasePageBits, pt) // evicts vpn 0 (LRU)
-	if _, hit := tl.Lookup(0, pt); hit {
-		t.Fatal("LRU entry should have been evicted")
-	}
-	if _, hit := tl.Lookup(4<<BasePageBits, pt); !hit {
-		t.Fatal("recent entry evicted")
-	}
-}
-
-func TestTLBShootdown(t *testing.T) {
-	tl := testTLB()
-	pt := NewPageTable()
-	pt.MapBase(1, 1)
-	tl.Lookup(1<<BasePageBits, pt)
-	tl.Shootdown(1 << BasePageBits)
-	if _, hit := tl.Lookup(1<<BasePageBits, pt); hit {
-		t.Fatal("shootdown did not invalidate")
-	}
-	if tl.Stats.Get("tlb.shootdowns") == 0 {
-		t.Fatal("shootdown not counted")
-	}
-}
-
-func TestTLBFlush(t *testing.T) {
-	tl := testTLB()
-	pt := NewPageTable()
-	pt.MapBase(1, 1)
-	pt.MapBase(2, 2)
-	tl.Lookup(1<<BasePageBits, pt)
-	tl.Lookup(2<<BasePageBits, pt)
-	tl.Flush()
-	if _, hit := tl.Lookup(1<<BasePageBits, pt); hit {
-		t.Fatal("flush did not invalidate")
-	}
-}
-
-func TestTLBBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad geometry should panic")
+// TestResetReseedMatchesFresh pins the pooled-machine contract: an
+// address space Reset and reseeded to seed B scatters its base pages
+// exactly like one built fresh with seed B.
+func TestResetReseedMatchesFresh(t *testing.T) {
+	used := NewAddressSpace(false, 1)
+	used.Alloc(5 * BasePageSize)
+	used.Reset()
+	used.Reseed(7)
+	fresh := NewAddressSpace(false, 7)
+	for i := 0; i < 4; i++ {
+		a, b := used.Alloc(3*BasePageSize), fresh.Alloc(3*BasePageSize)
+		if a != b {
+			t.Fatalf("alloc %d: va %#x, fresh %#x", i, a, b)
 		}
-	}()
-	New(Config{Entries: 7, Ways: 2})
+		for p := uint64(0); p < 3; p++ {
+			va := a + p*BasePageSize
+			if used.Translate(va) != fresh.Translate(va) {
+				t.Fatalf("alloc %d page %d: pa %#x, fresh %#x", i, p, used.Translate(va), fresh.Translate(va))
+			}
+		}
+	}
 }
