@@ -45,12 +45,13 @@ perfbench:
 # bench: regenerate the tracked bench/BENCH_sim.json performance baseline.
 # Macro benchmarks (BenchmarkMatrix: whole figure pipelines) run once per
 # sub-benchmark; micro benchmarks (engine, cache bank, NoC, flatmap hot
-# paths) run with Go's auto benchtime for stable ns/op and allocs/op.
+# paths, trace generation) run with Go's auto benchtime for stable ns/op
+# and allocs/op.
 # benchjson then times a full `nsexp -all -quick` regeneration and records
 # its wall-clock and output sha256 alongside the parsed results, plus the
 # shard-barrier stall total of a 2-shard figure run (the parallel-DES
 # load-balance signal benchcmp tracks).
-BENCH_MICRO_PKGS = ./internal/sim ./internal/cache ./internal/noc ./internal/flatmap
+BENCH_MICRO_PKGS = ./internal/sim ./internal/cache ./internal/noc ./internal/flatmap ./internal/core
 BENCH_DIR = bench
 # BENCH_THRESHOLD is the max tolerated new/old ns-per-op (and allocs)
 # ratio benchcmp accepts; CI overrides it upward because shared runners

@@ -112,8 +112,12 @@ type coreRun struct {
 	chains       []*chainStream
 	lastAcc      map[string]uint64
 
-	cursor int
-	seq    uint64 // next sequence number (push order == fetch order)
+	// cursor indexes trace.Words and addrCursor trace.Addrs; ent is the
+	// scratch entry decode fills.
+	cursor     int
+	addrCursor int
+	ent        traceEntry
+	seq        uint64 // next sequence number (push order == fetch order)
 	// queue[qhead:] is the fetch backlog; the head index (instead of
 	// re-slicing the front) lets the drained slice be reused in place.
 	queue   []*cpu.MicroOp

@@ -18,20 +18,38 @@ func (s *coreSource) Next() (*cpu.MicroOp, cpu.FetchResult) {
 	for cr.qhead >= len(cr.queue) {
 		cr.queue = cr.queue[:0]
 		cr.qhead = 0
-		if cr.cursor >= len(cr.trace.Entries) {
+		if cr.cursor >= len(cr.trace.Words) {
 			if !cr.endEmitted {
 				cr.emitEnd()
 				continue
 			}
 			return nil, cpu.FetchDone
 		}
-		cr.emitEntry(&cr.trace.Entries[cr.cursor])
-		cr.cursor++
+		cr.emitEntry(cr.decode())
 	}
 	op := cr.queue[cr.qhead]
 	cr.queue[cr.qhead] = nil
 	cr.qhead++
 	return op, cpu.FetchOp
+}
+
+// decode unpacks the trace word under the cursor into the coreRun's
+// scratch entry, taking a memory entry's address from the address cursor.
+// The entry is valid until the next call.
+func (cr *coreRun) decode() *traceEntry {
+	w := cr.trace.Words[cr.cursor]
+	cr.cursor++
+	ent := &cr.ent
+	if w == iterWord {
+		*ent = traceEntry{kind: entIter}
+		return ent
+	}
+	*ent = traceEntry{kind: entOp, id: ir.ValueRef(w >> wordIDShift), write: w&wordWrite != 0}
+	if w&wordMem != 0 {
+		ent.pa = cr.trace.Addrs[cr.addrCursor]
+		cr.addrCursor++
+	}
+	return ent
 }
 
 // Recycle implements cpu.OpRecycler: the core has finished reading op.

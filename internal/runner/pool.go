@@ -382,26 +382,14 @@ func (p *Pool) resolve(ctx context.Context, j Job, d *distinctJob) (res *Result,
 	}
 }
 
-// executeEntry fills e for key: from the persistent store when possible,
-// by delegating to Pool.Remote when set, otherwise by simulating under
-// the pool-wide worker bound — holding the store's advisory per-envelope
-// lock so two processes sharing one cache directory never compute the
-// same job concurrently. Cancellation before a worker slot is acquired
-// releases the entry for other batches.
+// executeEntry fills e for key: from the persistent store when possible
+// (checked before taking a worker slot), by delegating to Pool.Remote
+// when set, otherwise by simulating under the pool-wide worker bound —
+// holding the store's advisory per-envelope lock so two processes sharing
+// one cache directory never compute the same job concurrently.
+// Cancellation before a worker slot is acquired releases the entry for
+// other batches.
 func (p *Pool) executeEntry(ctx context.Context, j Job, key string, e *memoEntry, rec *obs.JobRecord) (res *Result, err error, src jobSource) {
-	select {
-	case p.sem <- struct{}{}:
-	case <-ctx.Done():
-		p.cancelEntry(key, e)
-		return nil, ctx.Err(), srcSim
-	}
-	defer func() { <-p.sem }()
-	if cerr := ctx.Err(); cerr != nil {
-		// Canceled in the same instant the slot freed up: still abandon.
-		p.cancelEntry(key, e)
-		return nil, cerr, srcSim
-	}
-
 	diskLoad := func() (*Result, bool) {
 		if p.Disk == nil {
 			return nil, false
@@ -425,9 +413,28 @@ func (p *Pool) executeEntry(ctx context.Context, j Job, key string, e *memoEntry
 		}
 		return dres, true
 	}
+	if cerr := ctx.Err(); cerr != nil {
+		p.cancelEntry(key, e)
+		return nil, cerr, srcSim
+	}
+	// A store read is cheap next to a simulation, so it runs before the
+	// worker slot: a disk hit never queues behind running jobs.
 	if dres, ok := diskLoad(); ok {
 		close(e.done)
 		return dres, nil, srcDisk
+	}
+
+	select {
+	case p.sem <- struct{}{}:
+	case <-ctx.Done():
+		p.cancelEntry(key, e)
+		return nil, ctx.Err(), srcSim
+	}
+	defer func() { <-p.sem }()
+	if cerr := ctx.Err(); cerr != nil {
+		// Canceled in the same instant the slot freed up: still abandon.
+		p.cancelEntry(key, e)
+		return nil, cerr, srcSim
 	}
 
 	if p.Remote != nil {

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -49,6 +50,60 @@ func TestStoreRoundTripAcrossPools(t *testing.T) {
 	}
 	if *got != *want {
 		t.Fatalf("disk round trip altered the result:\n%+v\n%+v", got, want)
+	}
+}
+
+// TestStoreHitDoesNotWaitForWorkerSlot: a job whose envelope is already
+// in the store is served while every worker slot is held by a running
+// job — a store read must not queue behind simulations.
+func TestStoreHitDoesNotWaitForWorkerSlot(t *testing.T) {
+	st := storeFor(t, 0)
+	stored := job("histogram", core.NS)
+	want := &Result{Workload: stored.Workload, System: stored.System, Cycles: 4242}
+	if err := st.Put(stored.Key(), want); err != nil {
+		t.Fatal(err)
+	}
+
+	const workers = 2
+	p := NewPool(workers)
+	p.Disk = st
+	entered := make(chan struct{}, workers)
+	release := make(chan struct{})
+	p.Remote = func(ctx context.Context, j Job) (*Result, error) {
+		entered <- struct{}{}
+		<-release
+		return &Result{Workload: j.Workload, System: j.System, Cycles: 1}, nil
+	}
+	busy := make(chan error, 1)
+	go func() {
+		_, err := p.Run([]Job{job("pathfinder", core.NS), job("srad", core.NS)})
+		busy <- err
+	}()
+	for i := 0; i < workers; i++ {
+		<-entered // every slot is now held by a blocked remote job
+	}
+
+	hit := make(chan Progress, 1)
+	go func() {
+		var last Progress
+		p.RunCtxFunc(context.Background(), []Job{stored}, func(pr Progress) { last = pr })
+		hit <- last
+	}()
+	select {
+	case pr := <-hit:
+		if pr.Err != nil || !pr.Disk {
+			t.Fatalf("progress = %+v, want a disk hit", pr)
+		}
+	case <-time.After(30 * time.Second):
+		close(release)
+		t.Fatal("a stored job waited for a worker slot")
+	}
+	close(release)
+	if err := <-busy; err != nil {
+		t.Fatal(err)
+	}
+	if got, err := p.RunOne(stored); err != nil || got.Cycles != want.Cycles {
+		t.Fatalf("stored job = %+v, %v; want the stored result", got, err)
 	}
 }
 
