@@ -223,18 +223,6 @@ func (e *Experiment) Observe(c *Collector) {
 	e.exp.Pool().Obs = c
 }
 
-// MachineReuse reports the pool's machine checkout counters: hits are
-// jobs that ran on a pooled (Reset) machine, misses built one fresh.
-func (e *Experiment) MachineReuse() (hits, misses uint64) {
-	return e.exp.Pool().MachineReuse()
-}
-
-// DatasetCacheStats reports the in-process dataset cache's cumulative
-// hits, misses, LRU evictions and resident bytes.
-func (e *Experiment) DatasetCacheStats() (hits, misses, evictions uint64, bytes int64) {
-	return e.exp.Pool().DatasetCacheStats()
-}
-
 // Workers reports the experiment pool's concurrency bound.
 func (e *Experiment) Workers() int { return e.exp.Pool().Workers() }
 

@@ -217,10 +217,6 @@ func run() int {
 		} else {
 			fmt.Fprintf(os.Stderr, "simulations: %d executed, %d served from cache\n", executed, hits)
 		}
-		mh, mm := exp.MachineReuse()
-		dh, dm, _, db := exp.DatasetCacheStats()
-		fmt.Fprintf(os.Stderr, "reuse: machines %d pooled / %d built, datasets %d cached / %d generated (%.1f MB resident)\n",
-			mh, mm, dh, dm, float64(db)/(1<<20))
 	}
 	if collector != nil {
 		if err := writeObsOutputs(collector, exp, start, *traceOut, *reportOut, *sampleOut, *stallOut); err != nil {

@@ -1,5 +1,6 @@
-// Command nsprof renders the cycle-attribution section of a run report
-// as a where-the-cycles-went breakdown. Feed it the JSON that
+// Command nsprof renders the observability files a run writes. Its default
+// mode turns the cycle-attribution section of a run report into a
+// where-the-cycles-went breakdown. Feed it the JSON that
 // `nsexp -report r.json` (or nsd's /api/v1/report) produces with
 // attribution enabled:
 //
@@ -16,6 +17,18 @@
 // multi-shard run — a per-shard imbalance table showing each shard's
 // barrier stall time and how often it was the laggard (the shard on the
 // window critical path).
+//
+// The trace subcommand summarizes a Chrome trace_event file written by
+// `nsexp -trace` (or any obs.WriteChromeTrace output) instead:
+//
+//	nsexp -fig 9 -quick -trace t.json
+//	nsprof trace t.json
+//	nsprof trace -top 20 t.json
+//
+// For each traced job (one trace "process") it prints a per-tile
+// timeline — event counts by category, busy cycles, and the active span —
+// followed by the top-N longest-duration events, which are the stalls
+// worth looking at first.
 package main
 
 import (
@@ -31,23 +44,32 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run dispatches to the report breakdown or, when the first argument is
+// "trace", to the trace summary; it returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 && args[0] == "trace" {
+		return runTrace(args[1:], stdout, stderr)
+	}
+	fs := flag.NewFlagSet("nsprof", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		jobPat = flag.String("job", "", "only jobs whose key contains this substring")
-		top    = flag.Int("top", 0, "show at most this many stall rows (0 = all)")
-		perJob = flag.Bool("per-job", false, "print one breakdown per job instead of the aggregate")
+		jobPat = fs.String("job", "", "only jobs whose key contains this substring")
+		top    = fs.Int("top", 0, "show at most this many stall rows (0 = all)")
+		perJob = fs.Bool("per-job", false, "print one breakdown per job instead of the aggregate")
 	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: nsprof [-job substr] [-top n] [-per-job] report.json")
+	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	rep, err := readReport(flag.Arg(0))
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: nsprof [-job substr] [-top n] [-per-job] report.json\n       nsprof trace [-top n] trace.json")
+		return 2
+	}
+	rep, err := readReport(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 
@@ -61,23 +83,23 @@ func run() int {
 		}
 	}
 	if len(jobs) == 0 {
-		fmt.Println("no attribution data in the report (run with -stall-report or a report-enabled collector, and check -job)")
+		fmt.Fprintln(stdout, "no attribution data in the report (run with -stall-report or a report-enabled collector, and check -job)")
 		return 0
 	}
 
 	if *perJob {
 		for _, j := range jobs {
-			fmt.Printf("== %s ==\n", j.Key)
-			printBreakdown(j.Attribution.Stalls, j.Attribution.Hists, j.SimCycles, *top)
-			fmt.Println()
+			fmt.Fprintf(stdout, "== %s ==\n", j.Key)
+			printBreakdown(stdout, j.Attribution.Stalls, j.Attribution.Hists, j.SimCycles, *top)
+			fmt.Fprintln(stdout)
 		}
 	} else {
 		stalls, hists, cycles := aggregate(jobs)
-		fmt.Printf("== %d job(s) ==\n", len(jobs))
-		printBreakdown(stalls, hists, cycles, *top)
-		fmt.Println()
+		fmt.Fprintf(stdout, "== %d job(s) ==\n", len(jobs))
+		printBreakdown(stdout, stalls, hists, cycles, *top)
+		fmt.Fprintln(stdout)
 	}
-	printImbalance(jobs)
+	printImbalance(stdout, jobs)
 	return 0
 }
 
@@ -150,7 +172,7 @@ func aggregate(jobs []obs.JobReport) ([]obs.StallEntry, []obs.HistogramReport, u
 
 // printBreakdown renders stall rows sorted by attributed cycles (then
 // count), with each row's share of the total attributed cycles.
-func printBreakdown(stalls []obs.StallEntry, hists []obs.HistogramReport, simCycles uint64, top int) {
+func printBreakdown(w io.Writer, stalls []obs.StallEntry, hists []obs.HistogramReport, simCycles uint64, top int) {
 	rows := append([]obs.StallEntry(nil), stalls...)
 	sort.SliceStable(rows, func(i, j int) bool {
 		if rows[i].Cycles != rows[j].Cycles {
@@ -163,33 +185,33 @@ func printBreakdown(stalls []obs.StallEntry, hists []obs.HistogramReport, simCyc
 		totalCyc += r.Cycles
 	}
 	if top > 0 && len(rows) > top {
-		fmt.Printf("(top %d of %d stall reasons)\n", top, len(rows))
+		fmt.Fprintf(w, "(top %d of %d stall reasons)\n", top, len(rows))
 		rows = rows[:top]
 	}
-	fmt.Printf("%-22s %-6s %14s %14s %7s\n", "stall", "comp", "count", "cycles", "%cyc")
+	fmt.Fprintf(w, "%-22s %-6s %14s %14s %7s\n", "stall", "comp", "count", "cycles", "%cyc")
 	for _, r := range rows {
 		pct := 0.0
 		if totalCyc > 0 {
 			pct = 100 * float64(r.Cycles) / float64(totalCyc)
 		}
-		fmt.Printf("%-22s %-6s %14d %14d %6.1f%%\n", r.Reason, r.Component, r.Count, r.Cycles, pct)
+		fmt.Fprintf(w, "%-22s %-6s %14d %14d %6.1f%%\n", r.Reason, r.Component, r.Count, r.Cycles, pct)
 	}
 	if simCycles > 0 && totalCyc > 0 {
-		fmt.Printf("attributed wait cycles: %d over %d simulated cycles\n", totalCyc, simCycles)
+		fmt.Fprintf(w, "attributed wait cycles: %d over %d simulated cycles\n", totalCyc, simCycles)
 	}
 	for _, h := range hists {
 		mean := 0.0
 		if h.Count > 0 {
 			mean = float64(h.Sum) / float64(h.Count)
 		}
-		fmt.Printf("hist %-26s count=%d sum=%d mean=%.2f\n", h.Name, h.Count, h.Sum, mean)
+		fmt.Fprintf(w, "hist %-26s count=%d sum=%d mean=%.2f\n", h.Name, h.Count, h.Sum, mean)
 	}
 }
 
 // printImbalance renders the per-shard critical-path table for every job
 // that ran multi-shard: barrier stall seconds and laggard-window counts
 // identify the shard the others wait on.
-func printImbalance(jobs []obs.JobReport) {
+func printImbalance(w io.Writer, jobs []obs.JobReport) {
 	header := false
 	for _, j := range jobs {
 		e := j.Attribution.Exec
@@ -197,10 +219,10 @@ func printImbalance(jobs []obs.JobReport) {
 			continue
 		}
 		if !header {
-			fmt.Println("shard imbalance (barrier critical path):")
+			fmt.Fprintln(w, "shard imbalance (barrier critical path):")
 			header = true
 		}
-		fmt.Printf("  %s: %d shards, %d windows\n", j.Key, e.Shards, e.Windows)
+		fmt.Fprintf(w, "  %s: %d shards, %d windows\n", j.Key, e.Shards, e.Windows)
 		for i := 0; i < e.Shards; i++ {
 			var stall float64
 			if i < len(e.ShardStallSeconds) {
@@ -210,10 +232,10 @@ func printImbalance(jobs []obs.JobReport) {
 			if i < len(e.LaggardWindows) {
 				lag = e.LaggardWindows[i]
 			}
-			fmt.Printf("    shard %-3d stall_s=%-10.6f laggard_windows=%d\n", i, stall, lag)
+			fmt.Fprintf(w, "    shard %-3d stall_s=%-10.6f laggard_windows=%d\n", i, stall, lag)
 		}
 	}
 	if !header {
-		fmt.Println("no multi-shard exec sections (serial runs have no barrier critical path)")
+		fmt.Fprintln(w, "no multi-shard exec sections (serial runs have no barrier critical path)")
 	}
 }

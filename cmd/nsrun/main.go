@@ -164,11 +164,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "simulations: %d executed, %d served from cache\n",
 			pool.Executed(), pool.Hits())
 	}
-	if mh, mm := pool.MachineReuse(); mh+mm > 0 {
-		dh, dm, _, db := pool.DatasetCacheStats()
-		fmt.Fprintf(os.Stderr, "reuse: machines %d pooled / %d built, datasets %d cached / %d generated (%.1f MB resident)\n",
-			mh, mm, dh, dm, float64(db)/(1<<20))
-	}
 
 	if collector != nil {
 		if werr := writeStallTable(collector, *stallOut); werr != nil {

@@ -89,7 +89,6 @@ type Array struct {
 	lineBits uint
 	lines    [][]Line
 	clock    uint64
-	seed     uint64
 	rng      *sim.Rand
 }
 
@@ -113,19 +112,7 @@ func NewArray(cfg ArrayConfig, seed uint64) *Array {
 	if 1<<lineBits != cfg.LineBytes {
 		panic("cache: line size must be a power of two")
 	}
-	return &Array{cfg: cfg, sets: sets, lineBits: lineBits, lines: lines, seed: seed, rng: sim.NewRand(seed ^ 0xcafe)}
-}
-
-// Reset returns the array to its just-built state: every line invalid,
-// replacement clock at zero, and the BRRIP rng replaying the same
-// sequence a fresh array would. Machine pooling relies on this being
-// observationally identical to NewArray.
-func (a *Array) Reset() {
-	for i := range a.lines {
-		clear(a.lines[i])
-	}
-	a.clock = 0
-	a.rng = sim.NewRand(a.seed ^ 0xcafe)
+	return &Array{cfg: cfg, sets: sets, lineBits: lineBits, lines: lines, rng: sim.NewRand(seed ^ 0xcafe)}
 }
 
 // Config returns the array geometry.

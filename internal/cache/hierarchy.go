@@ -195,34 +195,6 @@ func (h *Hierarchy) AttachShards(g *sim.ShardGroup, shardOf []int32) {
 	}
 }
 
-// Reset returns every tile, bank and counter lane to its just-built
-// state: cold arrays with replaying replacement rngs, empty MSHR/txn/lock
-// tables, zeroed counters, detached tracers. Shard bindings survive.
-// After a completed run the MSHR and transaction tables are empty anyway;
-// clearing them is defensive against an aborted run leaking work into
-// the next job.
-func (h *Hierarchy) Reset() {
-	for _, t := range h.tiles {
-		t.l1.Reset()
-		t.l2.Reset()
-		t.inflight.Clear()
-	}
-	for _, b := range h.banks {
-		b.array.Reset()
-		b.txns.Clear()
-		b.locks.Clear()
-		clear(b.lockPool[:cap(b.lockPool)])
-		b.lockPool = b.lockPool[:0]
-		b.lockFree = b.lockFree[:0]
-	}
-	for _, l := range h.lanes {
-		l.reg.Reset()
-		l.tracer = nil
-		l.attrib = nil
-	}
-	h.PrefetchHook = nil
-}
-
 // Registries returns the per-shard-lane counter registries. Each lane is
 // written only by its shard, so read them after a run; summing them gives
 // totals independent of the shard count.

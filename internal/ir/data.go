@@ -74,23 +74,11 @@ type Data struct {
 	AS     *tlb.AddressSpace
 	arrays map[string]*ArrayData
 	sorted []*ArrayData // by base address, for pointer-form resolution
-	// arena, when non-nil, backs element storage (see Arena); nil falls
-	// back to one GC allocation per array.
-	arena *Arena
 }
 
 // NewData creates a data store over an address space.
 func NewData(as *tlb.AddressSpace) *Data {
 	return &Data{AS: as, arrays: map[string]*ArrayData{}}
-}
-
-// NewDataArena creates a data store whose array storage is carved from
-// arena (which must outlive every use of the arrays). A nil arena is
-// equivalent to NewData.
-func NewDataArena(as *tlb.AddressSpace, arena *Arena) *Data {
-	d := NewData(as)
-	d.arena = arena
-	return d
 }
 
 // AllocArrays allocates every declared array of a kernel (idempotent per
@@ -108,13 +96,7 @@ func (d *Data) Alloc(decl ArrayDecl) *ArrayData {
 	}
 	bytes := decl.Len * uint64(decl.Type.Size())
 	base := d.AS.Alloc(bytes)
-	var bits []uint64
-	if d.arena != nil {
-		bits = d.arena.Take(decl.Len)
-	} else {
-		bits = make([]uint64, decl.Len)
-	}
-	a := &ArrayData{Decl: decl, Base: base, bits: bits}
+	a := &ArrayData{Decl: decl, Base: base, bits: make([]uint64, decl.Len)}
 	d.arrays[decl.Name] = a
 	d.sorted = append(d.sorted, a)
 	sort.Slice(d.sorted, func(i, j int) bool { return d.sorted[i].Base < d.sorted[j].Base })
@@ -134,34 +116,6 @@ func (d *Data) Array(name string) *ArrayData {
 		panic(fmt.Sprintf("ir: unknown array %q", name))
 	}
 	return a
-}
-
-// Snapshot copies every array's element bits, in base-address order —
-// the dataset a generator produced, detached from this Data's (possibly
-// arena-backed) storage. Pair with Restore on a Data allocated from the
-// same kernel and address-space seed.
-func (d *Data) Snapshot() [][]uint64 {
-	out := make([][]uint64, len(d.sorted))
-	for i, a := range d.sorted {
-		out[i] = append(make([]uint64, 0, len(a.bits)), a.bits...)
-	}
-	return out
-}
-
-// Restore copies a Snapshot back into this Data's arrays. The layouts
-// must match exactly (same kernel declarations, same allocation order);
-// a mismatch is a cache-key bug, not a recoverable condition.
-func (d *Data) Restore(snap [][]uint64) {
-	if len(snap) != len(d.sorted) {
-		panic(fmt.Sprintf("ir: restore of %d arrays into %d", len(snap), len(d.sorted)))
-	}
-	for i, a := range d.sorted {
-		if len(snap[i]) != len(a.bits) {
-			panic(fmt.Sprintf("ir: restore of %d elements into %s (len %d)",
-				len(snap[i]), a.Decl.Name, len(a.bits)))
-		}
-		copy(a.bits, snap[i])
-	}
 }
 
 // Resolve maps a virtual address to (array, element index). Used by

@@ -39,7 +39,7 @@ type Config struct {
 	// Base system only, §VI).
 	EnablePrefetchers bool
 	// Seed feeds the address space's base-page scatter RNG, the only
-	// seeded machine state; a pooled machine changes seed with Reseed.
+	// seeded machine state.
 	Seed uint64
 	// Shards partitions the mesh into that many row bands, each simulated
 	// by its own engine in barrier-synchronized windows (conservative
@@ -110,12 +110,9 @@ type Machine struct {
 	laneAttribs []*obs.Attribution
 }
 
-// Normalize canonicalizes a config the way New does: NoC dimensions
-// follow the mesh, zero Cores means every tile, Shards clamps to
-// [1, MeshHeight]. Two configs that normalize equal build byte-identical
-// machines, so the normalized value (a comparable struct) is the digest
-// the runner's machine pool keys its free lists by.
-func Normalize(cfg Config) Config {
+// normalize canonicalizes a config for New: NoC dimensions follow the
+// mesh, zero Cores means every tile, Shards clamps to [1, MeshHeight].
+func normalize(cfg Config) Config {
 	if cfg.MeshWidth <= 0 || cfg.MeshHeight <= 0 {
 		panic("machine: bad mesh")
 	}
@@ -134,7 +131,7 @@ func Normalize(cfg Config) Config {
 
 // New assembles a machine.
 func New(cfg Config) *Machine {
-	cfg = Normalize(cfg)
+	cfg = normalize(cfg)
 	// Row-band partition: contiguous rows share a shard, so every
 	// cross-shard message crosses at least one full link (the lookahead).
 	group := sim.NewShardGroup(cfg.Shards, noc.Lookahead(cfg.NoC))
@@ -173,45 +170,6 @@ func New(cfg Config) *Machine {
 		}
 	}
 	return m
-}
-
-// Reset returns the machine to its just-built state so a pooled machine
-// can run another job: engines rewound, links and buses idle, caches
-// cold, the address space forgetting every mapping and replaying its
-// seed, all counters zeroed, tracers and sampler detached. The Reset
-// contract is observational equivalence to New(m.Cfg) — a job run on a
-// Reset machine must produce bit-identical results — which holds because
-// every piece of run state is either cleared here or rebuilt per run
-// (cores and SE state live in core.Run, not on the Machine). Shard structure, precomputed routes and interned
-// counter ids survive: they are functions of Cfg alone.
-func (m *Machine) Reset() {
-	m.SetTracer(nil)
-	m.SetAttribution(nil)
-	m.Sampler = nil
-	m.Group.Reset()
-	m.Net.Reset()
-	m.Dram.Reset()
-	m.Hier.Reset()
-	m.AS.Reset()
-	m.Obs.Reset()
-	for _, u := range m.PFUnits {
-		u.Reset()
-	}
-	if m.Cfg.EnablePrefetchers {
-		// Hier.Reset clears the hook along with the rest of the run state.
-		m.Hier.PrefetchHook = func(tile int, addr uint64, pc uint64, hit bool) {
-			m.PFUnits[tile].Observe(addr, pc)
-		}
-	}
-}
-
-// Reseed switches a just-Reset machine to another seed: afterwards it is
-// observationally equivalent to New with m.Cfg.Seed = seed. Seed reaches
-// machine state only through the address space, so the machine pool keys
-// machines without it and reseeds on checkout.
-func (m *Machine) Reseed(seed uint64) {
-	m.Cfg.Seed = seed
-	m.AS.Reseed(seed)
 }
 
 // SetTracer attaches one event tracer to every traced component (nil
@@ -285,7 +243,7 @@ func (m *Machine) AttributionLane(shard int) *obs.Attribution {
 }
 
 // FinishAttribution folds the per-shard lanes into the attached sink.
-// Call it once, after the run; runner.executeJob does. Merging is a
+// Call it once, after the run; the runner does. Merging is a
 // component-wise sum, so the result is lane-order-independent.
 func (m *Machine) FinishAttribution() {
 	if m.Attrib == nil {

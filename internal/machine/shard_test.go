@@ -8,12 +8,10 @@ import (
 	"repro/internal/sim"
 )
 
-// driveMachine runs runScript on a machine of the given shard count and
-// returns the counter snapshot plus the final clock and delivery count.
-// With reuse set the script runs twice, with a Reset in between, and the
-// second run's results return: a Reset machine must be indistinguishable
-// from a fresh one.
-func driveMachine(t *testing.T, shards int, force, reuse bool) (map[string]uint64, sim.Time, uint64) {
+// driveMachine runs runScript on a new machine of the given shard count
+// and returns the counter snapshot plus the final clock and delivery
+// count.
+func driveMachine(t *testing.T, shards int, force bool) (map[string]uint64, sim.Time, uint64) {
 	t.Helper()
 	cfg := CI()
 	cfg.Shards = shards
@@ -21,10 +19,6 @@ func driveMachine(t *testing.T, shards int, force, reuse bool) (map[string]uint6
 	defer m.Close()
 	if force {
 		m.Group.ForceParallel(true)
-	}
-	if reuse {
-		runScript(t, m)
-		m.Reset()
 	}
 	runScript(t, m)
 	return m.Counters(), m.Now(), m.Net.Delivered
@@ -76,13 +70,13 @@ func runScript(t *testing.T, m *Machine) {
 }
 
 // TestShardedMachineMatchesSerial is the machine-level determinism oracle:
-// the full stack simulated at 1, 2 and 4 shards, on a fresh machine and
-// on a Reset one, must produce exactly the fresh serial (1-shard) counter
+// the full stack simulated at 1, 2 and 4 shards, with and without forced
+// parallel windows, must produce exactly the serial (1-shard) counter
 // snapshot — NoC traffic included — clock and delivery count. Run with
 // -race to check the parallel windows too (ForceParallel overrides the
 // single-processor inline fallback).
 func TestShardedMachineMatchesSerial(t *testing.T) {
-	base, clock1, del1 := driveMachine(t, 1, false, false)
+	base, clock1, del1 := driveMachine(t, 1, false)
 	for _, name := range []string{"noc.bytehops.data", "noc.messages.control", "l3.misses", "dram.reads"} {
 		if base[name] == 0 {
 			t.Fatalf("serial snapshot lacks %s", name)
@@ -90,27 +84,25 @@ func TestShardedMachineMatchesSerial(t *testing.T) {
 	}
 	for _, k := range []int{1, 2, 4} {
 		for _, force := range []bool{false, true} {
-			for _, reuse := range []bool{false, true} {
-				if k == 1 && !reuse {
-					continue // the baseline itself
+			if k == 1 && !force {
+				continue // the baseline itself
+			}
+			run := fmt.Sprintf("shards=%d force=%v", k, force)
+			snap, clock, del := driveMachine(t, k, force)
+			if clock != clock1 {
+				t.Errorf("%s: clock %d, serial %d", run, clock, clock1)
+			}
+			if del != del1 {
+				t.Errorf("%s: delivered %d, serial %d", run, del, del1)
+			}
+			for name, v := range base {
+				if snap[name] != v {
+					t.Errorf("%s: %s = %d, serial %d", run, name, snap[name], v)
 				}
-				run := fmt.Sprintf("shards=%d force=%v reuse=%v", k, force, reuse)
-				snap, clock, del := driveMachine(t, k, force, reuse)
-				if clock != clock1 {
-					t.Errorf("%s: clock %d, serial %d", run, clock, clock1)
-				}
-				if del != del1 {
-					t.Errorf("%s: delivered %d, serial %d", run, del, del1)
-				}
-				for name, v := range base {
-					if snap[name] != v {
-						t.Errorf("%s: %s = %d, serial %d", run, name, snap[name], v)
-					}
-				}
-				for name := range snap {
-					if _, ok := base[name]; !ok {
-						t.Errorf("%s: extra counter %s = %d", run, name, snap[name])
-					}
+			}
+			for name := range snap {
+				if _, ok := base[name]; !ok {
+					t.Errorf("%s: extra counter %s = %d", run, name, snap[name])
 				}
 			}
 		}

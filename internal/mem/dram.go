@@ -110,18 +110,6 @@ func (m *Memory) AttachShards(engines []*sim.Engine) {
 	copy(m.engines, engines)
 }
 
-// Reset returns the memory system to its just-built state: idle buses,
-// zero counters, no tracers. Engine bindings survive (they are part of
-// the machine's shard layout, not of a run).
-func (m *Memory) Reset() {
-	clear(m.nextFree)
-	for _, l := range m.lanes {
-		l.reg.Reset()
-		l.tracer = nil
-		l.attrib = nil
-	}
-}
-
 // Registries returns the per-controller counter registries; summing them
 // gives the memory system's totals.
 func (m *Memory) Registries() []*obs.Registry {

@@ -287,35 +287,6 @@ func (n *Network) AttachShards(g *sim.ShardGroup, shardOf []int32) {
 	g.AddFlush(n.flushShards)
 }
 
-// Reset returns the network to its just-built state: idle links, zero
-// traffic and counters, no pending drain horizon. Precomputed routes and
-// the shard binding survive — they are functions of the configuration,
-// not of any run. Outboxes are normally drained by the final barrier;
-// clearing them here is defensive (an aborted run must not leak sends
-// into the next job).
-func (n *Network) Reset() {
-	clear(n.nextFree)
-	clear(n.busyCycles)
-	clear(n.linkSeen)
-	n.epoch = 0
-	n.drainAt = 0
-	n.horizonQd = false
-	n.Delivered = 0
-	n.reg.Reset()
-	n.tracer = nil
-	n.attrib = nil
-	if sh := n.sh; sh != nil {
-		clear(sh.sendSeq)
-		for i := range sh.outbox {
-			ob := sh.outbox[i]
-			for j := range ob {
-				ob[j] = pendingSend{}
-			}
-			sh.outbox[i] = ob[:0]
-		}
-	}
-}
-
 // Registry returns the network's counter registry (message counts and
 // per-class traffic). It is written only single-threaded — serially or
 // at window barriers — so reading it after a run needs no merging.

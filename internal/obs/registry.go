@@ -116,17 +116,6 @@ func (r *Registry) ExportHists(add func(name string, h *Hist)) {
 	}
 }
 
-// Reset zeroes every counter value and histogram while keeping the
-// interning tables, so Counter/Histogram handles issued before the reset
-// stay valid. Component reuse (machine pooling) depends on this: a pooled
-// component re-interns the same names and must land on the same ids.
-func (r *Registry) Reset() {
-	clear(r.vals)
-	for i := range r.hists {
-		r.hists[i] = Hist{}
-	}
-}
-
 // Counter is a dense-id handle into a Registry. Incrementing is a slice
 // element add: no map access, no allocation.
 type Counter struct {

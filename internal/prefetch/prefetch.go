@@ -144,14 +144,6 @@ func (b *Bingo) Flush() {
 	b.order = b.order[:0]
 }
 
-// Reset forgets all learned state and counters, as if freshly built.
-func (b *Bingo) Reset() {
-	clear(b.tracking)
-	b.order = b.order[:0]
-	clear(b.pht)
-	b.Trained, b.Fired = 0, 0
-}
-
 // StrideConfig sizes the L2 stride prefetcher.
 type StrideConfig struct {
 	// TableEntries is the number of PC-indexed tracking entries.
@@ -225,12 +217,6 @@ func (s *Stride) Observe(addr, pc uint64) {
 	}
 }
 
-// Reset forgets all learned state and counters, as if freshly built.
-func (s *Stride) Reset() {
-	clear(s.table)
-	s.Fired = 0
-}
-
 // Unit bundles both prefetchers for one tile and adapts them to the
 // hierarchy's PrefetchHook signature.
 type Unit struct {
@@ -250,10 +236,4 @@ func NewUnit(tile *cache.Tile) *Unit {
 func (u *Unit) Observe(addr, pc uint64) {
 	u.Bingo.Observe(addr, pc)
 	u.Stride.Observe(addr, pc)
-}
-
-// Reset forgets all learned state in both prefetchers.
-func (u *Unit) Reset() {
-	u.Bingo.Reset()
-	u.Stride.Reset()
 }

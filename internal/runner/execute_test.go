@@ -70,20 +70,19 @@ func counterReads(t *testing.T, file, fn string) []string {
 
 // TestResultCounterNamesInterned guards the string-keyed reads behind
 // Figures 10, 12 and 16: every counter name energy.Estimate and
-// executeJob look up must be interned on a CI machine after a Base and
+// simulate look up must be interned on a CI machine after a Base and
 // after an NS run. A renamed counter would otherwise read as 0 and
 // silently change the figures.
 func TestResultCounterNamesInterned(t *testing.T) {
-	names := append(counterReads(t, "runner.go", "executeJob"),
+	names := append(counterReads(t, "runner.go", "simulate"),
 		counterReads(t, "../energy/energy.go", "Estimate")...)
 	for _, sys := range []core.System{core.Base, core.NS} {
-		env := &execEnv{machines: newMachinePool(1)}
-		if _, _, err := executeJob(job("histogram", sys), nil, 1, env); err != nil {
+		j := job("histogram", sys)
+		m := machine.New(MachineConfig(j, sys == core.Base))
+		_, _, err := simulate(m, j, nil)
+		m.Close()
+		if err != nil {
 			t.Fatal(err)
-		}
-		var m *machine.Machine
-		for _, l := range env.machines.free {
-			m = l[0]
 		}
 		for _, name := range names {
 			found := false

@@ -63,12 +63,6 @@ type Pool struct {
 
 	sem chan struct{} // pool-wide worker slots
 
-	// env bundles the reuse facilities every executed job draws from: the
-	// per-config machine free list, the workload-data arena pool, and the
-	// in-process dataset cache. SetReuse(false) clears it (fresh-build
-	// semantics, for equivalence tests and bisection).
-	env *execEnv
-
 	mu       sync.Mutex
 	memo     map[string]*memoEntry
 	executed uint64
@@ -104,51 +98,25 @@ func NewPool(workers int) *Pool {
 		sem:     make(chan struct{}, workers),
 		memo:    make(map[string]*memoEntry),
 		shards:  1,
-		env: &execEnv{
-			machines: newMachinePool(workers),
-			arenas:   &arenaPool{},
-			datasets: NewDatasetCache(DefaultDatasetCacheBytes),
-		},
 	}
 }
 
-// SetReuse enables or disables machine pooling, arena-backed workload
-// data and dataset memoization for subsequent executions (on by
-// default). Reuse is an execution knob like the worker bound: results
-// are bit-identical either way — the off position exists for the
-// equivalence tests and for bisecting a suspected reuse bug. Set before
-// the first Run.
-func (p *Pool) SetReuse(on bool) {
-	if on {
-		if p.env == nil {
-			p.env = &execEnv{
-				machines: newMachinePool(p.workers),
-				arenas:   &arenaPool{},
-				datasets: NewDatasetCache(DefaultDatasetCacheBytes),
-			}
-		}
-		return
-	}
-	p.env = nil
-}
+// The three reuse methods below are kept only for perfbench/, the repo
+// benchmark, which is their one caller; the next change to the benchmark
+// removes them. Every job builds its machine and dataset fresh, so there
+// is no reuse left to switch or report.
 
-// MachineReuse reports how many executed jobs checked a pooled machine
-// out of the per-config free list (hits) versus built one fresh
-// (misses).
-func (p *Pool) MachineReuse() (hits, misses uint64) {
-	if p.env == nil || p.env.machines == nil {
-		return 0, 0
-	}
-	return p.env.machines.stats()
-}
+// Deprecated: SetReuse does nothing.
+func (p *Pool) SetReuse(on bool) {}
 
-// DatasetCacheStats reports the dataset cache's cumulative hits, misses,
-// evictions and resident bytes.
+// Deprecated: MachineReuse reports no hits and every executed job as a
+// miss.
+func (p *Pool) MachineReuse() (hits, misses uint64) { return 0, p.Executed() }
+
+// Deprecated: DatasetCacheStats reports no hits, every executed job as a
+// miss, and nothing evicted or resident.
 func (p *Pool) DatasetCacheStats() (hits, misses, evictions uint64, bytes int64) {
-	if p.env == nil || p.env.datasets == nil {
-		return 0, 0, 0, 0
-	}
-	return p.env.datasets.Stats()
+	return 0, p.Executed(), 0, 0
 }
 
 // Workers reports the concurrency bound.
@@ -493,7 +461,7 @@ func (p *Pool) executeEntry(ctx context.Context, j Job, key string, e *memoEntry
 
 	start := time.Now()
 	var stalls []uint64
-	e.res, stalls, e.err = execute(j, rec, p.shards, p.env)
+	e.res, stalls, e.err = execute(j, rec, p.shards)
 	if rec != nil {
 		wall := time.Since(start).Seconds()
 		rec.Timing.WallSeconds = wall
@@ -542,13 +510,13 @@ func (p *Pool) cancelEntry(key string, e *memoEntry) {
 // execute wraps ExecuteShardsObs, converting a panicking job (e.g. an
 // unknown workload name) into an error: inside the pool, one bad job must
 // fail that job, not crash the process from a worker goroutine.
-func execute(j Job, rec *obs.JobRecord, shards int, env *execEnv) (res *Result, stalls []uint64, err error) {
+func execute(j Job, rec *obs.JobRecord, shards int) (res *Result, stalls []uint64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, stalls, err = nil, nil, fmt.Errorf("runner: job %s panicked: %v", j.Key(), r)
 		}
 	}()
-	return executeJob(j, rec, shards, env)
+	return ExecuteShardsObs(j, rec, shards)
 }
 
 // RunOne executes (or recalls) a single job.

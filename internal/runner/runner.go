@@ -141,42 +141,20 @@ func ExecuteObs(j Job, rec *obs.JobRecord) (*Result, error) {
 // wall-clock nanoseconds spent stalled at window barriers (nil when the
 // machine ran serially) — a load-balance diagnostic, not a result.
 func ExecuteShardsObs(j Job, rec *obs.JobRecord, shards int) (*Result, []uint64, error) {
-	return executeJob(j, rec, shards, nil)
-}
-
-// executeJob is the execution core behind the public entry points and the
-// pool. env (may be nil) supplies the pool's reuse facilities: a pooled
-// machine is checked out, Reset and returned instead of built and thrown
-// away; array storage comes from a recycled arena; and the generated
-// dataset is copied from the in-process cache when a previous job with
-// the same (workload, scale, seed) produced it. All three are
-// observationally equivalent to fresh construction, so the Result is
-// bit-identical with or without env.
-func executeJob(j Job, rec *obs.JobRecord, shards int, env *execEnv) (*Result, []uint64, error) {
-	w := workloads.Get(j.Workload, j.Scale)
-	needPf := j.System == core.Base
-	mc := MachineConfig(j, needPf)
+	mc := MachineConfig(j, j.System == core.Base)
 	if j.System == core.Base {
 		mc.Shards = shards
 	}
-	var m *machine.Machine
-	if env != nil && env.machines != nil {
-		m = env.machines.get(mc)
-	}
-	if m == nil {
-		m = machine.New(mc)
-	}
-	// A cleanly finished machine returns to the pool; an errored (or
-	// panicked — the pool's execute wrapper recovers) one is discarded,
-	// since its state no longer satisfies the Reset contract.
-	pooled := false
-	defer func() {
-		if env != nil && env.machines != nil && pooled {
-			env.machines.put(m)
-		} else {
-			m.Close()
-		}
-	}()
+	m := machine.New(mc)
+	defer m.Close()
+	return simulate(m, j, rec)
+}
+
+// simulate runs job j on the freshly built machine m: it allocates and
+// initializes the workload's data, runs the kernel w.Iters times and
+// assembles the Result.
+func simulate(m *machine.Machine, j Job, rec *obs.JobRecord) (*Result, []uint64, error) {
+	w := workloads.Get(j.Workload, j.Scale)
 	if rec != nil {
 		if rec.Trace != nil {
 			m.SetTracer(rec.Trace)
@@ -186,19 +164,9 @@ func executeJob(j Job, rec *obs.JobRecord, shards int, env *execEnv) (*Result, [
 		}
 		m.Sampler = rec.Sampler
 	}
-	var arena *ir.Arena
-	if env != nil && env.arenas != nil {
-		arena = env.arenas.get()
-		defer env.arenas.put(arena)
-	}
-	d := ir.NewDataArena(m.AS, arena)
+	d := ir.NewData(m.AS)
 	d.AllocArrays(w.Kernel)
-	initData := func() { w.Init(d, sim.NewRand(j.Seed^0x9e37)) }
-	if env != nil && env.datasets != nil {
-		env.datasets.Materialize(datasetKey(j), w, d, initData)
-	} else {
-		initData()
-	}
+	w.Init(d, sim.NewRand(j.Seed^0x9e37))
 	params := core.DefaultParams(m.Tiles())
 	j.Overrides.Apply(&params)
 	out := &Result{Workload: j.Workload, System: j.System}
@@ -240,6 +208,5 @@ func executeJob(j Job, rec *obs.JobRecord, shards int, env *execEnv) (*Result, [
 	if m.Shards() > 1 {
 		stalls = append(stalls, m.Group.StallNanos()...)
 	}
-	pooled = true
 	return out, stalls, nil
 }

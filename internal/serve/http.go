@@ -292,14 +292,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	promMetric(w, "nsd_pool_disk_hits_total", "counter", "Job requests served from the persistent result store.", pool.DiskHits())
 	promMetric(w, "nsd_pool_workers", "gauge", "Pool worker-goroutine bound.", pool.Workers())
 	promMetric(w, "nsd_pool_shards", "gauge", "Per-job shard-engine count (1 = serial machines).", pool.Shards())
-	mh, mm := pool.MachineReuse()
-	promMetric(w, "nsd_machine_pool_hits_total", "counter", "Jobs that ran on a pooled (Reset) machine.", mh)
-	promMetric(w, "nsd_machine_pool_misses_total", "counter", "Jobs that built a machine fresh.", mm)
-	dh, dm, dev, db := pool.DatasetCacheStats()
-	promMetric(w, "nsd_dataset_cache_hits_total", "counter", "Workload datasets copied from the in-process cache.", dh)
-	promMetric(w, "nsd_dataset_cache_misses_total", "counter", "Workload datasets generated fresh.", dm)
-	promMetric(w, "nsd_dataset_cache_evictions_total", "counter", "Dataset cache LRU evictions.", dev)
-	promMetric(w, "nsd_dataset_cache_bytes", "gauge", "Dataset cache resident bytes.", db)
 	if stalls := pool.ShardStalls(); len(stalls) > 0 {
 		fmt.Fprintf(w, "# HELP nsd_shard_window_stall_seconds Cumulative wall time each shard spent stalled at window barriers.\n")
 		fmt.Fprintf(w, "# TYPE nsd_shard_window_stall_seconds gauge\n")

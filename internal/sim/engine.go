@@ -109,9 +109,6 @@ type Engine struct {
 	queue []scheduled
 
 	stopped bool
-	// recurrings lists every Recurring built on this engine so Reset can
-	// park them (see Reset).
-	recurrings []*Recurring
 	// Executed counts events that have fired, mostly for tests and
 	// runaway-simulation guards.
 	Executed uint64
@@ -345,58 +342,16 @@ func (e *Engine) peekTime() Time {
 func (e *Engine) Pending() int { return e.wheelCount + len(e.queue) }
 
 // Stop makes Run and RunUntil return after the current event completes.
-// The stop is one-shot and sticky: every later Step/Run/RunUntil call is
-// a no-op (time does not advance, events stay queued) until Reset, so a
-// stopped engine cannot be silently reused mid-simulation. Stopped
-// reports the state.
+// The stop is final: every later Step/Run/RunUntil call is a no-op (time
+// does not advance, events stay queued), so a stopped simulation cannot
+// silently resume. Stopped reports the state.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Stopped reports whether Stop has been called (and Reset has not).
-// While true, Step/Run/RunUntil/RunTo fire nothing and time is frozen at
-// the stopping event's cycle; Schedule/ScheduleAt still accept events
-// (they stay queued), and Pending still counts them. Reset is the only
-// way to clear the flag and reuse the engine.
+// Stopped reports whether Stop has been called. While true,
+// Step/Run/RunUntil/RunTo fire nothing and time is frozen at the stopping
+// event's cycle; Schedule/ScheduleAt still accept events (they stay
+// queued), and Pending still counts them.
 func (e *Engine) Stopped() bool { return e.stopped }
-
-// Reset returns the engine to its initial state: time zero, empty queue,
-// stop flag and counters cleared. Pending events are discarded — wheel
-// buckets included — and every Recurring built on the engine is parked
-// (inactive, nothing queued), so a reused engine can neither fire stale
-// events nor be wedged by a Recurring that still believes its tick is in
-// flight. It is the only way to reuse an engine after Stop.
-func (e *Engine) Reset() {
-	e.now = 0
-	e.seq = 0
-	e.stopped = false
-	e.Executed = 0
-	e.IdleElided = 0
-	e.occHist = [occBuckets]uint64{}
-	e.occSum = 0
-	e.occObs = 0
-	for i := range e.queue {
-		e.queue[i].fn = nil
-	}
-	e.queue = e.queue[:0]
-	if e.wheelCount > 0 {
-		for i := range e.wheel {
-			b := &e.wheel[i]
-			for j := range b.ev {
-				b.ev[j].fn = nil
-			}
-			b.ev = b.ev[:0]
-			b.head = 0
-		}
-		clear(e.occ)
-		e.wheelCount = 0
-	}
-	for i, r := range e.recurrings {
-		r.active = false
-		r.queued = false
-		r.registered = false
-		e.recurrings[i] = nil
-	}
-	e.recurrings = e.recurrings[:0]
-}
 
 // Step fires the single next event, advancing time to it. It reports false
 // when the queue is empty.
@@ -539,12 +494,6 @@ type Recurring struct {
 	tick   Event
 	active bool
 	queued bool
-	// registered tracks membership in e.recurrings. Reset clears it along
-	// with the tracking list; Start/WakeAt re-register, so a Recurring
-	// restarted on a reused engine is parked again by the next Reset
-	// instead of being left with a queued flag pointing at a wiped queue
-	// (which would swallow every later Wake).
-	registered bool
 }
 
 // NewRecurring builds a recurring event firing every period cycles once
@@ -554,7 +503,7 @@ func (e *Engine) NewRecurring(period Time, fn func() bool) *Recurring {
 	if period == 0 {
 		panic("sim: recurring event needs a non-zero period")
 	}
-	r := &Recurring{e: e, period: period, fn: fn, registered: true}
+	r := &Recurring{e: e, period: period, fn: fn}
 	r.tick = func() {
 		r.queued = false
 		if !r.active {
@@ -574,7 +523,6 @@ func (e *Engine) NewRecurring(period Time, fn func() bool) *Recurring {
 			r.active = false
 		}
 	}
-	e.recurrings = append(e.recurrings, r)
 	return r
 }
 
@@ -586,20 +534,10 @@ func (r *Recurring) Start(delay Time) {
 	if r.active {
 		panic("sim: recurring event started twice")
 	}
-	r.register()
 	r.active = true
 	if !r.queued {
 		r.queued = true
 		r.e.Schedule(delay, r.tick)
-	}
-}
-
-// register re-attaches the series to its engine's Reset tracking after an
-// engine reuse (see the registered field).
-func (r *Recurring) register() {
-	if !r.registered {
-		r.registered = true
-		r.e.recurrings = append(r.e.recurrings, r)
 	}
 }
 
@@ -626,7 +564,6 @@ func (r *Recurring) WakeAt(at Time) {
 	if at < r.e.now {
 		at = r.e.now
 	}
-	r.register()
 	r.active = true
 	if !r.queued {
 		r.queued = true

@@ -117,11 +117,12 @@ func TestEngineProfilingCountersAlwaysOnAndFree(t *testing.T) {
 	if _, count, _ := e.WheelOccupancy(); count == 0 {
 		t.Errorf("slow-path steps recorded no wheel occupancy (count=%d)", count)
 	}
-	e.Reset()
-	if e.IdleElided != 0 {
-		t.Error("Reset kept IdleElided")
+	// The counters are per engine: a new one starts from zero.
+	fresh := NewEngine()
+	if fresh.IdleElided != 0 {
+		t.Error("new engine starts with IdleElided cycles")
 	}
-	if _, count, _ := e.WheelOccupancy(); count != 0 {
-		t.Error("Reset kept wheel-occupancy observations")
+	if _, count, _ := fresh.WheelOccupancy(); count != 0 {
+		t.Error("new engine starts with wheel-occupancy observations")
 	}
 }

@@ -160,31 +160,6 @@ func TestStopThenRunUntilDoesNotAdvanceTime(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(1, func() { e.Stop() })
-	e.Schedule(9, func() { t.Error("discarded event fired") })
-	e.Run()
-	e.Reset()
-	if e.Now() != 0 || e.Pending() != 0 || e.Stopped() || e.Executed != 0 {
-		t.Fatalf("Reset left state: now=%d pending=%d stopped=%v executed=%d",
-			e.Now(), e.Pending(), e.Stopped(), e.Executed)
-	}
-	// The engine is fully reusable: ordering and FIFO semantics intact.
-	var order []int
-	e.Schedule(10, func() { order = append(order, 2) })
-	e.Schedule(5, func() { order = append(order, 1) })
-	if e.Run() != 10 {
-		t.Fatalf("run after Reset ended at %d", e.Now())
-	}
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("order after Reset: %v", order)
-	}
-	if e.Executed != 2 {
-		t.Fatalf("Executed = %d after Reset+Run, want 2", e.Executed)
-	}
-}
-
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(10, func() {

@@ -55,12 +55,14 @@ type testScheduler interface {
 	reset()
 }
 
+// engineAdapter drives an Engine; reset discards it for a new one, so
+// nothing still queued on the old engine can fire afterwards.
 type engineAdapter struct{ e *Engine }
 
-func (a engineAdapter) schedule(delay Time, fn Event) { a.e.Schedule(delay, fn) }
-func (a engineAdapter) step() bool                    { return a.e.Step() }
-func (a engineAdapter) now() Time                     { return a.e.now }
-func (a engineAdapter) reset()                        { a.e.Reset() }
+func (a *engineAdapter) schedule(delay Time, fn Event) { a.e.Schedule(delay, fn) }
+func (a *engineAdapter) step() bool                    { return a.e.Step() }
+func (a *engineAdapter) now() Time                     { return a.e.now }
+func (a *engineAdapter) reset()                        { a.e = NewEngine() }
 
 func (r *refScheduler) now() Time { return r.clock }
 
@@ -75,8 +77,8 @@ type fired struct {
 // land in buckets, in the overflow heap, and migrate between runs of the
 // clock), events schedule children from inside callbacks (same-cycle
 // included), a fraction of events are "canceled" by flag before firing,
-// and the whole engine is Reset partway through with a second workload
-// run on the reused instance.
+// and partway through the scheduler is replaced by a new one with events
+// still pending, and a second workload runs on the replacement.
 func runWorkload(s testScheduler, seed int64) []fired {
 	rng := rand.New(rand.NewSource(seed))
 	var log []fired
@@ -127,8 +129,9 @@ func runWorkload(s testScheduler, seed int64) []fired {
 	}
 
 	phase(40)
-	// Reset with events still pending: schedule a batch, fire only some,
-	// then wipe. Nothing from before the reset may fire afterwards.
+	// Replace the scheduler with events still pending: schedule a batch,
+	// fire only some, then start over. Nothing from before may fire
+	// afterwards.
 	for i := 0; i < 20; i++ {
 		total++
 		spawn()
@@ -144,12 +147,12 @@ func runWorkload(s testScheduler, seed int64) []fired {
 
 // TestWheelMatchesReferenceEngine is the property test for the two-level
 // scheduler: under randomized delays, nested scheduling, cancellation and
-// mid-run Reset, the wheel+heap engine must fire exactly the same events
+// a mid-run restart, the wheel+heap engine must fire exactly the same events
 // at exactly the same times, in exactly the same order, as a heap-only
 // reference.
 func TestWheelMatchesReferenceEngine(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
-		got := runWorkload(engineAdapter{NewEngine()}, seed)
+		got := runWorkload(&engineAdapter{NewEngine()}, seed)
 		want := runWorkload(&refScheduler{}, seed)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: engine fired %d events, reference %d", seed, len(got), len(want))
@@ -286,66 +289,6 @@ func TestRecurringWakeDuringTick(t *testing.T) {
 	}
 	if r.Active() {
 		t.Fatal("series active after final tick returned false with no wake")
-	}
-}
-
-// TestResetClearsWheelAndSleepers is the regression test for reused
-// engines: after Reset, no stale event — wheel bucket, overflow heap, or
-// Recurring tick — may fire, and every Recurring built before the Reset
-// is parked with a consistent "nothing queued" state so it could be
-// restarted without wedging.
-func TestResetClearsWheelAndSleepers(t *testing.T) {
-	e := NewEngine()
-	stale := 0
-	e.Schedule(3, func() { stale++ })                  // wheel bucket
-	e.Schedule(wheelSize+100, func() { stale++ })      // overflow heap
-	r := e.NewRecurring(1, func() bool { stale++; return true })
-	r.Start(1)
-	e.Step() // advance into the window so buckets are mid-rotation
-	if e.Pending() == 0 {
-		t.Fatal("test needs pending events before Reset")
-	}
-
-	e.Reset()
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d after Reset, want 0", e.Pending())
-	}
-	if r.Active() {
-		t.Fatal("Recurring still active after Reset")
-	}
-
-	// The reused engine must run a fresh workload with no interference.
-	fresh := 0
-	for i := 0; i < 2*wheelSize; i += 7 {
-		e.Schedule(Time(i), func() { fresh++ })
-	}
-	end := e.Run()
-	if stale != 1 { // exactly the one tick fired by Step above
-		t.Fatalf("stale events fired after Reset: %d extra", stale-1)
-	}
-	if want := (2*wheelSize - 1) / 7 * 7; end != Time(want) {
-		t.Fatalf("reused engine finished at %d, want %d", end, want)
-	}
-	if fresh != 2*wheelSize/7+1 {
-		t.Fatalf("reused engine fired %d events, want %d", fresh, 2*wheelSize/7+1)
-	}
-
-	// A parked Recurring from before the Reset must be restartable: its
-	// queued flag was cleared along with the queue, so Start arms a real
-	// tick instead of trusting a flushed one.
-	ticks := 0
-	r2 := e.NewRecurring(1, func() bool { ticks++; return false })
-	r2.Start(1)
-	e.Step() // leave a queued tick, then park and wipe
-	r2.Start(1)
-	e.Reset()
-	r2.Start(1)
-	if e.Pending() != 1 {
-		t.Fatalf("restarted Recurring queued %d events, want 1", e.Pending())
-	}
-	e.Run()
-	if ticks != 2 {
-		t.Fatalf("ticks = %d, want 2 (one before Reset, one after restart)", ticks)
 	}
 }
 

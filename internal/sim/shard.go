@@ -153,18 +153,6 @@ func (g *ShardGroup) Stopped() bool {
 	return false
 }
 
-// Reset resets every shard engine (see Engine.Reset) and clears the
-// group's window statistics. Flush hooks stay registered; any state they
-// hold is the model's to clear.
-func (g *ShardGroup) Reset() {
-	for _, e := range g.engines {
-		e.Reset()
-	}
-	g.windows = 0
-	clear(g.stallNanos)
-	clear(g.laggard)
-}
-
 // Windows reports how many barrier-synchronized windows have executed.
 func (g *ShardGroup) Windows() uint64 { return g.windows }
 

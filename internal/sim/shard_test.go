@@ -310,59 +310,3 @@ func TestShardGroupRunSyncsClocks(t *testing.T) {
 		t.Fatalf("follow-on event fired at %d, want 98", fired)
 	}
 }
-
-// TestResetClearsRecurringSleepWake is the engine-reuse regression test:
-// after Reset, a Recurring from the previous life must be fully parked —
-// no stale tick fires, and restarting it must work (including being
-// parked again by a second Reset), so a pooled engine can never lose or
-// leak a wakeup across reuses.
-func TestResetClearsRecurringSleepWake(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	r := e.NewRecurring(3, func() bool { fired++; return fired < 10 })
-	r.Start(1)
-	for i := 0; i < 4; i++ {
-		e.Step()
-	}
-	if fired == 0 || !r.Active() {
-		t.Fatalf("setup: fired=%d active=%v", fired, r.Active())
-	}
-
-	// Reset with the next tick queued: the series must be parked with
-	// nothing pending, and the stale tick must never fire.
-	e.Reset()
-	if r.Active() {
-		t.Fatal("Reset left the recurring active")
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("Reset left %d events pending", e.Pending())
-	}
-	was := fired
-	e.ScheduleAt(100, func() {})
-	e.Run()
-	if fired != was {
-		t.Fatal("stale tick fired after Reset")
-	}
-
-	// Reuse: waking the parked series must re-arm it from scratch (a
-	// stale queued flag would swallow this wake), and a second Reset must
-	// park it again even though the first Reset dropped it from the
-	// tracking list.
-	e.Reset()
-	fired = 0
-	r.WakeAt(5)
-	e.Run()
-	if fired == 0 {
-		t.Fatal("wake after Reset was lost")
-	}
-	e.Reset()
-	if r.Active() || e.Pending() != 0 {
-		t.Fatalf("second Reset failed to park: active=%v pending=%d", r.Active(), e.Pending())
-	}
-	fired = 0
-	r.Start(2)
-	e.Run()
-	if fired == 0 {
-		t.Fatal("restart after second Reset fired nothing")
-	}
-}

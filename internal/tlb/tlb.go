@@ -66,7 +66,6 @@ type AddressSpace struct {
 	UseHugePages bool
 	nextVA       uint64
 	nextPA       uint64
-	seed         uint64
 	rng          *sim.Rand
 }
 
@@ -78,29 +77,8 @@ func NewAddressSpace(useHuge bool, seed uint64) *AddressSpace {
 		UseHugePages: useHuge,
 		nextVA:       HugePageSize, // keep page 0 unmapped
 		nextPA:       HugePageSize,
-		seed:         seed,
 		rng:          sim.NewRand(seed),
 	}
-}
-
-// Reset forgets every mapping and restarts the allocators, replaying the
-// same seed: a Reset address space hands out exactly the addresses a
-// fresh one would. The page-table maps are cleared, not reallocated, so
-// steady-state reuse stays off the allocator.
-func (as *AddressSpace) Reset() {
-	clear(as.PT.base)
-	clear(as.PT.huge)
-	as.nextVA = HugePageSize
-	as.nextPA = HugePageSize
-	as.rng = sim.NewRand(as.seed)
-}
-
-// Reseed replaces the seed of the base-page scatter RNG and restarts the
-// RNG from it, so the address space allocates as a fresh one built with
-// seed would. A pooled machine uses it to serve a job with another seed.
-func (as *AddressSpace) Reseed(seed uint64) {
-	as.seed = seed
-	as.rng = sim.NewRand(seed)
 }
 
 // Alloc reserves size bytes and returns the virtual base address. The

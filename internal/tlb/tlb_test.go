@@ -95,26 +95,3 @@ func TestTranslateUnmappedPanics(t *testing.T) {
 	}()
 	as.Translate(0)
 }
-
-// TestResetReseedMatchesFresh pins the pooled-machine contract: an
-// address space Reset and reseeded to seed B scatters its base pages
-// exactly like one built fresh with seed B.
-func TestResetReseedMatchesFresh(t *testing.T) {
-	used := NewAddressSpace(false, 1)
-	used.Alloc(5 * BasePageSize)
-	used.Reset()
-	used.Reseed(7)
-	fresh := NewAddressSpace(false, 7)
-	for i := 0; i < 4; i++ {
-		a, b := used.Alloc(3*BasePageSize), fresh.Alloc(3*BasePageSize)
-		if a != b {
-			t.Fatalf("alloc %d: va %#x, fresh %#x", i, a, b)
-		}
-		for p := uint64(0); p < 3; p++ {
-			va := a + p*BasePageSize
-			if used.Translate(va) != fresh.Translate(va) {
-				t.Fatalf("alloc %d page %d: pa %#x, fresh %#x", i, p, used.Translate(va), fresh.Translate(va))
-			}
-		}
-	}
-}

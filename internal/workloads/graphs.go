@@ -217,9 +217,10 @@ func prPush(scale Scale) *Workload {
 		Kernel: k, Params: map[string]uint64{"nodes": g.Nodes},
 		Init: func(d *ir.Data, r *sim.Rand) {
 			loadGraph(d, g)
+			contrib, next := d.Array("contrib"), d.Array("next")
 			for u := uint64(0); u < g.Nodes; u++ {
-				d.Array("contrib").SetF(u, 1.0/float64(g.Nodes))
-				d.Array("next").SetF(u, 0)
+				contrib.SetF(u, 1.0/float64(g.Nodes))
+				next.SetF(u, 0)
 			}
 		},
 	}
@@ -325,8 +326,9 @@ func prPull(scale Scale) *Workload {
 		Kernel: k, Params: map[string]uint64{"nodes": g.Nodes},
 		Init: func(d *ir.Data, r *sim.Rand) {
 			loadGraph(d, g)
+			contrib := d.Array("contrib")
 			for u := uint64(0); u < g.Nodes; u++ {
-				d.Array("contrib").SetF(u, 1.0/float64(g.Nodes))
+				contrib.SetF(u, 1.0/float64(g.Nodes))
 			}
 		},
 	}

@@ -138,11 +138,12 @@ func pathfinder(scale Scale) *Workload {
 		Name: "pathfinder", AddrClass: "MO", CmpClass: "Store", Iters: iters,
 		Kernel: k,
 		Init: func(d *ir.Data, r *sim.Rand) {
+			wall, src := d.Array("wall"), d.Array("src")
 			for i := uint64(0); i < n+2; i++ {
-				d.Array("wall").Set(i, uint64(r.Intn(10)))
+				wall.Set(i, uint64(r.Intn(10)))
 			}
 			for i := uint64(0); i < n; i++ {
-				d.Array("src").Set(i, uint64(r.Intn(10)))
+				src.Set(i, uint64(r.Intn(10)))
 			}
 		},
 		Check: func(d *ir.Data, accs map[string]uint64) error {
@@ -276,9 +277,10 @@ func hotspot3D(scale Scale) *Workload {
 		Name: "hotspot3d", AddrClass: "MO", CmpClass: "Store", Iters: iters,
 		Kernel: k,
 		Init: func(d *ir.Data, r *sim.Rand) {
+			in, pow := d.Array("in"), d.Array("pow")
 			for i := uint64(0); i < total; i++ {
-				d.Array("in").SetF(i, r.Float64())
-				d.Array("pow").SetF(i, r.Float64()*0.1)
+				in.SetF(i, r.Float64())
+				pow.SetF(i, r.Float64()*0.1)
 			}
 		},
 	}
@@ -318,8 +320,9 @@ func histogram(scale Scale) *Workload {
 		},
 		Check: func(d *ir.Data, accs map[string]uint64) error {
 			var total uint64
+			h := d.Array("hist")
 			for i := uint64(0); i < 256; i++ {
-				total += d.Array("hist").Get(i)
+				total += h.Get(i)
 			}
 			if total != n {
 				return fmt.Errorf("histogram: total %d, want %d", total, n)
@@ -362,14 +365,15 @@ func scluster(scale Scale) *Workload {
 		Name: "scluster", AddrClass: "Ind.", CmpClass: "Load", Iters: iters,
 		Kernel: k,
 		Init: func(d *ir.Data, r *sim.Rand) {
+			pt, cen, assign := d.Array("pt"), d.Array("cen"), d.Array("assign")
 			for i := uint64(0); i < points*dims; i++ {
-				d.Array("pt").SetF(i, r.Float64())
+				pt.SetF(i, r.Float64())
 			}
 			for i := uint64(0); i < centers*dims; i++ {
-				d.Array("cen").SetF(i, r.Float64())
+				cen.SetF(i, r.Float64())
 			}
 			for i := uint64(0); i < points; i++ {
-				d.Array("assign").Set(i, uint64(r.Intn(int(centers))))
+				assign.Set(i, uint64(r.Intn(int(centers))))
 			}
 		},
 	}
@@ -403,12 +407,13 @@ func svm(scale Scale) *Workload {
 		Name: "svm", AddrClass: "Ind.", CmpClass: "Load", Iters: iters,
 		Kernel: k,
 		Init: func(d *ir.Data, r *sim.Rand) {
+			idx, val, w := d.Array("idx"), d.Array("val"), d.Array("w")
 			for i := uint64(0); i < nnz; i++ {
-				d.Array("idx").Set(i, r.Uint64n(features))
-				d.Array("val").SetF(i, r.Float64())
+				idx.Set(i, r.Uint64n(features))
+				val.SetF(i, r.Float64())
 			}
 			for i := uint64(0); i < features; i++ {
-				d.Array("w").SetF(i, r.Float64())
+				w.SetF(i, r.Float64())
 			}
 		},
 	}
