@@ -51,7 +51,7 @@ perfbench:
 # its wall-clock and output sha256 alongside the parsed results, plus the
 # shard-barrier stall total of a 2-shard figure run (the parallel-DES
 # load-balance signal benchcmp tracks).
-BENCH_MICRO_PKGS = ./internal/sim ./internal/cache ./internal/noc ./internal/flatmap ./internal/core
+BENCH_MICRO_PKGS = ./internal/sim ./internal/cache ./internal/noc ./internal/flatmap ./internal/core ./internal/cpu
 BENCH_DIR = bench
 # BENCH_THRESHOLD is the max tolerated new/old ns-per-op (and allocs)
 # ratio benchcmp accepts; CI overrides it upward because shared runners

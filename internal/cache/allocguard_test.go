@@ -75,3 +75,66 @@ func TestLockHotPathAllocFreeWithAttribution(t *testing.T) {
 		})
 	}
 }
+
+// TestTileAccessAllocFree pins the demand-access contract of the private
+// levels: once the tile's access-context pool is warm, an L1 hit and an
+// L2 hit cost no allocation at all, and merging a second same-line miss
+// into an outstanding MSHR adds none to the miss it joins (the bank's
+// side of the miss is not part of this contract).
+func TestTileAccessAllocFree(t *testing.T) {
+	const line = 0x1000
+	e, h := testMachine()
+	lane := obs.NewAttribution()
+	h.SetLaneAttrib(0, lane)
+	tile := h.Tile(0)
+	served := func(Level) {}
+	hit := func(l1Cold bool) func() {
+		return func() {
+			if l1Cold {
+				tile.l1.Invalidate(line)
+			}
+			tile.Access(line, false, 0, served)
+			e.Run()
+		}
+	}
+	// miss issues n same-cycle reads of a line no private level holds: the
+	// first requests it, the rest merge into its MSHR.
+	miss := func(n int) func() {
+		return func() {
+			tile.InvalidateLine(line)
+			for i := 0; i < n; i++ {
+				tile.Access(line, false, 0, served)
+			}
+			e.Run()
+		}
+	}
+	for i := 0; i < 64; i++ { // warm the pools, tables and engine buckets
+		miss(2)()
+		hit(true)()
+	}
+	if !tile.HasLine(line) || lane.Counts[obs.StallMSHRMerge] == 0 {
+		t.Fatal("warm-up did not cache the line and merge misses")
+	}
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"L1 hit", hit(false)},
+		{"L2 hit", hit(true)},
+	} {
+		if a := testing.AllocsPerRun(1000, tc.fn); a != 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", tc.name, a)
+		}
+	}
+	alone := testing.AllocsPerRun(1000, miss(1))
+	merged := testing.AllocsPerRun(1000, miss(2))
+	if merged != alone {
+		t.Errorf("MSHR merge: a miss with a merged second access costs %.1f allocs/op, alone %.1f; want no extra", merged, alone)
+	}
+	if got := counter(h, "l1.hits"); got == 0 {
+		t.Error("no L1 hits counted")
+	}
+	if got := counter(h, "l2.hits"); got == 0 {
+		t.Error("no L2 hits counted")
+	}
+}

@@ -153,8 +153,9 @@ func New(engine *sim.Engine, net *noc.Network, dram *mem.Memory, cfg Config) *Hi
 	for i := 0; i < n; i++ {
 		h.tiles = append(h.tiles, &Tile{
 			id: i, h: h, engine: engine, lane: h.lanes[0],
-			l1: NewArray(cfg.L1, uint64(i)*2+1),
-			l2: NewArray(cfg.L2, uint64(i)*2+2),
+			l1:      NewArray(cfg.L1, uint64(i)*2+1),
+			l2:      NewArray(cfg.L2, uint64(i)*2+2),
+			accFree: -1,
 		})
 		b := &Bank{
 			id: i, h: h, engine: engine, lane: h.lanes[0],
@@ -261,10 +262,74 @@ type Tile struct {
 	lane   *hierLane
 	l1, l2 *Array
 	// inflight merges concurrent misses to the same line: a present entry
-	// is an outstanding request, holding the completions waiting on it.
-	// Open-addressed: MSHR occupancy is bounded and churn-heavy, so the
-	// table stays warm and allocation-free.
-	inflight flatmap.Map[[]func(Level)]
+	// is an outstanding request, holding the chain of demand accesses
+	// waiting on it. Open-addressed: MSHR occupancy is bounded and
+	// churn-heavy, so the table stays warm and allocation-free.
+	inflight flatmap.Map[mshr]
+	// accs pools the tile's demand-access contexts, indexed by int32;
+	// accFree heads the free chain (-1 when empty, see getAccess).
+	accs    []*tileAccess
+	accFree int32
+}
+
+// mshr is an outstanding line request's FIFO chain of merged accesses,
+// linked through tileAccess.next by index (-1 = none).
+type mshr struct{ head, tail int32 }
+
+// tileAccess is the pooled context of one access from issue to
+// completion: through the L1 and L2 lookups, the coherence request of a
+// miss (its request, grant and response legs), and any MSHR merge wait.
+// Prefetches use one too, with a nil onDone. Its callbacks are bound once
+// at creation, and it recycles before onDone runs, so a warm access
+// allocates nothing on the tile side.
+type tileAccess struct {
+	t      *Tile
+	idx    int32
+	next   int32 // MSHR chain or free chain link
+	line   uint64
+	write  bool
+	onDone func(Level)
+	// The outstanding coherence request this access leads, if any.
+	kind    reqKind
+	grant   LineState
+	fromMem bool
+
+	l1Ev      sim.Event             // a.afterL1
+	l2Ev      sim.Event             // a.afterL2
+	reqEv     func()                // a.atBank: the request reaches the home bank
+	respondCB func(LineState, bool) // a.respond: the bank grants the line
+	fillEv    func()                // a.fill: the response reaches the tile
+}
+
+// getAccess takes an access context from the tile's pool (or grows it).
+func (t *Tile) getAccess(line uint64, write bool, onDone func(Level)) *tileAccess {
+	var a *tileAccess
+	if i := t.accFree; i >= 0 {
+		a = t.accs[i]
+		t.accFree = a.next
+	} else {
+		a = &tileAccess{t: t, idx: int32(len(t.accs))}
+		a.l1Ev = a.afterL1
+		a.l2Ev = a.afterL2
+		a.reqEv = a.atBank
+		a.respondCB = a.respond
+		a.fillEv = a.fill
+		t.accs = append(t.accs, a)
+	}
+	a.next = -1
+	a.line, a.write, a.onDone = line, write, onDone
+	return a
+}
+
+// finish recycles a, then reports the serving level to its requester.
+func (a *tileAccess) finish(lv Level) {
+	t, onDone := a.t, a.onDone
+	a.onDone = nil
+	a.next = t.accFree
+	t.accFree = a.idx
+	if onDone != nil {
+		onDone(lv)
+	}
 }
 
 // ID returns the tile's mesh node id.
@@ -289,24 +354,22 @@ func (t *Tile) Access(addr uint64, write bool, pc uint64, onDone func(Level)) {
 	if h.PrefetchHook != nil {
 		h.PrefetchHook(t.id, addr, pc, hitL1)
 	}
-	t.engine.Schedule(h.cfg.L1.Latency, func() {
-		t.afterL1(line, write, onDone)
-	})
+	t.engine.Schedule(h.cfg.L1.Latency, t.getAccess(line, write, onDone).l1Ev)
 }
 
-func (t *Tile) afterL1(line uint64, write bool, onDone func(Level)) {
-	h := t.h
+func (a *tileAccess) afterL1() {
+	t, line, write := a.t, a.line, a.write
 	if l := t.l1.Lookup(line); l != nil {
 		if !write {
 			t.lane.ctr.l1Hits.Inc()
-			finish(onDone, ServedL1)
+			a.finish(ServedL1)
 			return
 		}
 		switch l.State {
 		case Modified:
 			t.lane.ctr.l1Hits.Inc()
 			l.Dirty = true
-			finish(onDone, ServedL1)
+			a.finish(ServedL1)
 			return
 		case Exclusive:
 			t.lane.ctr.l1Hits.Inc()
@@ -315,7 +378,7 @@ func (t *Tile) afterL1(line uint64, write bool, onDone func(Level)) {
 			if l2 := t.l2.Peek(line); l2 != nil {
 				l2.State = Modified
 			}
-			finish(onDone, ServedL1)
+			a.finish(ServedL1)
 			return
 		case Shared:
 			// Needs an upgrade; fall through to the miss path, which
@@ -323,17 +386,16 @@ func (t *Tile) afterL1(line uint64, write bool, onDone func(Level)) {
 		}
 	}
 	t.lane.ctr.l1Misses.Inc()
-	t.engine.Schedule(h.cfg.L2.Latency, func() {
-		t.afterL2(line, write, onDone)
-	})
+	t.engine.Schedule(t.h.cfg.L2.Latency, a.l2Ev)
 }
 
-func (t *Tile) afterL2(line uint64, write bool, onDone func(Level)) {
+func (a *tileAccess) afterL2() {
+	t, line, write := a.t, a.line, a.write
 	if l := t.l2.Lookup(line); l != nil {
 		if !write {
 			t.lane.ctr.l2Hits.Inc()
 			t.fillL1(line, l.State)
-			finish(onDone, ServedL2)
+			a.finish(ServedL2)
 			return
 		}
 		if l.State == Exclusive || l.State == Modified {
@@ -344,19 +406,19 @@ func (t *Tile) afterL2(line uint64, write bool, onDone func(Level)) {
 			if l1 := t.l1.Peek(line); l1 != nil {
 				l1.Dirty = true
 			}
-			finish(onDone, ServedL2)
+			a.finish(ServedL2)
 			return
 		}
 		// Shared: upgrade required. Control-only round trip.
 		t.lane.ctr.l2Upgrades.Inc()
-		t.requestLine(line, reqUpgrade, onDone)
+		t.requestLine(reqUpgrade, a)
 		return
 	}
 	t.lane.ctr.l2Misses.Inc()
 	if write {
-		t.requestLine(line, reqGetM, onDone)
+		t.requestLine(reqGetM, a)
 	} else {
-		t.requestLine(line, reqGetS, onDone)
+		t.requestLine(reqGetS, a)
 	}
 }
 
@@ -399,52 +461,59 @@ const (
 	reqUpgrade
 )
 
-// requestLine sends a coherence request to the home bank and completes the
-// access when the response returns, merging concurrent same-line misses.
-func (t *Tile) requestLine(line uint64, kind reqKind, onDone func(Level)) {
-	h := t.h
+// requestLine sends a coherence request for a's line to the home bank and
+// completes a when the response returns, merging concurrent same-line
+// misses.
+func (t *Tile) requestLine(kind reqKind, a *tileAccess) {
+	line := a.line
 	// Merge only same-line GetS with GetS; writes restart the protocol (a
 	// merged read completion does not grant write permission). To stay
-	// simple and conservative, merge everything and re-check permission.
+	// simple and conservative, merge everything and re-check permission:
+	// a merged access re-runs from its L1 lookup when the line arrives.
 	if q, ok := t.inflight.Get(line); ok {
 		t.lane.attrib.Charge(obs.StallMSHRMerge, 0)
-		t.inflight.Put(line, append(q, func(lv Level) {
-			// Re-run the access: permissions may still be insufficient
-			// (e.g. read brought S, this needs M).
-			t.afterL1(line, kind != reqGetS, onDone)
-		}))
+		if q.head < 0 {
+			q.head = a.idx
+		} else {
+			t.accs[q.tail].next = a.idx
+		}
+		q.tail = a.idx
+		t.inflight.Put(line, q)
 		return
 	}
-	t.inflight.Put(line, nil)
+	t.inflight.Put(line, mshr{head: -1, tail: -1})
 	if tr := t.lane.tracer; tr.Enabled() {
 		tr.Emit(obs.Event{Time: uint64(t.engine.Now()), Kind: obs.KindMSHR,
 			Tile: int32(t.id), A: uint64(t.inflight.Len()), B: line})
 	}
-	bank := h.banks[h.HomeBank(line)]
+	a.kind = kind
+	h := t.h
 	h.net.Send(&noc.Message{
-		Src: t.id, Dst: bank.id, Bytes: CtrlBytes, Class: noc.TrafficControl,
-		OnDeliver: func() {
-			bank.handleCoherence(line, kind, t.id, func(grant LineState, fromMem bool) {
-				respBytes := LineBytes
-				if kind == reqUpgrade {
-					respBytes = CtrlBytes
-				}
-				class := noc.TrafficData
-				if kind == reqUpgrade {
-					class = noc.TrafficControl
-				}
-				h.net.Send(&noc.Message{
-					Src: bank.id, Dst: t.id, Bytes: respBytes, Class: class,
-					OnDeliver: func() {
-						t.completeFill(line, kind, grant, fromMem, onDone)
-					},
-				})
-			})
-		},
+		Src: t.id, Dst: h.HomeBank(line), Bytes: CtrlBytes, Class: noc.TrafficControl,
+		OnDeliver: a.reqEv,
 	})
 }
 
-func (t *Tile) completeFill(line uint64, kind reqKind, grant LineState, fromMem bool, onDone func(Level)) {
+func (a *tileAccess) atBank() {
+	a.t.h.banks[a.t.h.HomeBank(a.line)].handleCoherence(a.line, a.kind, a.t.id, a.respondCB)
+}
+
+func (a *tileAccess) respond(grant LineState, fromMem bool) {
+	a.grant, a.fromMem = grant, fromMem
+	respBytes, class := LineBytes, noc.TrafficData
+	if a.kind == reqUpgrade {
+		respBytes, class = CtrlBytes, noc.TrafficControl
+	}
+	a.t.h.net.Send(&noc.Message{
+		Src: a.t.h.HomeBank(a.line), Dst: a.t.id, Bytes: respBytes, Class: class,
+		OnDeliver: a.fillEv,
+	})
+}
+
+func (a *tileAccess) fill() { a.t.completeFill(a) }
+
+func (t *Tile) completeFill(a *tileAccess) {
+	line, kind, grant, fromMem := a.line, a.kind, a.grant, a.fromMem
 	if kind == reqUpgrade {
 		if l2 := t.l2.Peek(line); l2 != nil {
 			l2.State = Modified
@@ -475,15 +544,21 @@ func (t *Tile) completeFill(line uint64, kind reqKind, grant LineState, fromMem 
 	if fromMem {
 		lv = ServedMem
 	}
-	finish(onDone, lv)
-	waiters, _ := t.inflight.Get(line)
+	a.finish(lv)
+	q, _ := t.inflight.Get(line)
 	t.inflight.Delete(line)
 	if tr := t.lane.tracer; tr.Enabled() {
 		tr.Emit(obs.Event{Time: uint64(t.engine.Now()), Kind: obs.KindMSHR,
 			Tile: int32(t.id), A: uint64(t.inflight.Len()), B: line})
 	}
-	for _, w := range waiters {
-		w(lv)
+	// Re-run each merged access: permissions may still be insufficient
+	// (e.g. a read brought S, this one needs M). A re-run may merge into a
+	// new request for the line, relinking the access, so step first.
+	for i := q.head; i >= 0; {
+		w := t.accs[i]
+		i = w.next
+		w.next = -1
+		w.afterL1()
 	}
 }
 
@@ -499,7 +574,7 @@ func (t *Tile) Prefetch(addr uint64) {
 		return
 	}
 	t.lane.ctr.prefetchIssued.Inc()
-	t.requestLine(line, reqGetS, nil)
+	t.requestLine(reqGetS, t.getAccess(line, false, nil))
 }
 
 // InvalidateLine removes a line from both private levels, reporting whether
@@ -538,10 +613,4 @@ func (h *Hierarchy) sendWriteback(from int, line uint64) {
 		Src: from, Dst: bank.id, Bytes: LineBytes, Class: noc.TrafficData,
 		OnDeliver: func() { bank.handleWriteback(line, from) },
 	})
-}
-
-func finish(onDone func(Level), lv Level) {
-	if onDone != nil {
-		onDone(lv)
-	}
 }

@@ -123,6 +123,8 @@ type coreRun struct {
 	queue   []*cpu.MicroOp
 	qhead   int
 	actions flatmap.Map[func(done func())]
+	// memFree heads the memCtx freelist (see memCtx).
+	memFree *memCtx
 	// lastSeq/haveSeq map IR values to the seq of their last emitted
 	// instance, dense by ValueRef (which indexes Kernel.Ops).
 	lastSeq []uint64
@@ -783,31 +785,86 @@ func (cr *coreRun) streamFinished() {
 // memFunc routes the core's memory micro-ops: registered actions (stream
 // FIFO reads, offload round trips) or ordinary hierarchy accesses.
 func (cr *coreRun) memFunc(seq uint64, ref cpu.MemRef, at sim.Time, done func()) {
+	mc := cr.getMemCtx()
+	mc.done = done
 	if act, ok := cr.actions.Get(seq); ok {
 		cr.actions.Delete(seq)
-		cr.engine().ScheduleAt(at, func() { act(done) })
+		mc.act = act
+		cr.engine().ScheduleAt(at, mc.actEv)
 		return
 	}
-	cr.engine().ScheduleAt(at, func() {
-		// §IV-B alias check: committed core accesses compare against
-		// offloaded streams' reported ranges. On a hit (possibly a false
-		// positive — the check is conservative) the stream drains to a
-		// precise state before the access proceeds, then restarts
-		// (Figure 7b). The alias-free evaluation kernels never take this
-		// path; TestAliasUnwind does.
-		if cr.pol.rangeSync && cr.ranges.Active() > 0 {
-			if sid, alias := cr.ranges.Check(ref.Addr, 8); alias {
-				cr.shared.ctr.aliasDetected.Inc()
-				cr.ranges.Release(sid)
-				if rs := cr.remotes[sid]; rs != nil && !rs.finished {
-					rs.Suspend(func() {
-						cr.m.Engine.Schedule(1, rs.Resume)
-						cr.tile().Access(ref.Addr, ref.Write, ref.PC, func(cache.Level) { done() })
-					})
-					return
-				}
+	mc.ref = ref
+	cr.engine().ScheduleAt(at, mc.accessEv)
+}
+
+// memCtx is the pooled context of one core memory access, from the core's
+// issue to the completion it reports back. Its event and level callbacks
+// are bound once at creation (the elemCtx pattern) and a context recycles
+// before its completion runs, so routing an access allocates nothing in
+// steady state. The pool is bounded by the core's LSQ.
+type memCtx struct {
+	cr   *coreRun
+	ref  cpu.MemRef
+	done func()
+	act  func(done func())
+	next *memCtx // freelist link
+
+	accessEv sim.Event         // mc.access: alias check, then the tile access
+	actEv    sim.Event         // mc.runAction: the registered action
+	levelCB  func(cache.Level) // mc.finish: recycle, then done
+}
+
+func (cr *coreRun) getMemCtx() *memCtx {
+	mc := cr.memFree
+	if mc == nil {
+		mc = &memCtx{cr: cr}
+		mc.accessEv = mc.access
+		mc.actEv = mc.runAction
+		mc.levelCB = mc.finish
+	} else {
+		cr.memFree = mc.next
+	}
+	return mc
+}
+
+func (mc *memCtx) release() {
+	mc.done, mc.act = nil, nil
+	mc.next = mc.cr.memFree
+	mc.cr.memFree = mc
+}
+
+func (mc *memCtx) runAction() {
+	act, done := mc.act, mc.done
+	mc.release()
+	act(done)
+}
+
+func (mc *memCtx) finish(cache.Level) {
+	done := mc.done
+	mc.release()
+	done()
+}
+
+func (mc *memCtx) access() {
+	cr, ref := mc.cr, mc.ref
+	// §IV-B alias check: committed core accesses compare against
+	// offloaded streams' reported ranges. On a hit (possibly a false
+	// positive — the check is conservative) the stream drains to a
+	// precise state before the access proceeds, then restarts
+	// (Figure 7b). The alias-free evaluation kernels never take this
+	// path; TestAliasUnwind does.
+	if cr.pol.rangeSync && cr.ranges.Active() > 0 {
+		if sid, alias := cr.ranges.Check(ref.Addr, 8); alias {
+			cr.shared.ctr.aliasDetected.Inc()
+			cr.ranges.Release(sid)
+			if rs := cr.remotes[sid]; rs != nil && !rs.finished {
+				rs.Suspend(func() {
+					cr.m.Engine.Schedule(1, rs.Resume)
+					cr.tile().Access(ref.Addr, ref.Write, ref.PC, mc.levelCB)
+				})
+				return
 			}
 		}
-		cr.tile().Access(ref.Addr, ref.Write, ref.PC, func(cache.Level) { done() })
-	})
+	}
+	cr.tile().Access(ref.Addr, ref.Write, ref.PC, mc.levelCB)
 }

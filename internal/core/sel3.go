@@ -90,6 +90,10 @@ type remoteStream struct {
 	stepExempt     bool // ptr-chase: the core cannot step a data-dependent chase
 	rangeArrived   []bool
 	elemsProcessed int
+	// stepRetired is every s_step's OnRetire, bound once: a stream's
+	// s_steps are emitted one per element and retire in order, so the
+	// k-th retirement steps the core through element k.
+	stepRetired func(sim.Time)
 
 	// Atomic lock bookkeeping.
 	lockedLines []lockedLine
@@ -148,6 +152,7 @@ func newRemoteStream(cr *coreRun, s *compiler.Stream, elems []streamElem) *remot
 		rs.rangeArrived = make([]bool, rs.numWindows()+1)
 	}
 	rs.advanceEv = rs.advance
+	rs.stepRetired = func(sim.Time) { rs.noteCoreStep(rs.coreSteps + 1) }
 	rs.parkedFire = func() {
 		rs.parked = false
 		rs.advance()

@@ -136,7 +136,7 @@ func (cr *coreRun) emitEntry(ent *traceEntry) {
 			if rs != nil && cr.pol.rangeSync && !cr.decoupledCore() && !rs.stepExempt {
 				// s_step: the core's in-order commit point for range-sync.
 				step := cr.newOp(cpu.IntAlu)
-				step.OnRetire = func(sim.Time) { rs.noteCoreStep(n + 1) }
+				step.OnRetire = rs.stepRetired
 				cr.push(step, nil)
 			}
 			// A later core consumer of this element must s_load it.

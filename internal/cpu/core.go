@@ -67,7 +67,9 @@ func (op *MicroOp) SetMem(ref MemRef) {
 }
 
 // MemFunc issues a memory access for op seq at time at; done must be called
-// exactly once when the access completes.
+// exactly once when the access completes, and never from inside the
+// MemFunc call itself. The core binds one done per LSQ slot, so the same
+// func value recurs across accesses.
 type MemFunc func(seq uint64, ref MemRef, at sim.Time, done func())
 
 // robEntry tracks one in-flight op.
@@ -76,15 +78,36 @@ type robEntry struct {
 	complete sim.Time
 	resolved bool
 	onRetire func(at sim.Time)
+
+	// Issue-queue wakeup state. consumers lists the parked ops (by seq)
+	// waiting on this entry; resolve drains it, and it keeps its capacity
+	// across slot reuse. op (nil unless parked), pending (its unresolved
+	// dependences, with multiplicity) and the LSQ slots (-1 when none)
+	// describe this entry's own op while it waits in the issue queue.
+	consumers []uint64
+	op        *MicroOp
+	pending   int
+	loadSlot  int
+	storeSlot int
 }
 
-// waitOp is a dispatched-but-unissued op parked in the issue queue until
-// its dependences resolve.
-type waitOp struct {
-	op        *MicroOp
+// memSlot is the completion context of the memory access in flight on one
+// LSQ slot. A load (or atomic) uses its LQ slot's context and a store its
+// SQ slot's; either slot stays claimed until memory acknowledges, so a
+// context is never reused while its access is in flight (a ROB slot can
+// be: a store retires before its ack). done is bound once at construction.
+type memSlot struct {
+	c         *Core
 	seq       uint64
-	loadSlot  int // -1 when none
+	extra     sim.Time
+	loadSlot  int
 	storeSlot int
+	done      func()
+}
+
+func (ms *memSlot) complete() {
+	c := ms.c
+	c.resolveMem(ms.seq, c.engine.Now()+ms.extra, ms.loadSlot, ms.storeSlot)
 }
 
 // Core is one hardware context (a full core or an SCC thread).
@@ -106,13 +129,12 @@ type Core struct {
 	lastRetire sim.Time
 	doneTimes  []sim.Time // shadow completions of recently retired ops
 
-	// Issue-queue: ops dispatched but waiting on unresolved deps (OOO).
-	// resolveVer counts resolved-bit transitions; drainWaiting skips its
-	// scan when nothing resolved since the last drain (issue eligibility
-	// only changes when a dependency resolves, so the skip is exact).
-	waiting      []waitOp
-	resolveVer   uint64
-	lastDrainVer uint64
+	// Issue queue (OOO): parked counts ops dispatched but not yet issued
+	// (the IQ occupancy); they wait in their ROB entries. ready is a
+	// min-heap of the seqs of parked ops whose last dependence resolved,
+	// so drainWaiting issues them in ascending seq.
+	parked int
+	ready  []uint64
 
 	// Issue bandwidth bookkeeping.
 	issueCycle sim.Time
@@ -128,6 +150,9 @@ type Core struct {
 	loadIdx   int
 	storeRing []sim.Time
 	storeIdx  int
+	// loadMem/storeMem are the per-slot memory completion contexts.
+	loadMem  []memSlot
+	storeMem []memSlot
 
 	fetchDone bool
 	stalled   bool // waiting on source Wake
@@ -173,6 +198,8 @@ func NewCore(engine *sim.Engine, cfg Config, source OpSource, mem MemFunc) *Core
 		loadRing:  make([]sim.Time, maxInt(cfg.LQ, 1)),
 		storeRing: make([]sim.Time, maxInt(cfg.SQ, 1)),
 	}
+	c.loadMem = c.newMemSlots(len(c.loadRing))
+	c.storeMem = c.newMemSlots(len(c.storeRing))
 	for k := range c.fu {
 		c.fu[k] = make([]sim.Time, cfg.FUCount[k])
 	}
@@ -181,6 +208,15 @@ func NewCore(engine *sim.Engine, cfg Config, source OpSource, mem MemFunc) *Core
 		c.recycle = r.Recycle
 	}
 	return c
+}
+
+func (c *Core) newMemSlots(n int) []memSlot {
+	slots := make([]memSlot, n)
+	for i := range slots {
+		slots[i].c = c
+		slots[i].done = slots[i].complete
+	}
+	return slots
 }
 
 // Config returns the core configuration.
@@ -327,25 +363,25 @@ func (c *Core) dispatch(op *MicroOp) bool {
 		}
 	}
 	// Resolve dependences.
-	unresolved := false
+	unresolved := 0
 	for _, d := range op.Deps {
 		t, ok := c.completionOf(d)
 		if !ok {
-			unresolved = true
+			unresolved++
 			continue
 		}
 		if t > ready {
 			ready = t
 		}
 	}
-	if unresolved {
+	if unresolved > 0 {
 		if c.cfg.InOrder {
 			// The front op blocks on unresolved work, the in-order analogue
 			// of an unresolved ROB head.
 			c.attrib.Charge(obs.StallROBFull, 0)
 			return false // in-order issue stalls at the front
 		}
-		if len(c.waiting) >= c.cfg.IQ {
+		if c.parked >= c.cfg.IQ {
 			c.attrib.Charge(obs.StallIQFull, 0)
 			return false // issue queue full
 		}
@@ -363,9 +399,18 @@ func (c *Core) dispatch(op *MicroOp) bool {
 	}
 	seq := c.fetched
 	c.fetched++
-	c.rob[seq&c.robMask] = robEntry{seq: seq, onRetire: op.OnRetire}
-	if unresolved {
-		c.waiting = append(c.waiting, waitOp{op: op, seq: seq, loadSlot: loadSlot, storeSlot: storeSlot})
+	e := &c.rob[seq&c.robMask]
+	e.seq, e.complete, e.resolved, e.onRetire = seq, 0, false, op.OnRetire
+	if unresolved > 0 {
+		// Park the op: register it with each unresolved producer, whose
+		// resolution counts it down (see resolve).
+		for _, d := range op.Deps {
+			if p := &c.rob[d&c.robMask]; d >= c.retired && !p.resolved {
+				p.consumers = append(p.consumers, seq)
+			}
+		}
+		e.op, e.pending, e.loadSlot, e.storeSlot = op, unresolved, loadSlot, storeSlot
+		c.parked++
 		return true
 	}
 	c.issueOp(op, seq, ready, loadSlot, storeSlot)
@@ -375,48 +420,88 @@ func (c *Core) dispatch(op *MicroOp) bool {
 	return true
 }
 
-// drainWaiting re-checks parked ops after completions; runs to fixpoint so
-// chains of non-memory ops resolve in one pass.
+// drainWaiting issues the parked ops whose dependences have all resolved,
+// in ascending seq. Issuing one may resolve it and wake younger consumers,
+// which join the heap and issue in the same drain; since dependences are
+// always older, this is the order a seq-ordered rescan of the issue queue
+// to fixpoint would issue them in. Each op's ready time is read from its
+// producers' completions at drain time.
 func (c *Core) drainWaiting() {
-	if c.resolveVer == c.lastDrainVer {
-		return
+	for len(c.ready) > 0 {
+		seq := c.popReady()
+		e := &c.rob[seq&c.robMask]
+		op, loadSlot, storeSlot := e.op, e.loadSlot, e.storeSlot
+		e.op = nil
+		c.parked--
+		ready := c.engine.Now()
+		for _, d := range op.Deps {
+			if t, _ := c.completionOf(d); t > ready {
+				ready = t
+			}
+		}
+		c.issueOp(op, seq, ready, loadSlot, storeSlot)
+		if c.recycle != nil {
+			c.recycle(op)
+		}
 	}
-	if len(c.waiting) == 0 {
-		c.lastDrainVer = c.resolveVer
-		return
+}
+
+// resolve marks e complete at time at and counts down its consumers; a
+// parked op whose last pending dependence this was joins the ready heap.
+func (c *Core) resolve(e *robEntry, at sim.Time) {
+	e.resolved = true
+	e.complete = at
+	for _, s := range e.consumers {
+		w := &c.rob[s&c.robMask]
+		if w.pending--; w.pending == 0 {
+			c.pushReady(s)
+		}
 	}
+	e.consumers = e.consumers[:0]
+}
+
+// pushReady and popReady maintain the ready min-heap over seqs.
+func (c *Core) pushReady(seq uint64) {
+	h := append(c.ready, seq)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p] <= seq {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = seq
+	c.ready = h
+}
+
+func (c *Core) popReady() uint64 {
+	h := c.ready
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	i := 0
 	for {
-		progressed := false
-		remaining := c.waiting[:0]
-		for _, w := range c.waiting {
-			ready := c.engine.Now()
-			ok := true
-			for _, d := range w.op.Deps {
-				t, resolved := c.completionOf(d)
-				if !resolved {
-					ok = false
-					break
-				}
-				if t > ready {
-					ready = t
-				}
-			}
-			if !ok {
-				remaining = append(remaining, w)
-				continue
-			}
-			c.issueOp(w.op, w.seq, ready, w.loadSlot, w.storeSlot)
-			if c.recycle != nil {
-				c.recycle(w.op)
-			}
-			progressed = true
+		l := 2*i + 1
+		if l >= n {
+			break
 		}
-		c.waiting = remaining
-		if !progressed {
-			c.lastDrainVer = c.resolveVer
-			return
+		if r := l + 1; r < n && h[r] < h[l] {
+			l = r
 		}
+		if last <= h[l] {
+			break
+		}
+		h[i] = h[l]
+		i = l
 	}
+	if n > 0 {
+		h[i] = last
+	}
+	c.ready = h
+	return top
 }
 
 // issueOp assigns an issue time respecting bandwidth and functional units,
@@ -462,18 +547,18 @@ func (c *Core) issueOp(op *MicroOp, seq uint64, ready sim.Time, loadSlot, storeS
 	e := &c.rob[seq&c.robMask]
 	if op.Class.IsMem() && op.Mem != nil {
 		c.MemOps++
-		extra := op.ExtraLatency
-		ref := *op.Mem
-		c.mem(seq, ref, issue, func() {
-			at := c.engine.Now() + extra
-			c.resolveMem(seq, at, loadSlot, storeSlot)
-		})
+		var ms *memSlot
+		if loadSlot >= 0 {
+			ms = &c.loadMem[loadSlot]
+		} else {
+			ms = &c.storeMem[storeSlot]
+		}
+		ms.seq, ms.extra, ms.loadSlot, ms.storeSlot = seq, op.ExtraLatency, loadSlot, storeSlot
+		c.mem(seq, *op.Mem, issue, ms.done)
 		if op.Class == Store {
 			// Stores complete into the store buffer; the SQ slot stays
 			// busy until memory acknowledges.
-			e.resolved = true
-			e.complete = issue + c.cfg.Latency[Store] + op.ExtraLatency
-			c.resolveVer++
+			c.resolve(e, issue+c.cfg.Latency[Store]+op.ExtraLatency)
 		}
 	} else {
 		lat := c.cfg.Latency[op.Class] + op.ExtraLatency
@@ -481,9 +566,7 @@ func (c *Core) issueOp(op *MicroOp, seq uint64, ready sim.Time, loadSlot, storeS
 			// Mem-class op without a MemRef (SE FIFO access).
 			lat = c.cfg.Latency[IntAlu] + op.ExtraLatency
 		}
-		e.resolved = true
-		e.complete = issue + lat
-		c.resolveVer++
+		c.resolve(e, issue+lat)
 		if loadSlot >= 0 {
 			c.loadRing[loadSlot] = e.complete
 		}
@@ -500,9 +583,7 @@ func (c *Core) resolveMem(seq uint64, at sim.Time, loadSlot, storeSlot int) {
 	if c.fetched > seq && c.fetched-seq <= uint64(c.cfg.ROB) {
 		e := &c.rob[seq&c.robMask]
 		if e.seq == seq && !e.resolved {
-			e.resolved = true
-			e.complete = at
-			c.resolveVer++
+			c.resolve(e, at)
 		}
 	}
 	if loadSlot >= 0 {

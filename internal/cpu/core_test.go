@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -360,5 +361,430 @@ func TestLongStreamManyOps(t *testing.T) {
 	run(t, e, c)
 	if c.OpsRetired != 5000 {
 		t.Fatalf("retired = %d", c.OpsRetired)
+	}
+}
+
+// refCore is the core model as it was before the issue queue became
+// wakeup-driven: parked ops sit in a seq-ordered slice that every drain
+// rescans to fixpoint. It is kept here, test-only, as the oracle the
+// wakeup-driven Core must match cycle for cycle. Only what the
+// differential test drives is kept (no attribution, idle callback or op
+// recycling).
+type refCore struct {
+	cfg    Config
+	engine *sim.Engine
+	source OpSource
+	mem    MemFunc
+
+	robMask    uint64
+	rob        []refEntry
+	fetched    uint64
+	retired    uint64
+	lastRetire sim.Time
+	doneTimes  []sim.Time
+
+	waiting []refWait
+
+	issueCycle sim.Time
+	issueUsed  int
+	lastIssue  sim.Time
+
+	fu [numFUKinds][]sim.Time
+
+	loadRing  []sim.Time
+	loadIdx   int
+	storeRing []sim.Time
+	storeIdx  int
+
+	fetchDone bool
+	stalled   bool
+	ticker    *sim.Recurring
+	retryOp   *MicroOp
+}
+
+type refEntry struct {
+	seq      uint64
+	complete sim.Time
+	resolved bool
+	onRetire func(at sim.Time)
+}
+
+type refWait struct {
+	op        *MicroOp
+	seq       uint64
+	loadSlot  int
+	storeSlot int
+}
+
+func newRefCore(engine *sim.Engine, cfg Config, source OpSource, mem MemFunc) *refCore {
+	ring := 1
+	for ring < cfg.ROB {
+		ring <<= 1
+	}
+	c := &refCore{
+		cfg: cfg, engine: engine, source: source, mem: mem,
+		robMask:   uint64(ring - 1),
+		rob:       make([]refEntry, ring),
+		doneTimes: make([]sim.Time, ring),
+		loadRing:  make([]sim.Time, maxInt(cfg.LQ, 1)),
+		storeRing: make([]sim.Time, maxInt(cfg.SQ, 1)),
+	}
+	for k := range c.fu {
+		c.fu[k] = make([]sim.Time, cfg.FUCount[k])
+	}
+	c.ticker = engine.NewRecurring(1, c.pump)
+	return c
+}
+
+func (c *refCore) Done() bool { return c.fetchDone && c.retired == c.fetched }
+
+func (c *refCore) completionOf(seq uint64) (sim.Time, bool) {
+	if seq >= c.fetched {
+		panic(fmt.Sprintf("cpu: dependence on future op %d (fetched %d)", seq, c.fetched))
+	}
+	if seq < c.retired {
+		if c.retired-seq <= uint64(c.cfg.ROB) {
+			return c.doneTimes[seq&c.robMask], true
+		}
+		return 0, true
+	}
+	e := &c.rob[seq&c.robMask]
+	if !e.resolved {
+		return 0, false
+	}
+	return e.complete, true
+}
+
+func (c *refCore) tryRetire() {
+	for c.retired < c.fetched {
+		e := &c.rob[c.retired&c.robMask]
+		if !e.resolved {
+			return
+		}
+		if e.complete > c.lastRetire {
+			c.lastRetire = e.complete
+		}
+		c.doneTimes[c.retired&c.robMask] = e.complete
+		if e.onRetire != nil {
+			fn, at := e.onRetire, c.lastRetire
+			e.onRetire = nil
+			fn(at)
+		}
+		c.retired++
+	}
+}
+
+func (c *refCore) pump() bool {
+	c.drainWaiting()
+	c.tryRetire()
+	for n := 0; n < maxPumpOps; n++ {
+		if c.fetched-c.retired >= uint64(c.cfg.ROB) {
+			if c.rob[c.retired&c.robMask].resolved {
+				c.tryRetire()
+				continue
+			}
+			return false
+		}
+		op := c.retryOp
+		if op != nil {
+			c.retryOp = nil
+		} else {
+			var res FetchResult
+			op, res = c.source.Next()
+			switch res {
+			case FetchStall:
+				c.stalled = true
+				return false
+			case FetchDone:
+				c.fetchDone = true
+				c.tryRetire()
+				return false
+			}
+		}
+		if !c.dispatch(op) {
+			c.retryOp = op
+			return false
+		}
+	}
+	return true
+}
+
+func (c *refCore) dispatch(op *MicroOp) bool {
+	isLoad := op.Class == Load || op.Class == Atomic
+	isStore := op.Class == Store || op.Class == Atomic
+	loadSlot, storeSlot := -1, -1
+	ready := c.engine.Now()
+	if isLoad {
+		if c.loadRing[c.loadIdx] == sim.MaxTime {
+			return false
+		}
+		if t := c.loadRing[c.loadIdx]; t > ready {
+			ready = t
+		}
+	}
+	if isStore {
+		if c.storeRing[c.storeIdx] == sim.MaxTime {
+			return false
+		}
+		if t := c.storeRing[c.storeIdx]; t > ready {
+			ready = t
+		}
+	}
+	unresolved := false
+	for _, d := range op.Deps {
+		t, ok := c.completionOf(d)
+		if !ok {
+			unresolved = true
+			continue
+		}
+		if t > ready {
+			ready = t
+		}
+	}
+	if unresolved {
+		if c.cfg.InOrder {
+			return false
+		}
+		if len(c.waiting) >= c.cfg.IQ {
+			return false
+		}
+	}
+	if isLoad {
+		loadSlot = c.loadIdx
+		c.loadRing[loadSlot] = sim.MaxTime
+		c.loadIdx = (c.loadIdx + 1) % len(c.loadRing)
+	}
+	if isStore {
+		storeSlot = c.storeIdx
+		c.storeRing[storeSlot] = sim.MaxTime
+		c.storeIdx = (c.storeIdx + 1) % len(c.storeRing)
+	}
+	seq := c.fetched
+	c.fetched++
+	c.rob[seq&c.robMask] = refEntry{seq: seq, onRetire: op.OnRetire}
+	if unresolved {
+		c.waiting = append(c.waiting, refWait{op: op, seq: seq, loadSlot: loadSlot, storeSlot: storeSlot})
+		return true
+	}
+	c.issueOp(op, seq, ready, loadSlot, storeSlot)
+	return true
+}
+
+// drainWaiting is the reference rescan: every parked op is re-checked
+// in seq order, to fixpoint.
+func (c *refCore) drainWaiting() {
+	for {
+		progressed := false
+		remaining := c.waiting[:0]
+		for _, w := range c.waiting {
+			ready := c.engine.Now()
+			ok := true
+			for _, d := range w.op.Deps {
+				t, resolved := c.completionOf(d)
+				if !resolved {
+					ok = false
+					break
+				}
+				if t > ready {
+					ready = t
+				}
+			}
+			if !ok {
+				remaining = append(remaining, w)
+				continue
+			}
+			c.issueOp(w.op, w.seq, ready, w.loadSlot, w.storeSlot)
+			progressed = true
+		}
+		c.waiting = remaining
+		if !progressed {
+			return
+		}
+	}
+}
+
+func (c *refCore) issueOp(op *MicroOp, seq uint64, ready sim.Time, loadSlot, storeSlot int) {
+	if c.cfg.InOrder && c.lastIssue > ready {
+		ready = c.lastIssue
+	}
+	issue := ready
+	if issue < c.issueCycle {
+		issue = c.issueCycle
+	}
+	if issue == c.issueCycle && c.issueUsed >= c.cfg.IssueWidth {
+		issue++
+	}
+	units := c.fu[fuFor(op.Class)]
+	best := 0
+	for i := 1; i < len(units); i++ {
+		if units[i] < units[best] {
+			best = i
+		}
+	}
+	if units[best] > issue {
+		issue = units[best]
+	}
+	if issue != c.issueCycle {
+		c.issueCycle = issue
+		c.issueUsed = 0
+	}
+	c.issueUsed++
+	occupancy := sim.Time(1)
+	if op.Class == IntDiv || op.Class == FPDiv {
+		occupancy = c.cfg.Latency[op.Class]
+	}
+	units[best] = issue + occupancy
+	c.lastIssue = issue
+
+	if op.OnIssue != nil {
+		op.OnIssue(issue)
+	}
+
+	e := &c.rob[seq&c.robMask]
+	if op.Class.IsMem() && op.Mem != nil {
+		extra := op.ExtraLatency
+		c.mem(seq, *op.Mem, issue, func() {
+			c.resolveMem(seq, c.engine.Now()+extra, loadSlot, storeSlot)
+		})
+		if op.Class == Store {
+			e.resolved = true
+			e.complete = issue + c.cfg.Latency[Store] + op.ExtraLatency
+		}
+	} else {
+		lat := c.cfg.Latency[op.Class] + op.ExtraLatency
+		if op.Class.IsMem() {
+			lat = c.cfg.Latency[IntAlu] + op.ExtraLatency
+		}
+		e.resolved = true
+		e.complete = issue + lat
+		if loadSlot >= 0 {
+			c.loadRing[loadSlot] = e.complete
+		}
+		if storeSlot >= 0 {
+			c.storeRing[storeSlot] = e.complete
+		}
+	}
+	c.tryRetire()
+}
+
+func (c *refCore) resolveMem(seq uint64, at sim.Time, loadSlot, storeSlot int) {
+	if c.fetched > seq && c.fetched-seq <= uint64(c.cfg.ROB) {
+		e := &c.rob[seq&c.robMask]
+		if e.seq == seq && !e.resolved {
+			e.resolved = true
+			e.complete = at
+		}
+	}
+	if loadSlot >= 0 {
+		c.loadRing[loadSlot] = at
+	}
+	if storeSlot >= 0 {
+		c.storeRing[storeSlot] = at
+	}
+	c.drainWaiting()
+	c.tryRetire()
+	if !c.Done() {
+		c.ticker.Wake()
+	}
+}
+
+// opTimes is one op's observed schedule.
+type opTimes struct{ issue, complete, retire sim.Time }
+
+// randomProgram builds n ops over a random dependency graph: mostly
+// near dependences (so ops park behind in-flight loads), some far ones
+// (older than the window, hence ready), every class including unpipelined
+// divides, mem-class ops without a MemRef, and random extra latencies.
+// Each call with the same seed returns an identical, fresh op slice.
+func randomProgram(seed uint64, n int) []*MicroOp {
+	r := sim.NewRand(seed)
+	classes := []OpClass{IntAlu, IntAlu, IntAlu, IntMult, FPAlu, SIMD, IntDiv, FPDiv,
+		Load, Load, Load, Load, Store, Store, Atomic}
+	ops := make([]*MicroOp, n)
+	for i := range ops {
+		op := &MicroOp{Class: classes[r.Intn(len(classes))]}
+		for k := r.Intn(4); k > 0 && i > 0; k-- {
+			back := 1 + r.Intn(8)
+			if r.Intn(6) == 0 {
+				back = 1 + r.Intn(400)
+			}
+			if back > i {
+				back = i
+			}
+			op.Deps = append(op.Deps, uint64(i-back))
+		}
+		if op.Class.IsMem() && r.Intn(10) != 0 {
+			op.Mem = &MemRef{Addr: uint64(r.Intn(1 << 20)), Write: op.Class != Load}
+		}
+		if r.Intn(8) == 0 {
+			op.ExtraLatency = sim.Time(1 + r.Intn(3))
+		}
+		ops[i] = op
+	}
+	return ops
+}
+
+// randomLatencyMem completes the access of op seq after a latency drawn
+// from the seq alone, so both cores see the same memory.
+func randomLatencyMem(e *sim.Engine, seed uint64) MemFunc {
+	return func(seq uint64, ref MemRef, at sim.Time, done func()) {
+		h := (seq + 1) * (seed | 1) * 0x9e3779b97f4a7c15
+		lat := sim.Time(1 + (h>>33)%240)
+		e.ScheduleAt(at+lat, done)
+	}
+}
+
+// observe hooks every op of prog to record its issue and retire times and
+// its completion time (the retired-completion shadow at retirement).
+func observe(prog []*MicroOp, doneOf func(seq uint64) sim.Time) []opTimes {
+	times := make([]opTimes, len(prog))
+	for i, op := range prog {
+		i := i
+		op.OnIssue = func(at sim.Time) { times[i].issue = at }
+		op.OnRetire = func(at sim.Time) {
+			times[i].retire = at
+			times[i].complete = doneOf(uint64(i))
+		}
+	}
+	return times
+}
+
+// TestIssueQueueMatchesRescanOracle is the differential check of the
+// wakeup-driven issue queue: on random dependency graphs with random
+// memory latencies, every op issues, completes and retires at exactly
+// the cycle the rescanning reference core gives it.
+func TestIssueQueueMatchesRescanOracle(t *testing.T) {
+	tiny := defaults(Config{Name: "tiny", IssueWidth: 2, ROB: 16, IQ: 4, LQ: 3, SQ: 3})
+	for _, cfg := range []Config{OOO4(), OOO8(), IO4(), tiny} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", cfg.Name, seed), func(t *testing.T) {
+				const n = 4000
+				eRef := sim.NewEngine()
+				progRef := randomProgram(seed, n)
+				ref := newRefCore(eRef, cfg, &sliceSource{ops: progRef}, randomLatencyMem(eRef, seed))
+				want := observe(progRef, func(s uint64) sim.Time { return ref.doneTimes[s&ref.robMask] })
+				ref.ticker.Wake()
+				eRef.Run()
+				if !ref.Done() {
+					t.Fatal("reference core did not finish")
+				}
+
+				e := sim.NewEngine()
+				prog := randomProgram(seed, n)
+				c := NewCore(e, cfg, &sliceSource{ops: prog}, randomLatencyMem(e, seed))
+				got := observe(prog, func(s uint64) sim.Time { return c.doneTimes[s&c.robMask] })
+				fin := run(t, e, c)
+
+				if fin != ref.lastRetire {
+					t.Errorf("finish %d, reference %d", fin, ref.lastRetire)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("op %d (%v): issue/complete/retire %v, reference %v",
+							i, prog[i].Class, got[i], want[i])
+					}
+				}
+			})
+		}
 	}
 }

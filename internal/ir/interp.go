@@ -77,6 +77,9 @@ type interp struct {
 	// before/after the first deeper-level op.
 	prologue [][]int
 	epilogue [][]int
+	// accResets[L+1] lists, in op order, the reduce ops whose accumulators
+	// reset at each entry to level L (L = -1: kernel-wide, once).
+	accResets [][]int
 }
 
 // splitLevels partitions each level's ops into prologue (before any
@@ -86,6 +89,12 @@ func (in *interp) splitLevels() {
 	in.prologue = make([][]int, levels)
 	in.epilogue = make([][]int, levels)
 	in.accSet = map[string]bool{}
+	in.accResets = make([][]int, levels+1)
+	for i := range in.k.Ops {
+		if op := &in.k.Ops[i]; op.Kind == OpReduce { // Exec validated AccLevel
+			in.accResets[op.AccLevel+1] = append(in.accResets[op.AccLevel+1], i)
+		}
+	}
 	for L := 0; L < levels; L++ {
 		seenDeeper := false
 		for i, op := range in.k.Ops {
@@ -104,20 +113,19 @@ func (in *interp) splitLevels() {
 	}
 }
 
-// resetAccs clears accumulators bound to level L.
+// resetAccs clears accumulators bound to level L (-1: kernel-wide).
 func (in *interp) resetAccs(L int) {
-	for _, op := range in.k.Ops {
-		if op.Kind == OpReduce && op.AccLevel == L {
-			in.accs[op.Acc] = op.Imm
-			in.accSet[op.Acc] = true
-		}
+	for _, i := range in.accResets[L+1] {
+		op := &in.k.Ops[i]
+		in.accs[op.Acc] = op.Imm
+		in.accSet[op.Acc] = true
 	}
 }
 
 func (in *interp) runLevel(L int, lo, hi uint64) error {
 	if L == 0 {
 		// Kernel-wide accumulators initialize once.
-		in.resetAccsKernelWide()
+		in.resetAccs(-1)
 	}
 	loop := &in.k.Loops[L]
 	if loop.While {
@@ -140,15 +148,6 @@ func (in *interp) runLevel(L int, lo, hi uint64) error {
 		}
 	}
 	return nil
-}
-
-func (in *interp) resetAccsKernelWide() {
-	for _, op := range in.k.Ops {
-		if op.Kind == OpReduce && op.AccLevel == -1 {
-			in.accs[op.Acc] = op.Imm
-			in.accSet[op.Acc] = true
-		}
-	}
 }
 
 func (in *interp) tripOf(L int) uint64 {

@@ -182,6 +182,44 @@ type distinctJob struct {
 	e     *memoEntry
 	fresh bool // this batch owns execution of e
 	rec   *obs.JobRecord
+	turn  slotTurn
+}
+
+// slotTurn hands a batch's worker slots out in declaration order: a
+// distinct job queues for a slot only once its predecessor holds one or
+// needs none, and blocked slot requests are served first-come first-served.
+// Goroutines racing for the slots would start in scheduler order instead.
+type slotTurn struct {
+	mine   <-chan struct{} // closed when the predecessor passed its turn
+	next   chan struct{}   // closed by pass
+	passed bool
+}
+
+// wait blocks until it is this job's turn to request a slot (or ctx ends).
+func (t *slotTurn) wait(ctx context.Context) error {
+	if t.passed {
+		return nil
+	}
+	select {
+	case <-t.mine:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// pass lets the next job request a slot; only the first call counts.
+func (t *slotTurn) pass() {
+	if !t.passed {
+		t.passed = true
+		close(t.next)
+	}
+}
+
+// handOn passes the turn on, in order, for a job that needs no slot.
+func (t *slotTurn) handOn(ctx context.Context) {
+	_ = t.wait(ctx) // canceled: the order no longer matters
+	t.pass()
 }
 
 // Run executes jobs and returns their results in job order. Duplicate and
@@ -273,11 +311,18 @@ func (p *Pool) run(ctx context.Context, jobs []Job, onProgress func(Progress)) (
 
 	results := make([]*Result, len(dist))
 	errs := make([]error, len(dist))
+	prev := make(chan struct{})
+	close(prev) // the first job's turn
+	for _, d := range dist {
+		d.turn = slotTurn{mine: prev, next: make(chan struct{})}
+		prev = d.turn.next
+	}
 	var wg sync.WaitGroup
 	for s, d := range dist {
 		wg.Add(1)
 		go func(s int, d *distinctJob) {
 			defer wg.Done()
+			defer d.turn.handOn(ctx)
 			res, err, src := p.resolve(ctx, jobs[d.first], d)
 			results[s], errs[s] = res, err
 			report(d, src, err)
@@ -314,8 +359,9 @@ func (p *Pool) resolve(ctx context.Context, j Job, d *distinctJob) (res *Result,
 	e, fresh := d.e, d.fresh
 	for {
 		if fresh {
-			return p.executeEntry(ctx, j, d.key, e, d.rec)
+			return p.executeEntry(ctx, j, d.key, e, d.rec, &d.turn)
 		}
+		d.turn.handOn(ctx) // a waiter needs no slot
 		select {
 		case <-e.done:
 		case <-ctx.Done():
@@ -355,9 +401,9 @@ func (p *Pool) resolve(ctx context.Context, j Job, d *distinctJob) (res *Result,
 // when set, otherwise by simulating under the pool-wide worker bound —
 // holding the store's advisory per-envelope lock so two processes sharing
 // one cache directory never compute the same job concurrently.
-// Cancellation before a worker slot is acquired releases the entry for
-// other batches.
-func (p *Pool) executeEntry(ctx context.Context, j Job, key string, e *memoEntry, rec *obs.JobRecord) (res *Result, err error, src jobSource) {
+// Slots are requested in turn (see slotTurn). Cancellation before a
+// worker slot is acquired releases the entry for other batches.
+func (p *Pool) executeEntry(ctx context.Context, j Job, key string, e *memoEntry, rec *obs.JobRecord, turn *slotTurn) (res *Result, err error, src jobSource) {
 	diskLoad := func() (*Result, bool) {
 		if p.Disk == nil {
 			return nil, false
@@ -392,12 +438,17 @@ func (p *Pool) executeEntry(ctx context.Context, j Job, key string, e *memoEntry
 		return dres, nil, srcDisk
 	}
 
+	if werr := turn.wait(ctx); werr != nil {
+		p.cancelEntry(key, e)
+		return nil, werr, srcSim
+	}
 	select {
 	case p.sem <- struct{}{}:
 	case <-ctx.Done():
 		p.cancelEntry(key, e)
 		return nil, ctx.Err(), srcSim
 	}
+	turn.pass()
 	defer func() { <-p.sem }()
 	if cerr := ctx.Err(); cerr != nil {
 		// Canceled in the same instant the slot freed up: still abandon.

@@ -1,6 +1,8 @@
 package runner
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -192,6 +194,38 @@ func TestPoolProgressCountsDistinctJobs(t *testing.T) {
 	for _, ev := range events {
 		if !ev.Cached {
 			t.Fatalf("repeat job %s not reported as cached", ev.Key)
+		}
+	}
+}
+
+// TestPoolStartsJobsInDeclarationOrder: worker slots go out in the order
+// a batch declares its jobs. With one slot, the jobs must reach the
+// executor exactly in declaration order; when every job raced for the
+// slot instead, the start order followed the goroutine scheduler (the
+// last-declared job often started first).
+func TestPoolStartsJobsInDeclarationOrder(t *testing.T) {
+	for round := 0; round < 5; round++ {
+		p := NewPool(1)
+		var mu sync.Mutex
+		var started []string
+		p.Remote = func(ctx context.Context, j Job) (*Result, error) {
+			mu.Lock()
+			started = append(started, j.Workload)
+			mu.Unlock()
+			return &Result{Workload: j.Workload, System: j.System, Cycles: 1}, nil
+		}
+		var jobs []Job
+		var want []string
+		for i := 0; i < 12; i++ {
+			w := fmt.Sprintf("w%02d", i)
+			jobs = append(jobs, job(w, core.NS))
+			want = append(want, w)
+		}
+		if _, err := p.Run(jobs); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Join(started, " ") != strings.Join(want, " ") {
+			t.Fatalf("round %d: start order %v, want declaration order %v", round, started, want)
 		}
 	}
 }
