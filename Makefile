@@ -71,7 +71,9 @@ bench:
 # bench`) and diffs it against the tracked baseline; fails past a
 # BENCH_THRESHOLD per-benchmark ns/op or allocs/op regression. Run it on
 # a quiet machine — 1x macro iterations are noisy, so treat a small
-# flagged delta as a prompt to re-run, not as ground truth.
+# flagged delta as a prompt to re-run, not as ground truth. With no timed
+# command the scratch report records no output sha256, so benchcmp checks
+# no figure digest; TestFigureDigestsMatchGolden gates figure bytes in tier1.
 benchcmp:
 	mkdir -p $(BENCH_DIR)
 	$(GO) build -o bin/nsexp ./cmd/nsexp

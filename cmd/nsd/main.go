@@ -67,7 +67,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/harness"
 	"repro/internal/serve"
-	"repro/internal/workloads"
 )
 
 func main() {
@@ -93,14 +92,13 @@ func main() {
 	)
 	flag.Parse()
 
-	hcfg := harness.DefaultConfig()
-	hcfg.CoreType = *coreTy
+	hcfg, err := harness.ParseConfig(*scale, *coreTy)
+	if err != nil {
+		log.Fatalf("nsd: %v", err)
+	}
 	hcfg.Seed = *seed
 	hcfg.Jobs = *jobs
 	hcfg.Shards = *shards
-	if *scale == "paper" {
-		hcfg.Scale = workloads.ScalePaper
-	}
 	s, err := serve.New(serve.Config{
 		Harness:       hcfg,
 		CacheDir:      *cacheDir,

@@ -28,9 +28,13 @@ func main() {
 	)
 	flag.Parse()
 
-	sc := workloads.ScaleCI
-	if *scale == "paper" {
-		sc = workloads.ScalePaper
+	sc, err := workloads.ParseScale(*scale)
+	if err == nil {
+		err = workloads.CheckNames(*wname)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	w := nearstream.GetWorkload(*wname, sc)
 	fmt.Printf("// %s — %s %s, %d outer iteration(s)\n\n", w.Name, w.AddrClass, w.CmpClass, w.Iters)
@@ -89,15 +93,6 @@ func main() {
 
 	fmt.Println("\nTable IV configuration sizes:")
 	for _, s := range plan.Streams {
-		cfg := &isa.StreamConfig{ID: isa.StreamID{Core: 0, Sid: s.Sid % 16}, Kind: s.Kind}
-		switch s.Kind {
-		case isa.KindAffine:
-			cfg.Affine = isa.AffinePattern{Strides: [3]int64{int64(s.Type.Size())}, Lens: [3]uint64{1}, Dims: 1, ElemSize: s.Type.Size()}
-		case isa.KindIndirect:
-			cfg.Ind = isa.IndirectPattern{ElemSize: s.Type.Size()}
-		case isa.KindPointerChase:
-			cfg.Ptr = isa.PointerChasePattern{ElemSize: s.Type.Size()}
-		}
-		fmt.Printf("  s%-2d %d bytes\n", s.Sid, isa.EncodedBytes(cfg))
+		fmt.Printf("  s%-2d %d bytes\n", s.Sid, isa.EncodedBytes(s.ISAConfig(0)))
 	}
 }

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	nearstream "repro"
+	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/workloads"
@@ -110,19 +111,23 @@ func run() int {
 		}()
 	}
 
-	cfg := nearstream.DefaultConfig()
-	cfg.CoreType = *coreTy
+	cfg, err := harness.ParseConfig(*scale, *coreTy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
 	cfg.Jobs = *jobs
 	cfg.Shards = *shards
-	if *scale == "paper" {
-		cfg.Scale = workloads.ScalePaper
-	}
 	var subset []string
 	if *quick {
 		subset = nearstream.QuickWorkloads()
 	}
 	if *wl != "" {
 		subset = strings.Split(*wl, ",")
+		if err := workloads.CheckNames(subset...); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 2
+		}
 	}
 
 	exp := nearstream.NewExperiment(cfg).WithContext(ctx)

@@ -25,6 +25,7 @@ import (
 
 	nearstream "repro"
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/workloads"
@@ -94,26 +95,25 @@ func run() int {
 		return 0
 	}
 
+	cfg, err := harness.ParseConfig(*scale, *coreTy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	cfg.Seed = *seed
 	var systems []core.System
 	for _, name := range strings.Split(*sysName, ",") {
-		found := false
-		for _, s := range nearstream.Systems() {
-			if s.String() == name {
-				systems, found = append(systems, s), true
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "unknown system %q (try -list)\n", name)
+		s, err := core.ParseSystem(name)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
+		systems = append(systems, s)
 	}
 	wnames := strings.Split(*wname, ",")
-
-	cfg := nearstream.DefaultConfig()
-	cfg.CoreType = *coreTy
-	cfg.Seed = *seed
-	if *scale == "paper" {
-		cfg.Scale = workloads.ScalePaper
+	if err := workloads.CheckNames(wnames...); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
 
 	var jobList []runner.Job

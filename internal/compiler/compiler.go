@@ -118,6 +118,54 @@ func Associative(b ir.BinKind) bool {
 	}
 }
 
+// ISAConfig is the stream's Table IV configuration as core coreID would
+// send it: the encoding that sizes configuration and migration messages
+// (isa.EncodedBytes).
+func (s *Stream) ISAConfig(coreID int) *isa.StreamConfig {
+	cfg := &isa.StreamConfig{
+		ID:     isa.StreamID{Core: coreID % 64, Sid: s.Sid % 16},
+		Write:  s.Write,
+		Atomic: s.Atomic,
+	}
+	switch s.Kind {
+	case isa.KindAffine:
+		cfg.Kind = isa.KindAffine
+		cfg.Affine = isa.AffinePattern{Strides: [3]int64{int64(s.Type.Size())}, Lens: [3]uint64{1}, Dims: 1, ElemSize: s.Type.Size()}
+	case isa.KindIndirect:
+		cfg.Kind = isa.KindIndirect
+		cfg.Ind = isa.IndirectPattern{ElemSize: s.Type.Size(), BaseStream: isa.StreamID{Core: coreID % 64, Sid: max(s.BaseSid, 0) % 16}}
+	case isa.KindPointerChase:
+		cfg.Kind = isa.KindPointerChase
+		cfg.Ptr = isa.PointerChasePattern{ElemSize: s.Type.Size()}
+	}
+	if s.CT == isa.ComputeReduce {
+		cfg.Reduction = true
+		cfg.AssocOnly = true
+	}
+	if s.CT != isa.ComputeNone {
+		args := []isa.ComputeArg{}
+		for _, d := range s.ValueDepSids {
+			args = append(args, isa.ComputeArg{Kind: isa.ArgStream, Stream: isa.StreamID{Core: coreID % 64, Sid: d % 16}, Size: s.Type.Size()})
+		}
+		cfg.Compute = &isa.ComputeSpec{
+			Type: s.CT, Op: s.ScalarOp, RetSize: powTwoAtLeast(s.RetBytes),
+			FuncOps: len(s.ComputeOps), Vector: s.Vector, Args: args,
+		}
+	}
+	return cfg
+}
+
+func powTwoAtLeast(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
+}
+
 // Plan is the compiled form of a kernel.
 type Plan struct {
 	Kernel  *ir.Kernel

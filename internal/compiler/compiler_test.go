@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/isa"
+	"repro/internal/workloads"
 )
 
 func mustCompile(t *testing.T, k *ir.Kernel) *Plan {
@@ -416,5 +417,26 @@ func TestClassOfConfigOps(t *testing.T) {
 	// y is dead compute on the core (no absorbing consumer).
 	if p.ClassOf(y) != CatCore {
 		t.Fatalf("dead compute classified %v", p.ClassOf(y))
+	}
+}
+
+// TestISAConfigSizesTableIV pins the Table IV encoding sizes that
+// configuration and migration messages are charged, through the one
+// converter the runtime and nsdump share. Histogram's affine stream
+// carries its near-stream computation, and its indirect bin-update
+// stream an atomic RMW and its base stream; an encoding of the access
+// pattern alone drops them (67/38 bytes instead of 77/48).
+func TestISAConfigSizesTableIV(t *testing.T) {
+	p := mustCompile(t, workloads.Get("histogram", workloads.ScaleCI).Kernel)
+	want := []int{77, 48}
+	if len(p.Streams) != len(want) {
+		t.Fatalf("histogram compiles to %d streams, want %d", len(p.Streams), len(want))
+	}
+	for i, s := range p.Streams {
+		for _, coreID := range []int{0, 5, 63} {
+			if got := isa.EncodedBytes(s.ISAConfig(coreID)); got != want[i] {
+				t.Errorf("s%d on core %d: %d bytes, want %d", s.Sid, coreID, got, want[i])
+			}
+		}
 	}
 }

@@ -194,53 +194,6 @@ func (cr *coreRun) seTLBLookup(bank int, pa uint64) (sim.Time, bool) {
 	return 8, false
 }
 
-// isaConfigOf converts a compiled stream to its Table IV encoding (for
-// configuration/migration message sizing).
-func (cr *coreRun) isaConfigOf(s *compiler.Stream) *isa.StreamConfig {
-	cfg := &isa.StreamConfig{
-		ID:     isa.StreamID{Core: cr.coreID % 64, Sid: s.Sid % 16},
-		Write:  s.Write,
-		Atomic: s.Atomic,
-	}
-	switch s.Kind {
-	case isa.KindAffine:
-		cfg.Kind = isa.KindAffine
-		cfg.Affine = isa.AffinePattern{Strides: [3]int64{int64(s.Type.Size())}, Lens: [3]uint64{1}, Dims: 1, ElemSize: s.Type.Size()}
-	case isa.KindIndirect:
-		cfg.Kind = isa.KindIndirect
-		cfg.Ind = isa.IndirectPattern{ElemSize: s.Type.Size(), BaseStream: isa.StreamID{Core: cr.coreID % 64, Sid: maxi(s.BaseSid, 0) % 16}}
-	case isa.KindPointerChase:
-		cfg.Kind = isa.KindPointerChase
-		cfg.Ptr = isa.PointerChasePattern{ElemSize: s.Type.Size()}
-	}
-	if s.CT == isa.ComputeReduce {
-		cfg.Reduction = true
-		cfg.AssocOnly = true
-	}
-	if s.CT != isa.ComputeNone {
-		args := []isa.ComputeArg{}
-		for _, d := range s.ValueDepSids {
-			args = append(args, isa.ComputeArg{Kind: isa.ArgStream, Stream: isa.StreamID{Core: cr.coreID % 64, Sid: d % 16}, Size: s.Type.Size()})
-		}
-		cfg.Compute = &isa.ComputeSpec{
-			Type: s.CT, Op: s.ScalarOp, RetSize: powTwoAtLeast(s.RetBytes),
-			FuncOps: len(s.ComputeOps), Vector: s.Vector, Args: args,
-		}
-	}
-	return cfg
-}
-
-func powTwoAtLeast(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
 // Run executes kernel k on machine m under system sys. The machine must be
 // freshly built (caches cold) and configured with prefetchers only for
 // Base. d must hold freshly initialized arrays.
@@ -264,7 +217,7 @@ func Run(m *machine.Machine, k *ir.Kernel, sys System, params Params, kparams ma
 			return nil, err
 		}
 	}
-	total, err := outerTrip(k, kparams)
+	total, err := OuterTrip(k, kparams)
 	if err != nil {
 		return nil, err
 	}
@@ -421,7 +374,10 @@ func runEngine(m *machine.Machine, runs []*coreRun) {
 	}
 }
 
-func outerTrip(k *ir.Kernel, kparams map[string]uint64) (uint64, error) {
+// OuterTrip is kernel k's outer-loop trip count: its static trip, or
+// its trip parameter looked up in kparams and then in k's defaults. A
+// missing parameter is an error.
+func OuterTrip(k *ir.Kernel, kparams map[string]uint64) (uint64, error) {
 	l := k.Loops[0]
 	switch {
 	case l.Trip > 0:

@@ -195,7 +195,7 @@ func (rs *remoteStream) start() {
 	}
 	first := rs.firstBank()
 	rs.emit(obs.KindStreamConfig, first, uint64(first))
-	cfgBytes := isa.EncodedBytes(rs.cr.isaConfigOf(rs.s))
+	cfgBytes := isa.EncodedBytes(rs.s.ISAConfig(rs.cr.coreID))
 	rs.cr.net().Send(&noc.Message{
 		Src: rs.cr.coreID, Dst: first, Bytes: cfgBytes, Class: noc.TrafficOffload,
 		OnDeliver: func() {
@@ -287,7 +287,7 @@ func (rs *remoteStream) Resume() {
 	if bank < 0 {
 		bank = rs.firstBank()
 	}
-	cfgBytes := isa.EncodedBytes(rs.cr.isaConfigOf(rs.s))
+	cfgBytes := isa.EncodedBytes(rs.s.ISAConfig(rs.cr.coreID))
 	rs.cr.shared.ctr.resumes.Inc()
 	rs.emit(obs.KindStreamResume, bank, uint64(bank))
 	rs.cr.net().Send(&noc.Message{Src: rs.cr.coreID, Dst: bank, Bytes: cfgBytes,

@@ -13,7 +13,10 @@
 // style address-only offloading).
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // System selects the evaluated design point (§VI "Systems and
 // Comparison").
@@ -67,6 +70,19 @@ func (s System) String() string {
 // AllSystems lists every design point in figure order.
 func AllSystems() []System {
 	return []System{Base, INST, SINGLE, NSCore, NSNoComp, NS, NSNoSync, NSDecouple}
+}
+
+// ParseSystem returns the system a figure name (System.String) names; an
+// unknown name is an error listing the valid ones.
+func ParseSystem(name string) (System, error) {
+	var names []string
+	for _, s := range AllSystems() {
+		if s.String() == name {
+			return s, nil
+		}
+		names = append(names, s.String())
+	}
+	return 0, fmt.Errorf("unknown system %q (want %s)", name, strings.Join(names, ", "))
 }
 
 // policy expands a System into runtime switches.

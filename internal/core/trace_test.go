@@ -154,7 +154,7 @@ func BenchmarkGenTrace(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	total, err := outerTrip(w.Kernel, w.Params)
+	total, err := OuterTrip(w.Kernel, w.Params)
 	if err != nil {
 		b.Fatal(err)
 	}

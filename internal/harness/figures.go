@@ -12,7 +12,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/offload"
 	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -39,10 +38,10 @@ func (e *Exp) Fig1a(subset []string) (*Table, error) {
 			return nil, err
 		}
 		m := machine.New(MachineConfig(cfg, false))
-		d := ir.NewData(m.AS)
-		d.AllocArrays(w.Kernel)
-		w.Init(d, sim.NewRand(cfg.Seed^0x9e37))
-		loadOps, storeOps, coreOps, cfgOps := classifyDynOps(m, w, plan, d)
+		loadOps, storeOps, coreOps, cfgOps, err := classifyDynOps(w, plan, w.NewData(m.AS, cfg.Seed))
+		if err != nil {
+			return nil, err
+		}
 		total := float64(loadOps + storeOps + coreOps)
 		if total == 0 {
 			total = 1
@@ -55,7 +54,7 @@ func (e *Exp) Fig1a(subset []string) (*Table, error) {
 
 // classifyDynOps runs the kernel functionally, attributing each dynamic op
 // to load/reduce streams, store/RMW streams, or the core.
-func classifyDynOps(m *machine.Machine, w *workloads.Workload, plan *compiler.Plan, d *ir.Data) (loadOps, storeOps, coreOps, cfgOps uint64) {
+func classifyDynOps(w *workloads.Workload, plan *compiler.Plan, d *ir.Data) (loadOps, storeOps, coreOps, cfgOps uint64, err error) {
 	count := func(id ir.ValueRef) {
 		switch plan.ClassOf(id) {
 		case compiler.CatConfig:
@@ -89,22 +88,12 @@ func classifyDynOps(m *machine.Machine, w *workloads.Workload, plan *compiler.Pl
 		},
 		OnMem: func(ev ir.MemEvent) { count(ev.OpID) },
 	}
-	total := outerTripOf(w)
-	if _, err := ir.Exec(w.Kernel, d, w.Params, 0, total, hooks); err != nil {
-		panic(err)
+	total, err := core.OuterTrip(w.Kernel, w.Params)
+	if err != nil {
+		return
 	}
+	_, err = ir.Exec(w.Kernel, d, w.Params, 0, total, hooks)
 	return
-}
-
-func outerTripOf(w *workloads.Workload) uint64 {
-	l := w.Kernel.Loops[0]
-	if l.Trip > 0 {
-		return l.Trip
-	}
-	if v, ok := w.Params[l.TripParam]; ok {
-		return v
-	}
-	return w.Kernel.Params[l.TripParam]
 }
 
 // Fig1b compares the pure data traffic (bytes×hops) of three ideal
@@ -125,10 +114,10 @@ func (e *Exp) Fig1b(subset []string) (*Table, error) {
 			return nil, err
 		}
 		m := machine.New(MachineConfig(cfg, false))
-		d := ir.NewData(m.AS)
-		d.AllocArrays(w.Kernel)
-		w.Init(d, sim.NewRand(cfg.Seed^0x9e37))
-		noPriv, perfPriv, nearLLC := idealTraffic(m, w, plan, d)
+		noPriv, perfPriv, nearLLC, err := idealTraffic(m, w, plan, w.NewData(m.AS, cfg.Seed))
+		if err != nil {
+			return nil, err
+		}
 		base := float64(noPriv)
 		if base == 0 {
 			base = 1
@@ -142,12 +131,15 @@ func (e *Exp) Fig1b(subset []string) (*Table, error) {
 // functional trace. The perfect private cache is byte-granularity LRU with
 // the paper's 256 kB budget (scaled at CI), an update-based zero-cost
 // protocol, per core.
-func idealTraffic(m *machine.Machine, w *workloads.Workload, plan *compiler.Plan, d *ir.Data) (noPriv, perfPriv, nearLLC uint64) {
+func idealTraffic(m *machine.Machine, w *workloads.Workload, plan *compiler.Plan, d *ir.Data) (noPriv, perfPriv, nearLLC uint64, err error) {
 	budget := 256 << 10
 	if m.Cfg.Cache.L2.SizeBytes < 256<<10 {
 		budget = m.Cfg.Cache.L2.SizeBytes * 16 // scaled like the caches
 	}
-	total := outerTripOf(w)
+	total, err := core.OuterTrip(w.Kernel, w.Params)
+	if err != nil {
+		return
+	}
 	cores := m.Cores()
 	parts := core.Partition(total, cores)
 	// Streams whose data is forwarded to another stream (multi-op).
@@ -186,8 +178,8 @@ func idealTraffic(m *machine.Machine, w *workloads.Workload, plan *compiler.Plan
 				nearLLC += bytes * uint64(hops)
 			}
 		}}
-		if _, err := ir.Exec(w.Kernel, d, w.Params, lo, hi, hooks); err != nil {
-			panic(err)
+		if _, err = ir.Exec(w.Kernel, d, w.Params, lo, hi, hooks); err != nil {
+			return
 		}
 	}
 	return
@@ -330,7 +322,7 @@ func (e *Exp) Fig9(subset []string) (*Table, error) {
 // Fig10 reports the energy/performance tradeoff per core type (Figure 10):
 // speedup over that core's Base, and energy normalized to it.
 func (e *Exp) Fig10(subset []string) (*Table, error) {
-	coreTypes := []string{"IO4", "OOO4", "OOO8"}
+	coreTypes := runner.CoreTypes()
 	names := wlist(subset)
 	t := &Table{
 		Title: "Figure 10: speedup and normalized energy per core type",

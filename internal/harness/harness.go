@@ -37,7 +37,21 @@ type Config struct {
 
 // DefaultConfig returns the CI-scale OOO8 configuration.
 func DefaultConfig() Config {
-	return Config{Scale: workloads.ScaleCI, CoreType: "OOO8", Seed: 1}
+	return Config{Scale: workloads.ScaleCI, CoreType: runner.DefaultCoreType, Seed: 1}
+}
+
+// ParseConfig returns DefaultConfig at the named scale and core type
+// (the -scale and -core flags); an unknown name is an error listing the
+// valid ones.
+func ParseConfig(scale, coreType string) (Config, error) {
+	cfg := DefaultConfig()
+	var err error
+	if cfg.Scale, err = workloads.ParseScale(scale); err != nil {
+		return cfg, err
+	}
+	ct, err := runner.ParseCoreType(coreType)
+	cfg.CoreType = ct.Name
+	return cfg, err
 }
 
 // Job describes the measurement of one workload on one system under this

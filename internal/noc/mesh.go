@@ -7,8 +7,9 @@
 package noc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -637,21 +638,25 @@ func (n *Network) flushShards(limit sim.Time) {
 		sh.scratch = buf
 		return
 	}
-	sort.Slice(buf, func(i, j int) bool {
-		a, b := &buf[i], &buf[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.seq < b.seq
-	})
+	slices.SortFunc(buf, comparePending)
 	for i := range buf {
 		n.routeDeferred(&buf[i], limit)
 		buf[i] = pendingSend{}
 	}
 	sh.scratch = buf[:0]
+}
+
+// comparePending orders captured sends by (send time, src node, per-src
+// sequence). The key is unique, so the order is total and stable sorting
+// is unnecessary.
+func comparePending(a, b pendingSend) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.src, b.src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // routeDeferred performs the serial Send/Multicast bookkeeping for one

@@ -7,90 +7,92 @@ import (
 	"repro/internal/core"
 )
 
-// OptInt is an optional int override. The zero value is "not set".
-type OptInt struct {
-	Set bool
-	V   int
-}
-
-// OptU64 is an optional uint64 override. The zero value is "not set".
-type OptU64 struct {
-	Set bool
-	V   uint64
-}
-
-// OptBool is an optional bool override. The zero value is "not set".
-type OptBool struct {
-	Set bool
-	V   bool
-}
-
-// Int makes a set OptInt.
-func Int(v int) OptInt { return OptInt{Set: true, V: v} }
-
-// U64 makes a set OptU64.
-func U64(v uint64) OptU64 { return OptU64{Set: true, V: v} }
-
-// Bool makes a set OptBool.
-func Bool(v bool) OptBool { return OptBool{Set: true, V: v} }
-
 // Overrides is the declarative replacement for the old
 // `Tweak func(*core.Params)` closure: every runtime tunable a sensitivity
 // study sweeps is an optional field, so a job description is a plain
-// comparable value with a deterministic digest. Unset fields keep
-// core.DefaultParams' value.
+// value with a deterministic digest. A nil field keeps
+// core.DefaultParams' value. The JSON encoding is the HTTP API's
+// "overrides" object, so a request names only the parameters it sweeps.
+// An override points at its own value (see Int, U64 and Bool) and is
+// never written through, so jobs may share one Overrides freely.
 type Overrides struct {
-	RangeWindow          OptInt
-	CreditWindows        OptInt
-	SCCROB               OptInt
-	SCCCount             OptInt
-	FIFODepth            OptInt
-	SCMIssueLatency      OptU64
-	IndirectReduceMinLen OptU64
-	ContextSwitchAt      OptU64
-	ContextSwitchGap     OptU64
-	ScalarPE             OptBool
-	MRSWLock             OptBool
-	AffineRangesAtCore   OptBool
+	RangeWindow          *int    `json:"range_window,omitempty"`
+	CreditWindows        *int    `json:"credit_windows,omitempty"`
+	SCCROB               *int    `json:"scc_rob,omitempty"`
+	SCCCount             *int    `json:"scc_count,omitempty"`
+	FIFODepth            *int    `json:"fifo_depth,omitempty"`
+	SCMIssueLatency      *uint64 `json:"scm_issue_latency,omitempty"`
+	IndirectReduceMinLen *uint64 `json:"indirect_reduce_min_len,omitempty"`
+	ContextSwitchAt      *uint64 `json:"context_switch_at,omitempty"`
+	ContextSwitchGap     *uint64 `json:"context_switch_gap,omitempty"`
+	ScalarPE             *bool   `json:"scalar_pe,omitempty"`
+	MRSWLock             *bool   `json:"mrsw_lock,omitempty"`
+	AffineRangesAtCore   *bool   `json:"affine_ranges_at_core,omitempty"`
+}
+
+// Int makes a set int override.
+func Int(v int) *int { return &v }
+
+// U64 makes a set uint64 override.
+func U64(v uint64) *uint64 { return &v }
+
+// Bool makes a set bool override.
+func Bool(v bool) *bool { return &v }
+
+// tunable ties one Overrides field to its core.Params field and its
+// digest name.
+type tunable interface {
+	apply(o *Overrides, p *core.Params)
+	canon(o *Overrides, def *core.Params)
+	digest(o *Overrides) string
+}
+
+// knob is a tunable of value type T.
+type knob[T int | uint64 | bool] struct {
+	key   string
+	ov    func(*Overrides) **T
+	param func(*core.Params) *T
+}
+
+func (k knob[T]) apply(o *Overrides, p *core.Params) {
+	if v := *k.ov(o); v != nil {
+		*k.param(p) = *v
+	}
+}
+
+func (k knob[T]) canon(o *Overrides, def *core.Params) {
+	if f := k.ov(o); *f != nil && **f == *k.param(def) {
+		*f = nil
+	}
+}
+
+func (k knob[T]) digest(o *Overrides) string {
+	if v := *k.ov(o); v != nil {
+		return fmt.Sprintf("%s=%v", k.key, *v)
+	}
+	return ""
+}
+
+// tunables lists every override in digest order.
+var tunables = []tunable{
+	knob[int]{"rwin", func(o *Overrides) **int { return &o.RangeWindow }, func(p *core.Params) *int { return &p.RangeWindow }},
+	knob[int]{"credits", func(o *Overrides) **int { return &o.CreditWindows }, func(p *core.Params) *int { return &p.CreditWindows }},
+	knob[int]{"sccrob", func(o *Overrides) **int { return &o.SCCROB }, func(p *core.Params) *int { return &p.SCCROB }},
+	knob[int]{"scccnt", func(o *Overrides) **int { return &o.SCCCount }, func(p *core.Params) *int { return &p.SCCCount }},
+	knob[int]{"fifo", func(o *Overrides) **int { return &o.FIFODepth }, func(p *core.Params) *int { return &p.FIFODepth }},
+	knob[uint64]{"scmlat", func(o *Overrides) **uint64 { return &o.SCMIssueLatency }, func(p *core.Params) *uint64 { return &p.SCMIssueLatency }},
+	knob[uint64]{"irmin", func(o *Overrides) **uint64 { return &o.IndirectReduceMinLen }, func(p *core.Params) *uint64 { return &p.IndirectReduceMinLen }},
+	knob[uint64]{"ctxat", func(o *Overrides) **uint64 { return &o.ContextSwitchAt }, func(p *core.Params) *uint64 { return &p.ContextSwitchAt }},
+	knob[uint64]{"ctxgap", func(o *Overrides) **uint64 { return &o.ContextSwitchGap }, func(p *core.Params) *uint64 { return &p.ContextSwitchGap }},
+	knob[bool]{"pe", func(o *Overrides) **bool { return &o.ScalarPE }, func(p *core.Params) *bool { return &p.ScalarPE }},
+	knob[bool]{"mrsw", func(o *Overrides) **bool { return &o.MRSWLock }, func(p *core.Params) *bool { return &p.MRSWLock }},
+	knob[bool]{"ranges@core", func(o *Overrides) **bool { return &o.AffineRangesAtCore }, func(p *core.Params) *bool { return &p.AffineRangesAtCore }},
 }
 
 // Apply writes every set field into p.
 func (o Overrides) Apply(p *core.Params) {
-	if o.RangeWindow.Set {
-		p.RangeWindow = o.RangeWindow.V
-	}
-	if o.CreditWindows.Set {
-		p.CreditWindows = o.CreditWindows.V
-	}
-	if o.SCCROB.Set {
-		p.SCCROB = o.SCCROB.V
-	}
-	if o.SCCCount.Set {
-		p.SCCCount = o.SCCCount.V
-	}
-	if o.FIFODepth.Set {
-		p.FIFODepth = o.FIFODepth.V
-	}
-	if o.SCMIssueLatency.Set {
-		p.SCMIssueLatency = o.SCMIssueLatency.V
-	}
-	if o.IndirectReduceMinLen.Set {
-		p.IndirectReduceMinLen = o.IndirectReduceMinLen.V
-	}
-	if o.ContextSwitchAt.Set {
-		p.ContextSwitchAt = o.ContextSwitchAt.V
-	}
-	if o.ContextSwitchGap.Set {
-		p.ContextSwitchGap = o.ContextSwitchGap.V
-	}
-	if o.ScalarPE.Set {
-		p.ScalarPE = o.ScalarPE.V
-	}
-	if o.MRSWLock.Set {
-		p.MRSWLock = o.MRSWLock.V
-	}
-	if o.AffineRangesAtCore.Set {
-		p.AffineRangesAtCore = o.AffineRangesAtCore.V
+	for _, t := range tunables {
+		t.apply(&o, p)
 	}
 }
 
@@ -100,33 +102,9 @@ func (o Overrides) Apply(p *core.Params) {
 // 4-cycle SCM latency) share a memo entry with the plain runs of
 // Figures 9-12.
 func (o Overrides) canon(def core.Params) Overrides {
-	clrI := func(f *OptInt, d int) {
-		if f.Set && f.V == d {
-			*f = OptInt{}
-		}
+	for _, t := range tunables {
+		t.canon(&o, &def)
 	}
-	clrU := func(f *OptU64, d uint64) {
-		if f.Set && f.V == d {
-			*f = OptU64{}
-		}
-	}
-	clrB := func(f *OptBool, d bool) {
-		if f.Set && f.V == d {
-			*f = OptBool{}
-		}
-	}
-	clrI(&o.RangeWindow, def.RangeWindow)
-	clrI(&o.CreditWindows, def.CreditWindows)
-	clrI(&o.SCCROB, def.SCCROB)
-	clrI(&o.SCCCount, def.SCCCount)
-	clrI(&o.FIFODepth, def.FIFODepth)
-	clrU(&o.SCMIssueLatency, def.SCMIssueLatency)
-	clrU(&o.IndirectReduceMinLen, def.IndirectReduceMinLen)
-	clrU(&o.ContextSwitchAt, def.ContextSwitchAt)
-	clrU(&o.ContextSwitchGap, def.ContextSwitchGap)
-	clrB(&o.ScalarPE, def.ScalarPE)
-	clrB(&o.MRSWLock, def.MRSWLock)
-	clrB(&o.AffineRangesAtCore, def.AffineRangesAtCore)
 	return o
 }
 
@@ -134,32 +112,10 @@ func (o Overrides) canon(def core.Params) Overrides {
 // "scmlat=16,mrsw=false". Empty for all-defaults.
 func (o Overrides) digest() string {
 	var parts []string
-	addI := func(name string, f OptInt) {
-		if f.Set {
-			parts = append(parts, fmt.Sprintf("%s=%d", name, f.V))
+	for _, t := range tunables {
+		if d := t.digest(&o); d != "" {
+			parts = append(parts, d)
 		}
 	}
-	addU := func(name string, f OptU64) {
-		if f.Set {
-			parts = append(parts, fmt.Sprintf("%s=%d", name, f.V))
-		}
-	}
-	addB := func(name string, f OptBool) {
-		if f.Set {
-			parts = append(parts, fmt.Sprintf("%s=%t", name, f.V))
-		}
-	}
-	addI("rwin", o.RangeWindow)
-	addI("credits", o.CreditWindows)
-	addI("sccrob", o.SCCROB)
-	addI("scccnt", o.SCCCount)
-	addI("fifo", o.FIFODepth)
-	addU("scmlat", o.SCMIssueLatency)
-	addU("irmin", o.IndirectReduceMinLen)
-	addU("ctxat", o.ContextSwitchAt)
-	addU("ctxgap", o.ContextSwitchGap)
-	addB("pe", o.ScalarPE)
-	addB("mrsw", o.MRSWLock)
-	addB("ranges@core", o.AffineRangesAtCore)
 	return strings.Join(parts, ",")
 }

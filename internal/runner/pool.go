@@ -558,9 +558,10 @@ func (p *Pool) cancelEntry(key string, e *memoEntry) {
 	close(e.done)
 }
 
-// execute wraps ExecuteShardsObs, converting a panicking job (e.g. an
-// unknown workload name) into an error: inside the pool, one bad job must
-// fail that job, not crash the process from a worker goroutine.
+// execute wraps ExecuteShardsObs, converting a panicking job (a model
+// invariant broken mid-simulation) into an error: inside the pool, one
+// bad job must fail that job, not crash the process from a worker
+// goroutine.
 func execute(j Job, rec *obs.JobRecord, shards int) (res *Result, stalls []uint64, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -11,14 +11,13 @@ package runner
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/energy"
-	"repro/internal/ir"
 	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -41,7 +40,7 @@ type Job struct {
 // fields set to their default value are canonicalized away, so a sweep's
 // default point shares its cache entry with plain runs.
 func (j Job) Key() string {
-	mc := MachineConfig(j, j.System == core.Base)
+	mc := scaleMachine(j.Scale)
 	def := core.DefaultParams(mc.MeshWidth * mc.MeshHeight)
 	ov := j.Overrides.canon(def)
 	k := fmt.Sprintf("%s|%s|%s|%s|seed=%d",
@@ -52,41 +51,75 @@ func (j Job) Key() string {
 	return k
 }
 
+// check rejects a job naming an unknown workload or core type.
+func (j Job) check() error {
+	if err := workloads.CheckNames(j.Workload); err != nil {
+		return err
+	}
+	_, err := ParseCoreType(j.CoreType)
+	return err
+}
+
+// DefaultCoreType is the core type of a job that names none.
+const DefaultCoreType = "OOO8"
+
+// coreTypes are the core models of Table V, smallest first.
+func coreTypes() []cpu.Config { return []cpu.Config{cpu.IO4(), cpu.OOO4(), cpu.OOO8()} }
+
+// CoreTypes lists every core-type name, smallest core first.
+func CoreTypes() []string {
+	var names []string
+	for _, c := range coreTypes() {
+		names = append(names, c.Name)
+	}
+	return names
+}
+
+// ParseCoreType returns the configuration of the core a name
+// (cpu.Config.Name) names; "" names DefaultCoreType. An unknown name is
+// an error listing the valid ones.
+func ParseCoreType(name string) (cpu.Config, error) {
+	for _, c := range coreTypes() {
+		if c.Name == coreTypeName(name) {
+			return c, nil
+		}
+	}
+	return cpu.Config{}, fmt.Errorf("unknown core type %q (want %s)", name, strings.Join(CoreTypes(), ", "))
+}
+
 // coreTypeName canonicalizes the default core type.
 func coreTypeName(name string) string {
-	if name == "IO4" || name == "OOO4" {
-		return name
+	if name == "" {
+		return DefaultCoreType
 	}
-	return "OOO8"
+	return name
 }
 
-// CoreConfigFor maps a core-type name to a cpu configuration.
-func CoreConfigFor(name string) cpu.Config {
-	switch name {
-	case "IO4":
-		return cpu.IO4()
-	case "OOO4":
-		return cpu.OOO4()
-	default:
-		return cpu.OOO8()
-	}
-}
-
-// MachineConfig builds the machine for a job's scale: the paper's 8×8
-// Table V system, or the CI system (4×4 mesh with caches scaled 1/16 so
-// the footprint ratios — and therefore the §IV-B offload decisions — match
+// scaleMachine is the machine of a scale: the paper's 8×8 Table V
+// system, or the CI system (4×4 mesh with caches scaled 1/16 so the
+// footprint ratios — and therefore the §IV-B offload decisions — match
 // the paper's at the reduced workload sizes).
-func MachineConfig(j Job, prefetchers bool) machine.Config {
-	var mc machine.Config
-	if j.Scale == workloads.ScalePaper {
-		mc = machine.Default()
-	} else {
-		mc = machine.CI()
-		mc.Cache.L1.SizeBytes = 2 << 10
-		mc.Cache.L2.SizeBytes = 16 << 10
-		mc.Cache.L3Bank.SizeBytes = 64 << 10
+func scaleMachine(s workloads.Scale) machine.Config {
+	if s == workloads.ScalePaper {
+		return machine.Default()
 	}
-	mc.CoreType = CoreConfigFor(j.CoreType)
+	mc := machine.CI()
+	mc.Cache.L1.SizeBytes = 2 << 10
+	mc.Cache.L2.SizeBytes = 16 << 10
+	mc.Cache.L3Bank.SizeBytes = 64 << 10
+	return mc
+}
+
+// MachineConfig builds the machine for a job: its scale's machine with
+// the job's core type and seed. An unknown core type panics; Execute
+// checks it first and returns the error instead.
+func MachineConfig(j Job, prefetchers bool) machine.Config {
+	mc := scaleMachine(j.Scale)
+	ct, err := ParseCoreType(j.CoreType)
+	if err != nil {
+		panic("runner: " + err.Error())
+	}
+	mc.CoreType = ct
 	mc.EnablePrefetchers = prefetchers
 	mc.Seed = j.Seed
 	return mc
@@ -141,6 +174,9 @@ func ExecuteObs(j Job, rec *obs.JobRecord) (*Result, error) {
 // wall-clock nanoseconds spent stalled at window barriers (nil when the
 // machine ran serially) — a load-balance diagnostic, not a result.
 func ExecuteShardsObs(j Job, rec *obs.JobRecord, shards int) (*Result, []uint64, error) {
+	if err := j.check(); err != nil {
+		return nil, nil, fmt.Errorf("runner: job %s: %w", j.Key(), err)
+	}
 	mc := MachineConfig(j, j.System == core.Base)
 	if j.System == core.Base {
 		mc.Shards = shards
@@ -164,9 +200,7 @@ func simulate(m *machine.Machine, j Job, rec *obs.JobRecord) (*Result, []uint64,
 		}
 		m.Sampler = rec.Sampler
 	}
-	d := ir.NewData(m.AS)
-	d.AllocArrays(w.Kernel)
-	w.Init(d, sim.NewRand(j.Seed^0x9e37))
+	d := w.NewData(m.AS, j.Seed)
 	params := core.DefaultParams(m.Tiles())
 	j.Overrides.Apply(&params)
 	out := &Result{Workload: j.Workload, System: j.System}

@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -73,6 +74,92 @@ func TestOverridesApply(t *testing.T) {
 	}
 }
 
+// TestOverridesEveryFieldIsATunable: each Overrides field, set to a
+// non-default value, reaches the core.Params field of the same name and
+// its own term of the job key — so a field added to Overrides without a
+// tunables entry fails here rather than silently sweeping nothing.
+func TestOverridesEveryFieldIsATunable(t *testing.T) {
+	def := core.DefaultParams(16)
+	ot := reflect.TypeOf(Overrides{})
+	if ot.NumField() != len(tunables) {
+		t.Fatalf("Overrides has %d fields, tunables %d entries", ot.NumField(), len(tunables))
+	}
+	plain := job("histogram", core.NS)
+	for i := 0; i < ot.NumField(); i++ {
+		name := ot.Field(i).Name
+		dv := reflect.ValueOf(def).FieldByName(name)
+		if !dv.IsValid() {
+			t.Fatalf("core.Params has no field %s", name)
+		}
+		v := reflect.New(dv.Type()).Elem()
+		switch dv.Kind() {
+		case reflect.Bool:
+			v.SetBool(!dv.Bool())
+		case reflect.Int:
+			v.SetInt(dv.Int() + 3)
+		case reflect.Uint64:
+			v.SetUint(dv.Uint() + 3)
+		}
+		j := plain
+		reflect.ValueOf(&j.Overrides).Elem().Field(i).Set(v.Addr())
+		p := def
+		j.Overrides.Apply(&p)
+		if got := reflect.ValueOf(p).FieldByName(name); got.Interface() != v.Interface() {
+			t.Errorf("%s: Apply set %v, want %v", name, got, v)
+		}
+		if k := j.Key(); k == plain.Key() || strings.Count(k, "=") != 2 {
+			t.Errorf("%s: key %q does not carry exactly one override term", name, k)
+		}
+	}
+}
+
+// TestNameParsers: every system, scale and core type parses back from
+// its name, and a misspelling is an error naming every valid value.
+func TestNameParsers(t *testing.T) {
+	var systems, scales []string
+	for _, s := range core.AllSystems() {
+		systems = append(systems, s.String())
+		if got, err := core.ParseSystem(s.String()); err != nil || got != s {
+			t.Errorf("ParseSystem(%q) = %v, %v", s, got, err)
+		}
+	}
+	for _, s := range []workloads.Scale{workloads.ScaleCI, workloads.ScalePaper} {
+		scales = append(scales, s.String())
+		if got, err := workloads.ParseScale(s.String()); err != nil || got != s {
+			t.Errorf("ParseScale(%q) = %v, %v", s, got, err)
+		}
+	}
+	for _, name := range CoreTypes() {
+		if got, err := ParseCoreType(name); err != nil || got.Name != name {
+			t.Errorf("ParseCoreType(%q) = %q, %v", name, got.Name, err)
+		}
+	}
+	if got, err := ParseCoreType(""); err != nil || got.Name != DefaultCoreType {
+		t.Errorf("ParseCoreType(\"\") = %q, %v, want the default", got.Name, err)
+	}
+	for _, c := range []struct {
+		bad   string
+		parse func(string) error
+		valid []string
+	}{
+		{"ns", func(s string) error { _, err := core.ParseSystem(s); return err }, systems},
+		{"pepar", func(s string) error { _, err := workloads.ParseScale(s); return err }, scales},
+		{"OOO9", func(s string) error { _, err := ParseCoreType(s); return err }, CoreTypes()},
+		{"histgram", func(s string) error { return workloads.CheckNames("histogram", s) }, workloads.Names()},
+	} {
+		err := c.parse(c.bad)
+		if err == nil {
+			t.Errorf("%q parsed", c.bad)
+			continue
+		}
+		for _, v := range append(c.valid, c.bad) {
+			if !strings.Contains(err.Error(), v) {
+				t.Errorf("error %q for %q does not name %q", err, c.bad, v)
+			}
+		}
+	}
+}
+
 func TestPoolMemoizes(t *testing.T) {
 	p := NewPool(2)
 	jobs := []Job{
@@ -129,10 +216,8 @@ func TestPoolDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestPoolErrorIsEarliestInJobOrder(t *testing.T) {
 	p := NewPool(4)
-	// workloads.Get panics on unknown names; inside the pool that
-	// becomes the job's error (a worker goroutine panic would otherwise
-	// crash the process), and Run reports the earliest failure in
-	// declared job order regardless of scheduling.
+	// An unknown workload fails its job, and Run reports the earliest
+	// failure in declared job order regardless of scheduling.
 	res, err := p.Run([]Job{
 		job("histogram", core.NS),
 		job("zz_first_bad", core.NS),

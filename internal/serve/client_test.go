@@ -2,8 +2,10 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -136,15 +138,60 @@ func TestJobRequestRoundTrip(t *testing.T) {
 		{Workload: "histogram", System: core.NS, Scale: workloads.ScaleCI, Seed: 1,
 			Overrides: runner.Overrides{RangeWindow: runner.Int(2), ScalarPE: runner.Bool(false),
 				ContextSwitchAt: runner.U64(1000)}},
+		// Every tunable at a non-default value.
+		{Workload: "pr_pull", System: core.NSDecouple, Scale: workloads.ScaleCI, CoreType: "OOO4", Seed: 9,
+			Overrides: runner.Overrides{RangeWindow: runner.Int(4), CreditWindows: runner.Int(2),
+				SCCROB: runner.Int(16), SCCCount: runner.Int(1), FIFODepth: runner.Int(32),
+				SCMIssueLatency: runner.U64(64), IndirectReduceMinLen: runner.U64(8),
+				ContextSwitchAt: runner.U64(500), ContextSwitchGap: runner.U64(100),
+				ScalarPE: runner.Bool(false), MRSWLock: runner.Bool(false),
+				AffineRangesAtCore: runner.Bool(false)}},
 	}
 	for _, j := range jobs {
 		req := JobRequestFor(j)
-		got, err := s.buildJob(req)
+		buf, err := json.Marshal(req)
 		if err != nil {
-			t.Fatalf("buildJob(%+v): %v", req, err)
+			t.Fatal(err)
+		}
+		var wire JobRequest
+		if err := json.Unmarshal(buf, &wire); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.buildJob(wire)
+		if err != nil {
+			t.Fatalf("buildJob(%s): %v", buf, err)
 		}
 		if got.Key() != j.Key() {
 			t.Fatalf("round trip changed the job digest:\n  sent %s\n  got  %s", j.Key(), got.Key())
 		}
+	}
+	if k := jobs[len(jobs)-1].Key(); strings.Count(k, "=") != 13 {
+		t.Fatalf("key %q does not carry all 12 overrides", k)
+	}
+}
+
+// TestJobRequestWireFormatKey pins the wire format itself: a body
+// written field by field in the v1 JSON names, with all 12 overrides,
+// decodes to a job with this exact key. A coordinator and a worker built
+// from different versions therefore agree on every store envelope.
+func TestJobRequestWireFormatKey(t *testing.T) {
+	s := newTestServer(t, nil)
+	const body = `{"workload": "histogram", "system": "NS", "scale": "ci", "core": "OOO4", "seed": 7,
+		"overrides": {"range_window": 2, "credit_windows": 4, "scc_rob": 32, "scc_count": 4,
+			"fifo_depth": 8, "scm_issue_latency": 16, "indirect_reduce_min_len": 128,
+			"context_switch_at": 1000, "context_switch_gap": 50, "scalar_pe": false,
+			"mrsw_lock": false, "affine_ranges_at_core": false}}`
+	const want = "histogram|NS|ci|OOO4|seed=7|rwin=2,credits=4,sccrob=32,scccnt=4,fifo=8," +
+		"scmlat=16,irmin=128,ctxat=1000,ctxgap=50,pe=false,mrsw=false,ranges@core=false"
+	var req JobRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	j, err := s.buildJob(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := j.Key(); got != want {
+		t.Fatalf("key = %s\nwant  %s", got, want)
 	}
 }

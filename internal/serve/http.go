@@ -20,136 +20,38 @@ import (
 )
 
 // JobRequest is the POST /api/v1/jobs body. Unset fields inherit the
-// daemon's base harness configuration.
+// daemon's base harness configuration, except Overrides: a request's
+// overrides are the job's overrides (no daemon sets overrides on its base
+// configuration).
 type JobRequest struct {
-	Workload  string        `json:"workload"`
-	System    string        `json:"system"`
-	Scale     string        `json:"scale,omitempty"` // "ci" or "paper"
-	Core      string        `json:"core,omitempty"`  // "IO4", "OOO4", "OOO8"
-	Seed      *uint64       `json:"seed,omitempty"`
-	Overrides *JobOverrides `json:"overrides,omitempty"`
-}
-
-// JobOverrides mirrors runner.Overrides with pointer optionality, so a
-// request only names the parameters it sweeps.
-type JobOverrides struct {
-	RangeWindow          *int    `json:"range_window,omitempty"`
-	CreditWindows        *int    `json:"credit_windows,omitempty"`
-	SCCROB               *int    `json:"scc_rob,omitempty"`
-	SCCCount             *int    `json:"scc_count,omitempty"`
-	FIFODepth            *int    `json:"fifo_depth,omitempty"`
-	SCMIssueLatency      *uint64 `json:"scm_issue_latency,omitempty"`
-	IndirectReduceMinLen *uint64 `json:"indirect_reduce_min_len,omitempty"`
-	ContextSwitchAt      *uint64 `json:"context_switch_at,omitempty"`
-	ContextSwitchGap     *uint64 `json:"context_switch_gap,omitempty"`
-	ScalarPE             *bool   `json:"scalar_pe,omitempty"`
-	MRSWLock             *bool   `json:"mrsw_lock,omitempty"`
-	AffineRangesAtCore   *bool   `json:"affine_ranges_at_core,omitempty"`
-}
-
-// apply folds the set fields into o.
-func (j *JobOverrides) apply(o *runner.Overrides) {
-	if j.RangeWindow != nil {
-		o.RangeWindow = runner.Int(*j.RangeWindow)
-	}
-	if j.CreditWindows != nil {
-		o.CreditWindows = runner.Int(*j.CreditWindows)
-	}
-	if j.SCCROB != nil {
-		o.SCCROB = runner.Int(*j.SCCROB)
-	}
-	if j.SCCCount != nil {
-		o.SCCCount = runner.Int(*j.SCCCount)
-	}
-	if j.FIFODepth != nil {
-		o.FIFODepth = runner.Int(*j.FIFODepth)
-	}
-	if j.SCMIssueLatency != nil {
-		o.SCMIssueLatency = runner.U64(*j.SCMIssueLatency)
-	}
-	if j.IndirectReduceMinLen != nil {
-		o.IndirectReduceMinLen = runner.U64(*j.IndirectReduceMinLen)
-	}
-	if j.ContextSwitchAt != nil {
-		o.ContextSwitchAt = runner.U64(*j.ContextSwitchAt)
-	}
-	if j.ContextSwitchGap != nil {
-		o.ContextSwitchGap = runner.U64(*j.ContextSwitchGap)
-	}
-	if j.ScalarPE != nil {
-		o.ScalarPE = runner.Bool(*j.ScalarPE)
-	}
-	if j.MRSWLock != nil {
-		o.MRSWLock = runner.Bool(*j.MRSWLock)
-	}
-	if j.AffineRangesAtCore != nil {
-		o.AffineRangesAtCore = runner.Bool(*j.AffineRangesAtCore)
-	}
+	Workload  string            `json:"workload"`
+	System    string            `json:"system"`
+	Scale     string            `json:"scale,omitempty"` // "ci" or "paper"
+	Core      string            `json:"core,omitempty"`  // "IO4", "OOO4", "OOO8"
+	Seed      *uint64           `json:"seed,omitempty"`
+	Overrides *runner.Overrides `json:"overrides,omitempty"`
 }
 
 // JobRequestFor renders a runner.Job as the wire request that rebuilds
 // it exactly on another daemon: buildJob on the receiving side yields a
-// Job with the identical Key() digest (override canonicalization makes
-// explicitly-set defaults and unset fields digest the same). This is
-// what lets the fleet coordinator dispatch over the existing public API
-// instead of a private RPC.
+// Job with the identical Key() digest. This is what lets the fleet
+// coordinator dispatch over the existing public API instead of a
+// private RPC.
 func JobRequestFor(j runner.Job) JobRequest {
 	req := JobRequest{
 		Workload: j.Workload,
 		System:   j.System.String(),
+		Scale:    j.Scale.String(),
 		Core:     j.CoreType,
-		Seed:     new(uint64),
+		Seed:     &j.Seed,
 	}
-	if req.Core != "IO4" && req.Core != "OOO4" {
-		// Canonicalize "" (and anything else Job.Key treats as the
-		// default) so the receiving daemon's own -core default never
-		// leaks into a dispatched job.
-		req.Core = "OOO8"
+	if req.Core == "" {
+		// Name the default so the receiving daemon's own -core default
+		// never leaks into a dispatched job.
+		req.Core = runner.DefaultCoreType
 	}
-	*req.Seed = j.Seed
-	if j.Scale == workloads.ScalePaper {
-		req.Scale = "paper"
-	} else {
-		req.Scale = "ci"
-	}
-	o := j.Overrides
-	var jo JobOverrides
-	set := false
-	setI := func(dst **int, f runner.OptInt) {
-		if f.Set {
-			v := f.V
-			*dst = &v
-			set = true
-		}
-	}
-	setU := func(dst **uint64, f runner.OptU64) {
-		if f.Set {
-			v := f.V
-			*dst = &v
-			set = true
-		}
-	}
-	setB := func(dst **bool, f runner.OptBool) {
-		if f.Set {
-			v := f.V
-			*dst = &v
-			set = true
-		}
-	}
-	setI(&jo.RangeWindow, o.RangeWindow)
-	setI(&jo.CreditWindows, o.CreditWindows)
-	setI(&jo.SCCROB, o.SCCROB)
-	setI(&jo.SCCCount, o.SCCCount)
-	setI(&jo.FIFODepth, o.FIFODepth)
-	setU(&jo.SCMIssueLatency, o.SCMIssueLatency)
-	setU(&jo.IndirectReduceMinLen, o.IndirectReduceMinLen)
-	setU(&jo.ContextSwitchAt, o.ContextSwitchAt)
-	setU(&jo.ContextSwitchGap, o.ContextSwitchGap)
-	setB(&jo.ScalarPE, o.ScalarPE)
-	setB(&jo.MRSWLock, o.MRSWLock)
-	setB(&jo.AffineRangesAtCore, o.AffineRangesAtCore)
-	if set {
-		req.Overrides = &jo
+	if j.Overrides != (runner.Overrides{}) {
+		req.Overrides = &j.Overrides
 	}
 	return req
 }
@@ -359,11 +261,9 @@ func (s *Server) handleSubmitFigure(w http.ResponseWriter, r *http.Request) {
 	if wl := r.URL.Query().Get("workloads"); wl != "" {
 		subset = strings.Split(wl, ",")
 	}
-	for _, name := range subset {
-		if !knownWorkload(name) {
-			writeError(w, http.StatusBadRequest, "unknown workload %q", name)
-			return
-		}
+	if err := workloads.CheckNames(subset...); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	t := newTask(taskFigure, clientID(r))
 	t.figure = fig
@@ -378,52 +278,32 @@ func (s *Server) handleSubmitFigure(w http.ResponseWriter, r *http.Request) {
 // buildJob validates a request against the daemon's base configuration.
 func (s *Server) buildJob(req JobRequest) (runner.Job, error) {
 	cfg := s.cfg.Harness
-	if !knownWorkload(req.Workload) {
-		return runner.Job{}, fmt.Errorf("unknown workload %q (know %s)",
-			req.Workload, strings.Join(workloads.Names(), " "))
+	if err := workloads.CheckNames(req.Workload); err != nil {
+		return runner.Job{}, err
 	}
-	var sys core.System
-	found := false
-	for _, cand := range core.AllSystems() {
-		if cand.String() == req.System {
-			sys, found = cand, true
+	sys, err := core.ParseSystem(req.System)
+	if err != nil {
+		return runner.Job{}, err
+	}
+	if req.Scale != "" {
+		if cfg.Scale, err = workloads.ParseScale(req.Scale); err != nil {
+			return runner.Job{}, err
 		}
 	}
-	if !found {
-		return runner.Job{}, fmt.Errorf("unknown system %q", req.System)
-	}
-	switch req.Scale {
-	case "":
-	case "ci":
-		cfg.Scale = workloads.ScaleCI
-	case "paper":
-		cfg.Scale = workloads.ScalePaper
-	default:
-		return runner.Job{}, fmt.Errorf("unknown scale %q (ci or paper)", req.Scale)
-	}
-	switch req.Core {
-	case "":
-	case "IO4", "OOO4", "OOO8":
-		cfg.CoreType = req.Core
-	default:
-		return runner.Job{}, fmt.Errorf("unknown core type %q (IO4, OOO4 or OOO8)", req.Core)
+	if req.Core != "" {
+		ct, err := runner.ParseCoreType(req.Core)
+		if err != nil {
+			return runner.Job{}, err
+		}
+		cfg.CoreType = ct.Name
 	}
 	if req.Seed != nil {
 		cfg.Seed = *req.Seed
 	}
 	if req.Overrides != nil {
-		req.Overrides.apply(&cfg.Overrides)
+		cfg.Overrides = *req.Overrides
 	}
 	return cfg.Job(req.Workload, sys), nil
-}
-
-func knownWorkload(name string) bool {
-	for _, n := range workloads.Names() {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

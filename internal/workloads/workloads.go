@@ -9,9 +9,12 @@ package workloads
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/ir"
 	"repro/internal/sim"
+	"repro/internal/tlb"
 )
 
 // Scale selects workload sizing.
@@ -35,6 +38,17 @@ func (s Scale) String() string {
 	return "ci"
 }
 
+// ParseScale returns the scale a name (Scale.String) names; an unknown
+// name is an error listing the valid ones.
+func ParseScale(name string) (Scale, error) {
+	for _, s := range []Scale{ScaleCI, ScalePaper} {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scale %q (want ci, paper)", name)
+}
+
 // Workload is one benchmark: kernel, inputs, and Table VI metadata.
 type Workload struct {
 	Name string
@@ -54,6 +68,15 @@ type Workload struct {
 	Check func(d *ir.Data, accs map[string]uint64) error
 }
 
+// NewData builds the workload's data image for a job seeded with seed:
+// every array the kernel declares, allocated in as and filled by Init.
+func (w *Workload) NewData(as *tlb.AddressSpace, seed uint64) *ir.Data {
+	d := ir.NewData(as)
+	d.AllocArrays(w.Kernel)
+	w.Init(d, sim.NewRand(seed^0x9e37))
+	return d
+}
+
 // Names lists every workload in Table VI order.
 func Names() []string {
 	return []string{
@@ -63,8 +86,19 @@ func Names() []string {
 	}
 }
 
-// Get builds one workload at a scale. Unknown names panic: callers use
-// Names().
+// CheckNames reports whether every name is a workload; the first
+// unknown name is an error listing the valid ones.
+func CheckNames(names ...string) error {
+	for _, name := range names {
+		if !slices.Contains(Names(), name) {
+			return fmt.Errorf("unknown workload %q (want %s)", name, strings.Join(Names(), ", "))
+		}
+	}
+	return nil
+}
+
+// Get builds one workload at a scale. Unknown names panic: callers check
+// them with CheckNames.
 func Get(name string, scale Scale) *Workload {
 	switch name {
 	case "pathfinder":
@@ -96,7 +130,7 @@ func Get(name string, scale Scale) *Workload {
 	case "hash_join":
 		return hashJoin(scale)
 	default:
-		panic(fmt.Sprintf("workloads: unknown workload %q", name))
+		panic("workloads: " + CheckNames(name).Error())
 	}
 }
 
