@@ -21,10 +21,7 @@ test-short:
 	$(GO) test -short ./...
 
 # Race runs simulate 2-4x slower; the harness package alone needs more
-# than go test's default 10m package timeout on small machines. The run
-# includes the parallel-DES shard suite (sim/noc/machine shard tests force
-# cross-goroutine windows even on one processor; the harness grid test
-# drives whole figures at -shards {1,2,4} × -j {1,8}).
+# than go test's default 10m package timeout on small machines.
 test-race:
 	$(GO) test -race -timeout 60m ./...
 
@@ -46,11 +43,9 @@ perfbench:
 # Macro benchmarks (BenchmarkMatrix: whole figure pipelines) run once per
 # sub-benchmark; micro benchmarks (engine, cache bank, NoC, flatmap hot
 # paths, trace generation) run with Go's auto benchtime for stable ns/op
-# and allocs/op.
-# benchjson then times a full `nsexp -all -quick` regeneration and records
-# its wall-clock and output sha256 alongside the parsed results, plus the
-# shard-barrier stall total of a 2-shard figure run (the parallel-DES
-# load-balance signal benchcmp tracks).
+# and allocs/op. benchjson records them with the host's CPU count and
+# GOMAXPROCS. End-to-end wall time is perfbench's job (bash
+# perfbench/run.sh), which measures it with a spread protocol.
 BENCH_MICRO_PKGS = ./internal/sim ./internal/cache ./internal/noc ./internal/flatmap ./internal/core ./internal/cpu
 BENCH_DIR = bench
 # BENCH_THRESHOLD is the max tolerated new/old ns-per-op (and allocs)
@@ -60,27 +55,22 @@ BENCH_THRESHOLD ?= 1.10
 
 bench:
 	mkdir -p $(BENCH_DIR)
-	$(GO) build -o bin/nsexp ./cmd/nsexp
 	$(GO) test -run=^$$ -bench=. -benchmem -benchtime=1x . | tee $(BENCH_DIR)/macro.txt
 	$(GO) test -run=^$$ -bench=. -benchmem $(BENCH_MICRO_PKGS) | tee $(BENCH_DIR)/micro.txt
-	./bin/nsexp -fig 9 -quick -shards 2 -report $(BENCH_DIR)/stalls.json > /dev/null
-	$(GO) run ./cmd/benchjson -o $(BENCH_DIR)/BENCH_sim.json -stalls $(BENCH_DIR)/stalls.json $(BENCH_DIR)/macro.txt $(BENCH_DIR)/micro.txt -- ./bin/nsexp -all -quick
+	$(GO) run ./cmd/benchjson -o $(BENCH_DIR)/BENCH_sim.json $(BENCH_DIR)/macro.txt $(BENCH_DIR)/micro.txt
 
 # benchcmp: the local performance gate. Re-runs the benchmarks into a
-# scratch report (no wall-clock run, so it is much faster than `make
-# bench`) and diffs it against the tracked baseline; fails past a
+# scratch report and diffs it against the tracked baseline; fails past a
 # BENCH_THRESHOLD per-benchmark ns/op or allocs/op regression. Run it on
 # a quiet machine — 1x macro iterations are noisy, so treat a small
-# flagged delta as a prompt to re-run, not as ground truth. With no timed
-# command the scratch report records no output sha256, so benchcmp checks
-# no figure digest; TestFigureDigestsMatchGolden gates figure bytes in tier1.
+# flagged delta as a prompt to re-run, not as ground truth. benchcmp
+# checks no figure digest; TestFigureDigestsMatchGolden gates figure
+# bytes in tier1.
 benchcmp:
 	mkdir -p $(BENCH_DIR)
-	$(GO) build -o bin/nsexp ./cmd/nsexp
 	$(GO) test -run=^$$ -bench=. -benchmem -benchtime=1x . | tee $(BENCH_DIR)/macro.new.txt
 	$(GO) test -run=^$$ -bench=. -benchmem $(BENCH_MICRO_PKGS) | tee $(BENCH_DIR)/micro.new.txt
-	./bin/nsexp -fig 9 -quick -shards 2 -report $(BENCH_DIR)/stalls.new.json > /dev/null
-	$(GO) run ./cmd/benchjson -o $(BENCH_DIR)/BENCH_new.json -stalls $(BENCH_DIR)/stalls.new.json $(BENCH_DIR)/macro.new.txt $(BENCH_DIR)/micro.new.txt
+	$(GO) run ./cmd/benchjson -o $(BENCH_DIR)/BENCH_new.json $(BENCH_DIR)/macro.new.txt $(BENCH_DIR)/micro.new.txt
 	$(GO) run ./cmd/benchjson -compare -threshold $(BENCH_THRESHOLD) $(BENCH_DIR)/BENCH_sim.json $(BENCH_DIR)/BENCH_new.json
 
 # tier1: the seed gate — must always pass.
@@ -88,7 +78,7 @@ tier1: build test
 
 # tier2: vet + race over the full suite — including the pooled event
 # queue, lock pool, and flatmap tables, which must stay engine-local
-# (never shared across runner workers), internal/serve's overlapping
-# submit/cancel/drain traffic, and the sharded parallel-DES windows; run
-# before merging runner/harness/serve, pooling, or shard-exchange changes.
+# (never shared across runner workers), and internal/serve's overlapping
+# submit/cancel/drain traffic; run before merging runner/harness/serve or
+# pooling changes.
 tier2: vet test-race

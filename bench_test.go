@@ -9,7 +9,6 @@ package nearstream
 // expensive, so b.N loops re-render from scratch.
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/cache"
@@ -200,57 +199,32 @@ func BenchmarkMatrix(b *testing.B) {
 	}
 	b.Run("serial", func(b *testing.B) { run(b, 1) })
 	b.Run("pooled", func(b *testing.B) { run(b, 0) })
-	// sharded: same matrix with each Base simulation split into 4 parallel
-	// DES shard engines (stream systems clamp to one shard). Identical
-	// results by construction; the delta against pooled is the cost (or
-	// gain) of windowed execution inside one simulation.
-	b.Run("sharded", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p := runner.NewPool(0)
-			p.SetShards(4)
-			if _, err := p.Run(jobs); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(jobs)), "jobs/matrix")
-	})
 }
 
 // BenchmarkBigMesh16x16 scales the simulated machine past the paper's 8×8
-// to a 16×16 mesh — 256 tiles, the regime parallel DES is for — and
-// drives a synthetic all-tiles access storm (strided private lines plus a
-// contended shared line, mixed reads and writes) through the full
-// coherence/NoC/DRAM stack at 1, 2, 4 and 8 shards. Counters and final
-// clock are byte-identical across the sub-benchmarks; the ns/op ratios
-// measure how the windowed exchange scales with shard count. On a
-// single-processor host the windows run inline, so shards>1 there
-// reports pure coordination overhead.
+// to a 16×16 mesh — 256 tiles — and drives a synthetic all-tiles access
+// storm (strided private lines plus a contended shared line, mixed reads
+// and writes) through the full coherence/NoC/DRAM stack.
 func BenchmarkBigMesh16x16(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := machine.Default()
-				cfg.MeshWidth, cfg.MeshHeight = 16, 16
-				cfg.NoC.Width, cfg.NoC.Height = 16, 16
-				cfg.Shards = shards
-				m := machine.New(cfg)
-				for tile := 0; tile < m.Tiles(); tile++ {
-					tile := tile
-					base := uint64(0x100000 + tile*64*257)
-					for k := 0; k < 8; k++ {
-						addr := base + uint64(k)*64*uint64(1+tile%3)
-						if k%5 == 4 {
-							addr = 0x400000 + uint64(k%2)*64
-						}
-						write := (tile+k)%3 == 0
-						m.EngineOf(tile).ScheduleAt(sim.Time(1+tile+7*k), func() {
-							m.Hier.Tile(tile).Access(addr, write, uint64(tile*100+k), func(cache.Level) {})
-						})
-					}
+	for i := 0; i < b.N; i++ {
+		cfg := machine.Default()
+		cfg.MeshWidth, cfg.MeshHeight = 16, 16
+		cfg.NoC.Width, cfg.NoC.Height = 16, 16
+		m := machine.New(cfg)
+		for tile := 0; tile < m.Tiles(); tile++ {
+			tile := tile
+			base := uint64(0x100000 + tile*64*257)
+			for k := 0; k < 8; k++ {
+				addr := base + uint64(k)*64*uint64(1+tile%3)
+				if k%5 == 4 {
+					addr = 0x400000 + uint64(k%2)*64
 				}
-				m.Run()
-				m.Close()
+				write := (tile+k)%3 == 0
+				m.Engine.ScheduleAt(sim.Time(1+tile+7*k), func() {
+					m.Hier.Tile(tile).Access(addr, write, uint64(tile*100+k), func(cache.Level) {})
+				})
 			}
-		})
+		}
+		m.Run()
 	}
 }

@@ -3,33 +3,28 @@
 //
 // Usage:
 //
-//	benchjson -o bench/BENCH_sim.json macro.txt micro.txt -- ./bin/nsexp -all -quick
+//	benchjson -o bench/BENCH_sim.json macro.txt micro.txt
 //	benchjson -compare old.json new.json
 //
-// Positional arguments before "--" are files of `go test -bench -benchmem`
-// output (use "-" for stdin). The optional command after "--" is executed
-// with stdout captured; its wall-clock seconds and output sha256 are
-// recorded, so the baseline tracks end-to-end figure-regeneration time and
-// byte-level determinism alongside the micro-benchmarks.
+// Positional arguments are files of `go test -bench -benchmem` output
+// (use "-" for stdin). The report records the host's CPU count and
+// GOMAXPROCS beside the parsed results, since ns/op is only comparable on
+// a like host.
 //
 // With -compare, the two positional arguments are an old and a new report;
 // per-benchmark ns/op and allocs/op deltas are printed and the exit status
 // is non-zero when any benchmark regresses past -threshold (ratio of new
-// to old) or the recorded figure digests differ — `make benchcmp` wires
-// this as the local performance gate.
+// to old) — `make benchcmp` wires this as the local performance gate.
 package main
 
 import (
 	"bufio"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"os/exec"
 	"runtime"
 	"strconv"
 	"strings"
@@ -46,38 +41,21 @@ type Benchmark struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// Wallclock records one timed end-to-end command run.
-type Wallclock struct {
-	Command      string  `json:"command"`
-	Seconds      float64 `json:"seconds"`
-	OutputSHA256 string  `json:"output_sha256"`
-}
-
-// ShardStalls summarizes the shard-barrier overhead of an obs run
-// report: the summed per-job wall time shards spent waiting at window
-// barriers (jobs' timing.shard_stall_seconds). Tracked so benchcmp
-// surfaces a load-balance regression in the parallel DES path.
-type ShardStalls struct {
-	Jobs              int     `json:"jobs"`
-	TotalStallSeconds float64 `json:"total_stall_seconds"`
-}
-
 // Report is the BENCH_sim.json schema.
 type Report struct {
-	GoVersion   string       `json:"go_version"`
-	GOOS        string       `json:"goos"`
-	GOARCH      string       `json:"goarch"`
-	Date        string       `json:"date"`
-	Benchmarks  []Benchmark  `json:"benchmarks"`
-	Wallclock   *Wallclock   `json:"wallclock,omitempty"`
-	ShardStalls *ShardStalls `json:"shard_stalls,omitempty"`
+	GoVersion  string      `json:"go_version"`
+	GOOS       string      `json:"goos"`
+	GOARCH     string      `json:"goarch"`
+	NumCPU     int         `json:"num_cpu"`
+	GOMAXPROCS int         `json:"gomaxprocs"`
+	Date       string      `json:"date"`
+	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
 func main() {
 	out := flag.String("o", "bench/BENCH_sim.json", "output file")
 	compare := flag.Bool("compare", false, "compare two reports (old.json new.json) instead of generating one")
 	threshold := flag.Float64("threshold", 1.10, "with -compare: max tolerated new/old ratio per benchmark")
-	stalls := flag.String("stalls", "", "obs run report JSON (nsexp -report) to fold shard-barrier stall totals from")
 	flag.Parse()
 
 	if *compare {
@@ -90,48 +68,20 @@ func main() {
 		return
 	}
 
-	files, cmdline := splitArgs(flag.Args())
 	rep := Report{
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Date:      time.Now().UTC().Format(time.RFC3339),
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Date:       time.Now().UTC().Format(time.RFC3339),
 	}
-	for _, f := range files {
+	for _, f := range flag.Args() {
 		benches, err := parseFile(f)
 		if err != nil {
 			fatal(err)
 		}
 		rep.Benchmarks = append(rep.Benchmarks, benches...)
-	}
-	if len(cmdline) > 0 {
-		if flagged := obsFlags(cmdline); len(flagged) > 0 {
-			// Observability exports cost I/O the baseline should not
-			// absorb: keep the previous untainted wall-clock entry.
-			rep.Wallclock = previousWallclock(*out)
-			if rep.Wallclock != nil {
-				fmt.Fprintf(os.Stderr,
-					"benchjson: command uses %s; keeping previous wall-clock entry\n",
-					strings.Join(flagged, " "))
-			} else {
-				fmt.Fprintf(os.Stderr,
-					"benchjson: command uses %s and no prior baseline exists; omitting wall-clock entry\n",
-					strings.Join(flagged, " "))
-			}
-		} else {
-			wc, err := timeCommand(cmdline)
-			if err != nil {
-				fatal(err)
-			}
-			rep.Wallclock = wc
-		}
-	}
-	if *stalls != "" {
-		ss, err := loadShardStalls(*stalls)
-		if err != nil {
-			fatal(err)
-		}
-		rep.ShardStalls = ss
 	}
 
 	buf, err := json.MarshalIndent(&rep, "", "  ")
@@ -148,16 +98,6 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "benchjson:", err)
 	os.Exit(1)
-}
-
-// splitArgs separates input files from the optional timed command after "--".
-func splitArgs(args []string) (files, cmdline []string) {
-	for i, a := range args {
-		if a == "--" {
-			return args[:i], args[i+1:]
-		}
-	}
-	return args, nil
 }
 
 func parseFile(path string) ([]Benchmark, error) {
@@ -230,66 +170,6 @@ func trimProcSuffix(name string) string {
 	return name
 }
 
-// obsFlags reports which observability flags appear in cmdline. Runs with
-// -trace/-report/-sample spend wall-clock on exports the baseline should
-// not count, so their timing must not overwrite a clean measurement.
-func obsFlags(cmdline []string) []string {
-	var hits []string
-	for _, a := range cmdline[1:] {
-		name := strings.TrimLeft(a, "-")
-		if i := strings.IndexByte(name, '='); i >= 0 {
-			name = name[:i]
-		}
-		switch name {
-		case "trace", "report", "sample", "sample-every", "trace-events":
-			if strings.HasPrefix(a, "-") {
-				hits = append(hits, "-"+name)
-			}
-		}
-	}
-	return hits
-}
-
-// previousWallclock loads the wall-clock entry of an existing baseline
-// file, or nil if there is none.
-func previousWallclock(path string) *Wallclock {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	var prev Report
-	if err := json.Unmarshal(buf, &prev); err != nil {
-		return nil
-	}
-	return prev.Wallclock
-}
-
-// loadShardStalls sums timing.shard_stall_seconds over the jobs of an
-// obs run report (the JSON `nsexp -report` writes). The decode is a
-// minimal structural mirror so benchjson stays free of simulator
-// dependencies.
-func loadShardStalls(path string) (*ShardStalls, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep struct {
-		Jobs []struct {
-			Timing struct {
-				ShardStallSeconds float64 `json:"shard_stall_seconds"`
-			} `json:"timing"`
-		} `json:"jobs"`
-	}
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	out := &ShardStalls{Jobs: len(rep.Jobs)}
-	for _, j := range rep.Jobs {
-		out.TotalStallSeconds += j.Timing.ShardStallSeconds
-	}
-	return out, nil
-}
-
 // loadReport reads one BENCH_sim.json file.
 func loadReport(path string) (*Report, error) {
 	buf, err := os.ReadFile(path)
@@ -305,9 +185,8 @@ func loadReport(path string) (*Report, error) {
 
 // compareReports prints per-benchmark deltas between two baselines and
 // reports whether the new one passes: every shared benchmark's ns/op and
-// allocs/op must stay within threshold× the old value, and the recorded
-// figure digests (when both runs have one) must match byte-for-byte.
-// Improvements never fail, and benchmarks present in only one report are
+// allocs/op must stay within threshold× the old value. Improvements never
+// fail, and benchmarks present in only one report are
 // listed but not gated — a renamed benchmark should not block a change.
 func compareReports(oldPath, newPath string, threshold float64) bool {
 	oldRep, err := loadReport(oldPath)
@@ -354,45 +233,10 @@ func compareReports(oldPath, newPath string, threshold float64) bool {
 	for k := range olds {
 		fmt.Printf("%-60s  (only in %s)\n", k, oldPath)
 	}
-	if ow, nw := oldRep.Wallclock, newRep.Wallclock; ow != nil && nw != nil {
-		fmt.Printf("%-60s %13.1fs %13.1fs %+7.1f%%\n",
-			"wallclock: "+nw.Command, ow.Seconds, nw.Seconds, (ratio(nw.Seconds, ow.Seconds)-1)*100)
-		if ow.OutputSHA256 != nw.OutputSHA256 {
-			fmt.Printf("DIGEST MISMATCH: output sha256 %s -> %s\n", ow.OutputSHA256, nw.OutputSHA256)
-			fail++
-		}
-	}
-	// Shard-barrier stalls are wall-clock-noisy like the end-to-end
-	// timing, so they inform but never gate.
-	if oldSS, newSS := oldRep.ShardStalls, newRep.ShardStalls; oldSS != nil && newSS != nil {
-		fmt.Printf("%-60s %13.3fs %13.3fs %+7.1f%%\n",
-			fmt.Sprintf("shard barrier stalls (%d jobs)", newSS.Jobs),
-			oldSS.TotalStallSeconds, newSS.TotalStallSeconds,
-			(ratio(newSS.TotalStallSeconds, oldSS.TotalStallSeconds)-1)*100)
-	} else if newSS != nil {
-		fmt.Printf("%-60s %14s %13.3fs  (new)\n", "shard barrier stalls", "-", newSS.TotalStallSeconds)
-	}
 	if fail > 0 {
 		fmt.Printf("benchjson: %d regression(s) past the %.2fx threshold\n", fail, threshold)
 		return false
 	}
 	fmt.Println("benchjson: within threshold")
 	return true
-}
-
-// timeCommand runs cmdline, hashing stdout, and reports elapsed seconds.
-func timeCommand(cmdline []string) (*Wallclock, error) {
-	h := sha256.New()
-	cmd := exec.Command(cmdline[0], cmdline[1:]...)
-	cmd.Stdout = h
-	cmd.Stderr = os.Stderr
-	start := time.Now()
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("%s: %w", strings.Join(cmdline, " "), err)
-	}
-	return &Wallclock{
-		Command:      strings.Join(cmdline, " "),
-		Seconds:      time.Since(start).Seconds(),
-		OutputSHA256: hex.EncodeToString(h.Sum(nil)),
-	}, nil
 }

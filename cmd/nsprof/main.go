@@ -11,12 +11,8 @@
 //	nsprof -top 5 r.json          # cap the breakdown at 5 rows
 //	nsprof -                      # read the report from stdin
 //
-// Two tables come out: the stall breakdown (per reason: component,
-// count, cycles, share of attributed cycles) with the canonical wait
-// histograms, and — when the report carries exec sections from a
-// multi-shard run — a per-shard imbalance table showing each shard's
-// barrier stall time and how often it was the laggard (the shard on the
-// window critical path).
+// It prints the stall breakdown (per reason: component, count, cycles,
+// share of attributed cycles) with the canonical wait histograms.
 //
 // The trace subcommand summarizes a Chrome trace_event file written by
 // `nsexp -trace` (or any obs.WriteChromeTrace output) instead:
@@ -99,7 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		printBreakdown(stdout, stalls, hists, cycles, *top)
 		fmt.Fprintln(stdout)
 	}
-	printImbalance(stdout, jobs)
 	return 0
 }
 
@@ -205,37 +200,5 @@ func printBreakdown(w io.Writer, stalls []obs.StallEntry, hists []obs.HistogramR
 			mean = float64(h.Sum) / float64(h.Count)
 		}
 		fmt.Fprintf(w, "hist %-26s count=%d sum=%d mean=%.2f\n", h.Name, h.Count, h.Sum, mean)
-	}
-}
-
-// printImbalance renders the per-shard critical-path table for every job
-// that ran multi-shard: barrier stall seconds and laggard-window counts
-// identify the shard the others wait on.
-func printImbalance(w io.Writer, jobs []obs.JobReport) {
-	header := false
-	for _, j := range jobs {
-		e := j.Attribution.Exec
-		if e == nil || e.Shards <= 1 {
-			continue
-		}
-		if !header {
-			fmt.Fprintln(w, "shard imbalance (barrier critical path):")
-			header = true
-		}
-		fmt.Fprintf(w, "  %s: %d shards, %d windows\n", j.Key, e.Shards, e.Windows)
-		for i := 0; i < e.Shards; i++ {
-			var stall float64
-			if i < len(e.ShardStallSeconds) {
-				stall = e.ShardStallSeconds[i]
-			}
-			var lag uint64
-			if i < len(e.LaggardWindows) {
-				lag = e.LaggardWindows[i]
-			}
-			fmt.Fprintf(w, "    shard %-3d stall_s=%-10.6f laggard_windows=%d\n", i, stall, lag)
-		}
-	}
-	if !header {
-		fmt.Fprintln(w, "no multi-shard exec sections (serial runs have no barrier critical path)")
 	}
 }

@@ -48,7 +48,7 @@ func TestLockHotPathAllocFreeWithAttribution(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, h := testMachine()
-			h.SetLaneAttrib(0, tc.lane)
+			h.SetAttribution(tc.lane)
 			bank := h.Bank(0)
 			grant := func() {}
 			for i := 0; i < 64; i++ { // warm the lock pool across the line set
@@ -85,7 +85,7 @@ func TestTileAccessAllocFree(t *testing.T) {
 	const line = 0x1000
 	e, h := testMachine()
 	lane := obs.NewAttribution()
-	h.SetLaneAttrib(0, lane)
+	h.SetAttribution(lane)
 	tile := h.Tile(0)
 	served := func(Level) {}
 	hit := func(l1Cold bool) func() {

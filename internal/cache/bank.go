@@ -22,10 +22,10 @@ type txnWork func(release func())
 type Bank struct {
 	id int
 	h  *Hierarchy
-	// engine and lane are the shard bindings: the bank schedules its
-	// latencies on its own shard's engine and counts on its own lane.
+	// engine and ob repeat the hierarchy's, one load closer to the hot
+	// path.
 	engine *sim.Engine
-	lane   *hierLane
+	ob     *hierObs
 	array  *Array
 	// txns serializes transactions per line: a present entry means the
 	// line is busy, and holds the FIFO of waiting transaction bodies.
@@ -72,7 +72,7 @@ func (b *Bank) PendingTxns() int { return b.txns.Len() }
 // release, with no re-submission round trip.
 func (b *Bank) submit(line uint64, work txnWork) {
 	if q, busy := b.txns.Get(line); busy {
-		b.lane.attrib.Charge(obs.StallBankConflict, 0)
+		b.ob.attrib.Charge(obs.StallBankConflict, 0)
 		b.txns.Put(line, append(q, work))
 		return
 	}
@@ -114,11 +114,11 @@ func (b *Bank) ensurePresent(line uint64, onReady func(fromMem bool)) {
 	h := b.h
 	b.engine.Schedule(h.cfg.L3Bank.Latency, func() {
 		if b.array.Lookup(b.localAddr(line)) != nil {
-			b.lane.ctr.l3Hits.Inc()
+			b.ob.ctr.l3Hits.Inc()
 			onReady(false)
 			return
 		}
-		b.lane.ctr.l3Misses.Inc()
+		b.ob.ctr.l3Misses.Inc()
 		ctrl := h.ctrlNodeFor(line)
 		h.net.Send(&noc.Message{
 			Src: b.id, Dst: ctrl, Bytes: CtrlBytes, Class: noc.TrafficControl,
@@ -160,7 +160,7 @@ func (b *Bank) install(line uint64) {
 			}
 		}
 		if len(dsts) > 0 {
-			b.lane.ctr.l3Recalls.Inc()
+			b.ob.ctr.l3Recalls.Inc()
 			h.net.Multicast(b.id, dsts, CtrlBytes, noc.TrafficControl, func(dst int) {
 				if h.tiles[dst].InvalidateLine(vline) {
 					// Dirty private copy: flows to DRAM.
@@ -171,7 +171,7 @@ func (b *Bank) install(line uint64) {
 		}
 	}
 	if dirty {
-		b.lane.ctr.l3Writebacks.Inc()
+		b.ob.ctr.l3Writebacks.Inc()
 		ctrl := h.ctrlNodeFor(vline)
 		h.net.Send(&noc.Message{Src: b.id, Dst: ctrl, Bytes: LineBytes, Class: noc.TrafficData,
 			OnDeliver: func() { h.dram.Access(vline, h.cfg.LineBytes, true, nil) }})
@@ -220,7 +220,7 @@ func (b *Bank) serveGetS(line uint64, l *Line, d *dirInfo, requester int, fromMe
 	if d.owner >= 0 && d.owner != requester {
 		owner := d.owner
 		// Downgrade the owner to S; dirty data returns to the bank.
-		b.lane.ctr.l3Downgrades.Inc()
+		b.ob.ctr.l3Downgrades.Inc()
 		h.net.Send(&noc.Message{Src: b.id, Dst: owner, Bytes: CtrlBytes, Class: noc.TrafficControl,
 			OnDeliver: func() {
 				wasDirty := h.tiles[owner].downgradeLine(line)
@@ -283,7 +283,7 @@ func (b *Bank) invalidateOthers(line uint64, d *dirInfo, requester int, done fun
 		done()
 		return
 	}
-	b.lane.ctr.l3Invalidations.Add(uint64(len(dsts)))
+	b.ob.ctr.l3Invalidations.Add(uint64(len(dsts)))
 	remaining := len(dsts)
 	h.net.Multicast(b.id, dsts, CtrlBytes, noc.TrafficControl, func(dst int) {
 		wasDirty := h.tiles[dst].InvalidateLine(line)
@@ -344,7 +344,7 @@ func (b *Bank) StreamRead(line uint64, onDone func(fromMem bool)) {
 			if d.owner >= 0 {
 				owner := d.owner
 				h := b.h
-				b.lane.ctr.l3Downgrades.Inc()
+				b.ob.ctr.l3Downgrades.Inc()
 				h.net.Send(&noc.Message{Src: b.id, Dst: owner, Bytes: CtrlBytes, Class: noc.TrafficControl,
 					OnDeliver: func() {
 						wasDirty := h.tiles[owner].downgradeLine(line)

@@ -84,22 +84,18 @@ type hierCounters struct {
 	lockAcquires, lockConflicts   obs.Counter
 }
 
-// hierLane is one shard's single-writer slice of the hierarchy's
-// observability state: its own counter registry (the machine's counter
-// snapshot sums all lanes, so totals are shard-count-invariant) and its
-// own tracer pointer, so components on different shard engines never
-// share a mutable ring.
-type hierLane struct {
+// hierObs is the hierarchy's observability state, shared by every tile
+// and bank: its counter registry, its tracer and its cycle-attribution
+// target (either nil = off).
+type hierObs struct {
 	reg    *obs.Registry
 	ctr    hierCounters
 	tracer *obs.Tracer
-	// attrib is the lane's cycle-attribution target (nil = off); like the
-	// tracer it is single-writer per shard and merged after the run.
 	attrib *obs.Attribution
 }
 
-func newHierLane() *hierLane {
-	l := &hierLane{reg: obs.NewRegistry()}
+func newHierObs() *hierObs {
+	l := &hierObs{reg: obs.NewRegistry()}
 	l.ctr = hierCounters{
 		l1Hits:          l.reg.Counter("l1.hits"),
 		l1Misses:        l.reg.Counter("l1.misses"),
@@ -131,9 +127,7 @@ type Hierarchy struct {
 	ctrlNodes []int
 	tiles     []*Tile
 	banks     []*Bank
-	// lanes holds per-shard counters and tracers; serial hierarchies have
-	// one lane shared by every component.
-	lanes []*hierLane
+	ob        *hierObs
 	// PrefetchHook, when non-nil, observes every demand L1 access
 	// (tile, addr, pc, hit) — the Bingo/stride prefetchers attach here.
 	PrefetchHook func(tile int, addr uint64, pc uint64, hit bool)
@@ -148,17 +142,17 @@ func New(engine *sim.Engine, net *noc.Network, dram *mem.Memory, cfg Config) *Hi
 		net:       net,
 		dram:      dram,
 		ctrlNodes: mem.CornerNodes(net.Config().Width, net.Config().Height, dram.Config().Controllers),
-		lanes:     []*hierLane{newHierLane()},
+		ob:        newHierObs(),
 	}
 	for i := 0; i < n; i++ {
 		h.tiles = append(h.tiles, &Tile{
-			id: i, h: h, engine: engine, lane: h.lanes[0],
+			id: i, h: h, engine: engine, ob: h.ob,
 			l1:      NewArray(cfg.L1, uint64(i)*2+1),
 			l2:      NewArray(cfg.L2, uint64(i)*2+2),
 			accFree: -1,
 		})
 		b := &Bank{
-			id: i, h: h, engine: engine, lane: h.lanes[0],
+			id: i, h: h, engine: engine, ob: h.ob,
 			array: NewArray(cfg.L3Bank, uint64(i)*2+3),
 		}
 		// Size the per-line tables from the geometry: concurrent
@@ -174,60 +168,15 @@ func New(engine *sim.Engine, net *noc.Network, dram *mem.Memory, cfg Config) *Hi
 // Config returns the hierarchy configuration.
 func (h *Hierarchy) Config() Config { return h.cfg }
 
-// AttachShards repartitions the hierarchy over a shard group: the tile and
-// L3 bank at mesh node i schedule on (and count against) the engine and
-// lane of shard shardOf[i]. Call it on a freshly built hierarchy, before
-// any traffic — counters already accumulated stay on the old lane and
-// vanish from Registries.
-func (h *Hierarchy) AttachShards(g *sim.ShardGroup, shardOf []int32) {
-	if len(shardOf) != len(h.tiles) {
-		panic(fmt.Sprintf("cache: shard map covers %d nodes, hierarchy has %d", len(shardOf), len(h.tiles)))
-	}
-	h.lanes = make([]*hierLane, g.Shards())
-	for i := range h.lanes {
-		h.lanes[i] = newHierLane()
-	}
-	h.engine = g.Engine(0)
-	for i, t := range h.tiles {
-		t.engine = g.Engine(int(shardOf[i]))
-		t.lane = h.lanes[shardOf[i]]
-		h.banks[i].engine = t.engine
-		h.banks[i].lane = t.lane
-	}
-}
+// Registry returns the hierarchy's counter registry.
+func (h *Hierarchy) Registry() *obs.Registry { return h.ob.reg }
 
-// Registries returns the per-shard-lane counter registries. Each lane is
-// written only by its shard, so read them after a run; summing them gives
-// totals independent of the shard count.
-func (h *Hierarchy) Registries() []*obs.Registry {
-	regs := make([]*obs.Registry, len(h.lanes))
-	for i, l := range h.lanes {
-		regs[i] = l.reg
-	}
-	return regs
-}
+// SetTracer attaches (or detaches, with nil) an event tracer.
+func (h *Hierarchy) SetTracer(tr *obs.Tracer) { h.ob.tracer = tr }
 
-// SetTracer attaches (or detaches, with nil) an event tracer to every
-// lane. With more than one shard lane this shares one ring across shard
-// goroutines — racy; parallel machines must give each lane its own tracer
-// via SetLaneTracer and merge afterwards.
-func (h *Hierarchy) SetTracer(tr *obs.Tracer) {
-	for _, l := range h.lanes {
-		l.tracer = tr
-	}
-}
-
-// Lanes reports the number of shard lanes (1 unless AttachShards ran).
-func (h *Hierarchy) Lanes() int { return len(h.lanes) }
-
-// SetLaneTracer attaches a tracer to one shard lane.
-func (h *Hierarchy) SetLaneTracer(i int, tr *obs.Tracer) { h.lanes[i].tracer = tr }
-
-// SetLaneAttrib attaches a cycle-attribution lane to one shard lane (nil
-// detaches). Parallel machines give each shard its own and merge after
-// the run; every charge site fires at a deterministic protocol event, so
-// the merged totals are shard-count-invariant.
-func (h *Hierarchy) SetLaneAttrib(i int, a *obs.Attribution) { h.lanes[i].attrib = a }
+// SetAttribution attaches (or detaches, with nil) a cycle-attribution
+// sink.
+func (h *Hierarchy) SetAttribution(a *obs.Attribution) { h.ob.attrib = a }
 
 // Tiles returns the number of tiles.
 func (h *Hierarchy) Tiles() int { return len(h.tiles) }
@@ -253,13 +202,12 @@ func (h *Hierarchy) ctrlNodeFor(addr uint64) int {
 }
 
 // Tile is the private L1+L2 of one core, plus its MSHR merge table.
-// engine and lane are the shard bindings: every event the tile schedules
-// and every counter it bumps stays on its own shard.
+// engine and ob repeat the hierarchy's, one load closer to the hot path.
 type Tile struct {
 	id     int
 	h      *Hierarchy
 	engine *sim.Engine
-	lane   *hierLane
+	ob     *hierObs
 	l1, l2 *Array
 	// inflight merges concurrent misses to the same line: a present entry
 	// is an outstanding request, holding the chain of demand accesses
@@ -361,18 +309,18 @@ func (a *tileAccess) afterL1() {
 	t, line, write := a.t, a.line, a.write
 	if l := t.l1.Lookup(line); l != nil {
 		if !write {
-			t.lane.ctr.l1Hits.Inc()
+			t.ob.ctr.l1Hits.Inc()
 			a.finish(ServedL1)
 			return
 		}
 		switch l.State {
 		case Modified:
-			t.lane.ctr.l1Hits.Inc()
+			t.ob.ctr.l1Hits.Inc()
 			l.Dirty = true
 			a.finish(ServedL1)
 			return
 		case Exclusive:
-			t.lane.ctr.l1Hits.Inc()
+			t.ob.ctr.l1Hits.Inc()
 			l.State = Modified
 			l.Dirty = true
 			if l2 := t.l2.Peek(line); l2 != nil {
@@ -385,7 +333,7 @@ func (a *tileAccess) afterL1() {
 			// issues GetM/Upg.
 		}
 	}
-	t.lane.ctr.l1Misses.Inc()
+	t.ob.ctr.l1Misses.Inc()
 	t.engine.Schedule(t.h.cfg.L2.Latency, a.l2Ev)
 }
 
@@ -393,13 +341,13 @@ func (a *tileAccess) afterL2() {
 	t, line, write := a.t, a.line, a.write
 	if l := t.l2.Lookup(line); l != nil {
 		if !write {
-			t.lane.ctr.l2Hits.Inc()
+			t.ob.ctr.l2Hits.Inc()
 			t.fillL1(line, l.State)
 			a.finish(ServedL2)
 			return
 		}
 		if l.State == Exclusive || l.State == Modified {
-			t.lane.ctr.l2Hits.Inc()
+			t.ob.ctr.l2Hits.Inc()
 			l.State = Modified
 			l.Dirty = true
 			t.fillL1(line, Modified)
@@ -410,11 +358,11 @@ func (a *tileAccess) afterL2() {
 			return
 		}
 		// Shared: upgrade required. Control-only round trip.
-		t.lane.ctr.l2Upgrades.Inc()
+		t.ob.ctr.l2Upgrades.Inc()
 		t.requestLine(reqUpgrade, a)
 		return
 	}
-	t.lane.ctr.l2Misses.Inc()
+	t.ob.ctr.l2Misses.Inc()
 	if write {
 		t.requestLine(reqGetM, a)
 	} else {
@@ -446,7 +394,7 @@ func (t *Tile) fillL2(line uint64, state LineState) {
 			victim.Dirty = true
 		}
 		if victim.Dirty {
-			t.lane.ctr.l2Writebacks.Inc()
+			t.ob.ctr.l2Writebacks.Inc()
 			t.h.sendWriteback(t.id, vaddr)
 		}
 	}
@@ -471,7 +419,7 @@ func (t *Tile) requestLine(kind reqKind, a *tileAccess) {
 	// simple and conservative, merge everything and re-check permission:
 	// a merged access re-runs from its L1 lookup when the line arrives.
 	if q, ok := t.inflight.Get(line); ok {
-		t.lane.attrib.Charge(obs.StallMSHRMerge, 0)
+		t.ob.attrib.Charge(obs.StallMSHRMerge, 0)
 		if q.head < 0 {
 			q.head = a.idx
 		} else {
@@ -482,7 +430,7 @@ func (t *Tile) requestLine(kind reqKind, a *tileAccess) {
 		return
 	}
 	t.inflight.Put(line, mshr{head: -1, tail: -1})
-	if tr := t.lane.tracer; tr.Enabled() {
+	if tr := t.ob.tracer; tr.Enabled() {
 		tr.Emit(obs.Event{Time: uint64(t.engine.Now()), Kind: obs.KindMSHR,
 			Tile: int32(t.id), A: uint64(t.inflight.Len()), B: line})
 	}
@@ -547,7 +495,7 @@ func (t *Tile) completeFill(a *tileAccess) {
 	a.finish(lv)
 	q, _ := t.inflight.Get(line)
 	t.inflight.Delete(line)
-	if tr := t.lane.tracer; tr.Enabled() {
+	if tr := t.ob.tracer; tr.Enabled() {
 		tr.Emit(obs.Event{Time: uint64(t.engine.Now()), Kind: obs.KindMSHR,
 			Tile: int32(t.id), A: uint64(t.inflight.Len()), B: line})
 	}
@@ -573,7 +521,7 @@ func (t *Tile) Prefetch(addr uint64) {
 	if t.inflight.Contains(line) {
 		return
 	}
-	t.lane.ctr.prefetchIssued.Inc()
+	t.ob.ctr.prefetchIssued.Inc()
 	t.requestLine(reqGetS, t.getAccess(line, false, nil))
 }
 

@@ -25,17 +25,11 @@ func testMachine() (*sim.Engine, *Hierarchy) {
 	return e, New(e, net, dram, cfg)
 }
 
+// counter reads one counter of the hierarchy's registry.
+func counter(h *Hierarchy, name string) uint64 { return h.Registry().Get(name) }
+
 // access runs one blocking access and returns the serving level and elapsed
 // cycles.
-// counter sums one counter over the hierarchy's shard-lane registries.
-func counter(h *Hierarchy, name string) uint64 {
-	var v uint64
-	for _, r := range h.Registries() {
-		v += r.Get(name)
-	}
-	return v
-}
-
 func access(e *sim.Engine, h *Hierarchy, tile int, addr uint64, write bool) (Level, sim.Time) {
 	start := e.Now()
 	var lv Level

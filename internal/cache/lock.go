@@ -147,7 +147,7 @@ func (b *Bank) AcquireLock(line uint64, key int, modifies bool, mode LockMode, g
 		panic("cache: lock holder key must be non-negative")
 	}
 	idx := b.lockFor(line)
-	b.lane.ctr.lockAcquires.Inc()
+	b.ob.ctr.lockAcquires.Inc()
 	asWriter := modifies || mode == LockExclusive
 	if b.tryLock(idx, key, asWriter) {
 		granted()
@@ -155,8 +155,8 @@ func (b *Bank) AcquireLock(line uint64, key int, modifies bool, mode LockMode, g
 	}
 	// Conflict path: park a retry closure on the lock. Only this path
 	// allocates; the uncontended acquire above is allocation-free.
-	b.lane.ctr.lockConflicts.Inc()
-	b.lane.attrib.Charge(obs.StallLineLock, 0)
+	b.ob.ctr.lockConflicts.Inc()
+	b.ob.attrib.Charge(obs.StallLineLock, 0)
 	var wait func()
 	wait = func() {
 		if b.tryLock(idx, key, asWriter) {

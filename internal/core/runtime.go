@@ -88,8 +88,7 @@ type runShared struct {
 	scms    []*SCM
 	sePages []map[uint64]bool // per-bank SE_L3 translation cache
 	ctr     runCounters
-	// attrib receives the SE_L3 stall charges (nil = off). Stream systems
-	// run single-shard (Run clamps below), so the one lane is race-free.
+	// attrib receives the SE_L3 stall charges (nil = off).
 	attrib *obs.Attribution
 }
 
@@ -149,9 +148,6 @@ type coreRun struct {
 func (cr *coreRun) net() *noc.Network { return cr.m.Net }
 func (cr *coreRun) tile() *cache.Tile { return cr.m.Hier.Tile(cr.coreID) }
 
-// engine returns the engine of the shard owning this core's tile — the
-// only engine the core may schedule on in a partitioned machine.
-func (cr *coreRun) engine() *sim.Engine { return cr.m.EngineOf(cr.coreID) }
 func (cr *coreRun) scmAt(bank int) *SCM {
 	return cr.shared.scms[bank]
 }
@@ -202,13 +198,6 @@ func Run(m *machine.Machine, k *ir.Kernel, sys System, params Params, kparams ma
 	if pol.prefetchers != m.Cfg.EnablePrefetchers {
 		return nil, fmt.Errorf("core: system %v needs prefetchers=%v in the machine config", sys, pol.prefetchers)
 	}
-	// Stream runtimes couple banks and cores directly (shared SCM queues,
-	// cross-stream value deps), which the row-band partition cannot cut;
-	// runner.MachineConfig therefore builds them single-shard. Catch direct
-	// callers that skipped the clamp before nondeterminism can.
-	if m.Shards() > 1 && sys != Base {
-		return nil, fmt.Errorf("core: system %v requires a single-shard machine (got %d shards)", sys, m.Shards())
-	}
 	var plan *compiler.Plan
 	if pol.useStreams {
 		var err error
@@ -228,9 +217,9 @@ func Run(m *machine.Machine, k *ir.Kernel, sys System, params Params, kparams ma
 	parts := Partition(total, cores)
 
 	shared := &runShared{m: m, scms: make([]*SCM, m.Tiles()), sePages: make([]map[uint64]bool, m.Tiles()), ctr: newRunCounters(m.Obs)}
-	shared.attrib = m.AttributionLane(0)
+	shared.attrib = m.Attrib
 	for i := range shared.scms {
-		shared.scms[i] = NewSCM(m.EngineOf(i), params)
+		shared.scms[i] = NewSCM(m.Engine, params)
 		shared.sePages[i] = map[uint64]bool{}
 	}
 
@@ -259,8 +248,8 @@ func Run(m *machine.Machine, k *ir.Kernel, sys System, params Params, kparams ma
 		cr.consumeCount = make([]int, nsid)
 		cr.decideModes()
 		cr.buildStreams()
-		cr.core = cpu.NewCore(m.EngineOf(c), m.Cfg.CoreType, (*coreSource)(cr), cr.memFunc)
-		cr.core.SetAttribution(m.AttributionLane(int(m.ShardOf[c])))
+		cr.core = cpu.NewCore(m.Engine, m.Cfg.CoreType, (*coreSource)(cr), cr.memFunc)
+		cr.core.SetAttribution(m.Attrib)
 		runs = append(runs, cr)
 		for cat, n := range tr.DynOps {
 			res.DynOps[cat] += n
@@ -746,11 +735,11 @@ func (cr *coreRun) memFunc(seq uint64, ref cpu.MemRef, at sim.Time, done func())
 	if act, ok := cr.actions.Get(seq); ok {
 		cr.actions.Delete(seq)
 		mc.act = act
-		cr.engine().ScheduleAt(at, mc.actEv)
+		cr.m.Engine.ScheduleAt(at, mc.actEv)
 		return
 	}
 	mc.ref = ref
-	cr.engine().ScheduleAt(at, mc.accessEv)
+	cr.m.Engine.ScheduleAt(at, mc.accessEv)
 }
 
 // memCtx is the pooled context of one core memory access, from the core's

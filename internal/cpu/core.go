@@ -171,7 +171,7 @@ type Core struct {
 	OpsRetired uint64
 	MemOps     uint64
 
-	// attrib is the core's cycle-attribution lane (nil = off). Every
+	// attrib is the core's cycle-attribution sink (nil = off). Every
 	// pipeline park charges its blocking cause; charges are count-only
 	// (the park's duration is decided by the event that re-pumps).
 	attrib *obs.Attribution
@@ -242,9 +242,7 @@ func (c *Core) FinishTime() sim.Time { return c.lastRetire }
 // SetOnIdle registers a callback fired once when the stream completes.
 func (c *Core) SetOnIdle(fn func()) { c.onIdle = fn }
 
-// SetAttribution attaches a cycle-attribution lane (nil detaches). On a
-// sharded machine the lane must be the one owned by the shard the core's
-// engine belongs to.
+// SetAttribution attaches a cycle-attribution sink (nil detaches).
 func (c *Core) SetAttribution(a *obs.Attribution) { c.attrib = a }
 
 // completionOf returns the completion time of dependency seq, or ok=false

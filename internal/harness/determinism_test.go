@@ -92,94 +92,45 @@ func TestMemoCacheSharesJobsAcrossFigures(t *testing.T) {
 	}
 }
 
-// TestFigureBytesInvariantAcrossShardGrid is the parallel-DES analogue of
-// the worker-count guarantee above: figure bytes must be identical over
-// the whole {-shards 1, 2, 4} × {-j 1, 8} grid, because sharding only
-// changes which goroutine fires an event, never the event sequence. The
-// reference cell is (-shards 1, -j 1) — today's serial path — and every
-// other cell must reproduce it exactly. Fig 9 runs the Base system, the
-// only one that shards (stream systems clamp to one shard), over a
-// taxonomy-spanning pair; Fig 15's range sweep re-runs Base under
-// parameter overrides.
-func TestFigureBytesInvariantAcrossShardGrid(t *testing.T) {
-	render := func(shards, jobs int) map[string]string {
+// TestAttributionReportInvariantAcrossWorkers extends the worker-count
+// guarantee to the cycle-attribution profiler, and pins that attribution
+// observes without perturbing: Fig 9 over a taxonomy-spanning pair (Base
+// plus every stream system's SE/cache/NoC/DRAM charges) must give the
+// same canonical run report (Timing and Exec stripped, stalls and
+// histograms kept) at -j 1 and -j 8, and the same figure bytes with
+// attribution on and off.
+func TestAttributionReportInvariantAcrossWorkers(t *testing.T) {
+	render := func(jobs int, attribution bool) (fig, report string) {
 		cfg := DefaultConfig()
-		cfg.Shards = shards
-		cfg.Jobs = jobs
-		e := NewExp(cfg)
-		if got := e.Pool().Shards(); got != shards {
-			t.Fatalf("pool shards %d, want %d", got, shards)
-		}
-		out := make(map[string]string)
-		for _, fc := range []struct {
-			id     string
-			subset []string
-			render func(*Exp, []string) (*Table, error)
-		}{
-			{"9", []string{"pathfinder", "hash_join"}, (*Exp).Fig9},
-			{"15", []string{"pathfinder"}, (*Exp).Fig15},
-		} {
-			tab, err := fc.render(e, fc.subset)
-			if err != nil {
-				t.Fatalf("fig %s shards=%d j=%d: %v", fc.id, shards, jobs, err)
-			}
-			out[fc.id] = tab.String()
-		}
-		return out
-	}
-	want := render(1, 1)
-	for _, shards := range []int{2, 4} {
-		for _, jobs := range []int{1, 8} {
-			got := render(shards, jobs)
-			for id, tab := range want {
-				if got[id] != tab {
-					t.Errorf("fig %s differs at shards=%d j=%d vs serial:\n--- serial ---\n%s--- shards=%d j=%d ---\n%s",
-						id, shards, jobs, tab, shards, jobs, got[id])
-				}
-			}
-		}
-	}
-}
-
-// TestAttributionReportInvariantAcrossShardGrid extends the grid
-// guarantee to the cycle-attribution profiler: the canonical run report
-// (Timing and Exec stripped, stalls/histograms kept) must be
-// byte-identical over {-shards 1, 2, 4} × {-j 1, 8}, because every
-// charge site fires at a deterministic simulation event. Fig 9 over a
-// taxonomy-spanning pair covers Base (the sharding system) plus every
-// stream system's SE/cache/NoC/DRAM charges.
-func TestAttributionReportInvariantAcrossShardGrid(t *testing.T) {
-	render := func(shards, jobs int) string {
-		cfg := DefaultConfig()
-		cfg.Shards = shards
 		cfg.Jobs = jobs
 		e := NewExp(cfg)
 		c := obs.NewCollector(0, 0)
-		c.Attribution = true
+		c.Attribution = attribution
 		e.Pool().Obs = c
-		if _, err := e.Fig9([]string{"pathfinder", "hash_join"}); err != nil {
-			t.Fatalf("fig 9 shards=%d j=%d: %v", shards, jobs, err)
+		tab, err := e.Fig9([]string{"pathfinder", "hash_join"})
+		if err != nil {
+			t.Fatalf("fig 9 j=%d attribution=%v: %v", jobs, attribution, err)
 		}
 		var buf bytes.Buffer
 		if err := c.Report().Canonical().WriteJSON(&buf); err != nil {
-			t.Fatalf("report shards=%d j=%d: %v", shards, jobs, err)
+			t.Fatalf("report j=%d: %v", jobs, err)
 		}
-		return buf.String()
+		return tab.String(), buf.String()
 	}
-	want := render(1, 1)
+	fig, want := render(1, true)
 	if !strings.Contains(want, `"attribution"`) {
-		t.Fatalf("serial report carries no attribution section:\n%s", want)
+		t.Fatalf("report carries no attribution section:\n%s", want)
 	}
 	if strings.Contains(want, `"exec"`) {
 		t.Fatalf("canonical report kept the execution-dependent exec section:\n%s", want)
 	}
-	for _, shards := range []int{2, 4} {
-		for _, jobs := range []int{1, 8} {
-			if got := render(shards, jobs); got != want {
-				t.Errorf("canonical attribution report differs at shards=%d j=%d vs serial:\n--- serial ---\n%s--- shards=%d j=%d ---\n%s",
-					shards, jobs, want, shards, jobs, got)
-			}
-		}
+	if fig8, got := render(8, true); got != want {
+		t.Errorf("canonical attribution report differs at j=8 vs j=1:\n--- j=1 ---\n%s--- j=8 ---\n%s", want, got)
+	} else if fig8 != fig {
+		t.Errorf("fig 9 differs at j=8 vs j=1:\n--- j=1 ---\n%s--- j=8 ---\n%s", fig, fig8)
+	}
+	if off, _ := render(8, false); off != fig {
+		t.Errorf("fig 9 differs with attribution off:\n--- on ---\n%s--- off ---\n%s", fig, off)
 	}
 }
 
@@ -196,13 +147,10 @@ var goldenSubset = []string{"pathfinder", "histogram", "pr_pull", "hash_join"}
 // engine's event-ordering contract across event-queue and cache/NoC
 // data-structure rewrites, which must keep every figure byte-identical.
 //
-// The digests were last regenerated when the NoC moved to barrier-deferred
-// routing for parallel DES: same-cycle sends are now routed in canonical
-// (send time, src node, per-src sequence) order instead of the old serial
-// engine's global insertion order. The canonical order is a function of
-// the model alone, so from that baseline forward the digests additionally
-// pin shard-count invariance (TestFigureBytesInvariantAcrossShardGrid
-// checks the grid directly).
+// The digests were last regenerated when the NoC moved to routing each
+// lookahead window's sends at its barrier: same-cycle sends are routed in
+// canonical (send time, src node, per-src sequence) order instead of the
+// engine's global insertion order, so the digests also pin that order.
 const goldenPath = "figure_digests.json"
 
 // TestFigureDigestsMatchGolden renders every figure at CI scale over the

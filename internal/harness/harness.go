@@ -29,9 +29,12 @@ type Config struct {
 	// byte-identical at any value: each simulation is a self-contained
 	// deterministic machine and rows are assembled in declaration order.
 	Jobs int
-	// Shards partitions each simulated machine into that many parallel DES
-	// engines (the -shards flag; <= 1 means serial). Another execution
-	// knob: figure output is byte-identical at any value.
+
+	// Shards is kept only for perfbench/, the repo benchmark, which sets
+	// it; the next change to the benchmark removes it. Every machine runs
+	// on one engine.
+	//
+	// Deprecated: Shards is ignored.
 	Shards int
 }
 

@@ -82,15 +82,14 @@ func TestSendAllocFreeWithAttribution(t *testing.T) {
 	}
 }
 
-// TestShardedSendWindowAllocFree extends the contract to a network
-// attached to a one-shard ShardGroup — the path machine.New always
-// builds, -shards 1 included. Sends from inside a window are captured to
-// the shard's outbox and routed at the barrier, and neither the capture
-// nor the barrier's canonical ordering of the window's sends may
-// allocate.
-func TestShardedSendWindowAllocFree(t *testing.T) {
-	g, n := shardedNet(4, 4, 1, false)
-	e := g.Engine(0)
+// TestWindowedSendAllocFree extends the contract to a network attached
+// to a window loop — the path machine.New builds. Sends from inside a
+// window are captured to the outbox and routed at the barrier, and
+// neither the capture nor the barrier's canonical ordering of the
+// window's sends may allocate.
+func TestWindowedSendAllocFree(t *testing.T) {
+	loop, n := windowedNet(4, 4)
+	e := loop.Engine()
 	msgs := [4]Message{
 		{Src: 0, Dst: 15, Bytes: 64, Class: TrafficData},
 		{Src: 5, Dst: 3, Bytes: 8, Class: TrafficControl},
@@ -104,12 +103,12 @@ func TestShardedSendWindowAllocFree(t *testing.T) {
 	}
 	window := func() {
 		e.Schedule(1, send)
-		g.Run()
+		loop.Run()
 	}
 	for i := 0; i < 64; i++ { // warm the outboxes and engine queue
 		window()
 	}
 	if a := testing.AllocsPerRun(200, window); a != 0 {
-		t.Errorf("4-send window on an attached 1-shard network: %.2f allocs/op, want 0", a)
+		t.Errorf("4-send window on a windowed network: %.2f allocs/op, want 0", a)
 	}
 }

@@ -142,49 +142,35 @@ type Network struct {
 	ctrByteHops, ctrMsgs    [numTrafficClasses]obs.Counter
 	tracer                  *obs.Tracer
 	// attrib (usually nil) receives link-backpressure charges from
-	// deliveryTimeAt. Link reservation is global state mutated only
-	// single-threaded — serially, or at window barriers in canonical send
-	// order — so one lane is safe at any shard count and the charged waits
-	// are shard-count-invariant.
+	// deliveryTimeAt.
 	attrib *obs.Attribution
-	// sh is non-nil once AttachShards has bound the network to a
-	// ShardGroup; it turns Send/Multicast into capture sites whose
-	// routing is deferred to window barriers (see AttachShards).
-	sh *sharding
+	// ex is non-nil once AttachWindows has bound the network to a
+	// window loop; it turns Send/Multicast into capture sites whose
+	// routing is deferred to window barriers (see exchange).
+	ex *exchange
 }
 
-// sharding is the cross-shard exchange state of a partitioned network.
+// exchange is the window-barrier send path of a windowed network.
 //
 // Link reservation (deliveryTimeAt) is global, non-causal state: a send
-// from any node advances nextFree on every link of its route, so it can
-// never run concurrently from shard goroutines. Instead each shard
-// appends its window's sends to a private outbox, and at the window
-// barrier the ShardGroup's flush hook routes them all, single-threaded,
-// in canonical (send time, src node, per-src sequence) order. The order
-// is a function of the model alone — never of the shard count or the
-// goroutine schedule — so link contention resolves identically for every
-// K, and each delivery is scheduled on its destination shard's engine
-// with the send time as its stamp, which restores the serial engine's
-// intra-cycle position (see sim.Engine.ScheduleStampedAt).
+// from any node advances nextFree on every link of its route. A windowed
+// network appends each window's sends to an outbox, and at the window
+// barrier the loop's flush hook routes them all in canonical (send time,
+// src node, per-src sequence) order, scheduling each delivery with the
+// send time as its stamp, which restores the position an immediate
+// schedule would have had (see sim.Engine.ScheduleStampedAt). The
+// canonical order, not the emission order, decides link contention among
+// same-cycle sends; it is part of the model the golden digests pin.
 //
 // Same-node messages bypass the exchange for timing (they use no links
-// and their router-only latency may be below the group's lookahead) and
-// are scheduled immediately on their own shard's engine, exactly like
-// the serial path; only their accounting is deferred to the barrier so
-// counters and traffic stay single-writer.
-type sharding struct {
-	group   *sim.ShardGroup
-	shardOf []int32
-	outbox  [][]pendingSend
+// and their router-only latency may be below the lookahead) and are
+// scheduled immediately, exactly like the immediate path; only their
+// accounting is deferred to the barrier.
+type exchange struct {
+	outbox []pendingSend
 	// sendSeq is the per-src-node send counter, the canonical tiebreak
-	// for same-cycle sends. Each node belongs to exactly one shard, so
-	// the counters are single-writer.
+	// for same-cycle sends.
 	sendSeq []uint64
-	scratch []pendingSend
-}
-
-func (sh *sharding) engineOf(node int32) *sim.Engine {
-	return sh.group.Engine(int(sh.shardOf[node]))
 }
 
 // pendingSend is one captured Send or Multicast awaiting barrier routing.
@@ -239,14 +225,13 @@ func New(engine *sim.Engine, cfg Config) *Network {
 func (n *Network) SetTracer(tr *obs.Tracer) { n.tracer = tr }
 
 // SetAttribution attaches (or with nil detaches) a cycle-attribution
-// lane. Every link traversal charges its queueing wait — the cycles a
+// sink. Every link traversal charges its queueing wait — the cycles a
 // message sat behind earlier traffic on a link — and feeds the link-wait
-// histogram. Like the tracer on a sharded network, the single lane is
-// written only at barrier flushes, so lane 0 of the machine's set is safe.
+// histogram.
 func (n *Network) SetAttribution(a *obs.Attribution) { n.attrib = a }
 
-// Lookahead returns the conservative parallel-simulation window a mesh
-// supports: the minimum latency of any cross-node message, two router
+// Lookahead returns the barrier window a mesh supports: the minimum
+// latency of any cross-node message, two router
 // traversals plus one link hop (serialization contributes at least one
 // further cycle, absorbed by the -1 in the delivery-time formula). A
 // degenerate zero-latency configuration clamps to one cycle; barrier
@@ -259,38 +244,23 @@ func Lookahead(cfg Config) sim.Time {
 	return la
 }
 
-// AttachShards binds the network to a ShardGroup: shardOf maps every mesh
-// node to the shard whose engine owns its components. From then on
-// Send/Multicast must be invoked from the shard owning m.Src (which is
-// automatic when components only message from their own event context),
-// cross-node deliveries are routed at window barriers (see sharding), and
-// the group's window must not exceed the mesh's Lookahead, or deliveries
-// could land inside a window that already executed.
-func (n *Network) AttachShards(g *sim.ShardGroup, shardOf []int32) {
-	if len(shardOf) != n.Nodes() {
-		panic(fmt.Sprintf("noc: shard map covers %d nodes, mesh has %d", len(shardOf), n.Nodes()))
+// AttachWindows binds the network to a window loop driving its engine:
+// from then on cross-node deliveries are routed at window barriers (see
+// exchange). The loop's window must not exceed the mesh's Lookahead, or
+// deliveries could land inside a window that already executed.
+func (n *Network) AttachWindows(w *sim.Windowed) {
+	if w.Window() > Lookahead(n.cfg) {
+		panic(fmt.Sprintf("noc: window %d exceeds mesh lookahead %d", w.Window(), Lookahead(n.cfg)))
 	}
-	if g.Window() > Lookahead(n.cfg) {
-		panic(fmt.Sprintf("noc: shard window %d exceeds mesh lookahead %d", g.Window(), Lookahead(n.cfg)))
+	if w.Engine() != n.engine {
+		panic("noc: window loop drives another engine")
 	}
-	for _, s := range shardOf {
-		if int(s) < 0 || int(s) >= g.Shards() {
-			panic(fmt.Sprintf("noc: shard %d outside group of %d", s, g.Shards()))
-		}
-	}
-	n.sh = &sharding{
-		group:   g,
-		shardOf: append([]int32(nil), shardOf...),
-		outbox:  make([][]pendingSend, g.Shards()),
-		sendSeq: make([]uint64, n.Nodes()),
-	}
-	n.engine = g.Engine(0) // the horizon event's (and Utilization's) clock
-	g.AddFlush(n.flushShards)
+	n.ex = &exchange{sendSeq: make([]uint64, n.Nodes())}
+	w.AddFlush(n.flushWindow)
 }
 
 // Registry returns the network's counter registry (message counts and
-// per-class traffic). It is written only single-threaded — serially or
-// at window barriers — so reading it after a run needs no merging.
+// per-class traffic).
 func (n *Network) Registry() *obs.Registry { return n.reg }
 
 // record charges a message of size bytes travelling hops mesh links to
@@ -420,29 +390,28 @@ func (n *Network) serializationCycles(bytes int) sim.Time {
 
 // Send routes a message, charges traffic, and schedules OnDeliver at the
 // arrival time. Local (src==dst) messages are delivered after the router
-// latency with no link traffic. On a sharded network cross-node routing
-// is captured and deferred to the window barrier (see sharding).
+// latency with no link traffic. On a windowed network cross-node routing
+// is captured and deferred to the window barrier (see exchange).
 func (n *Network) Send(m *Message) {
 	n.check(m.Src)
 	n.check(m.Dst)
-	if sh := n.sh; sh != nil {
-		now := sh.engineOf(int32(m.Src)).Now()
-		sh.sendSeq[m.Src]++
-		p := pendingSend{at: now, seq: sh.sendSeq[m.Src],
+	if ex := n.ex; ex != nil {
+		now := n.engine.Now()
+		ex.sendSeq[m.Src]++
+		p := pendingSend{at: now, seq: ex.sendSeq[m.Src],
 			src: int32(m.Src), dst: int32(m.Dst), bytes: int32(m.Bytes),
 			class: m.Class, fn: m.OnDeliver}
 		if m.Src == m.Dst {
 			// Same-node: no link state touched, and the router-only
-			// latency may undercut the lookahead window — deliver on the
-			// owning engine immediately, exactly like the serial path,
-			// deferring only the accounting.
+			// latency may undercut the lookahead window — deliver
+			// immediately, exactly like the immediate path, deferring
+			// only the accounting.
 			p.local = true
 			if m.OnDeliver != nil {
-				sh.engineOf(int32(m.Src)).ScheduleAt(now+n.cfg.RouterLatency, m.OnDeliver)
+				n.engine.ScheduleAt(now+n.cfg.RouterLatency, m.OnDeliver)
 			}
 		}
-		s := sh.shardOf[m.Src]
-		sh.outbox[s] = append(sh.outbox[s], p)
+		ex.outbox = append(ex.outbox, p)
 		return
 	}
 	n.ctrSends.Inc()
@@ -507,11 +476,7 @@ func (n *Network) BusyLinkCycles() uint64 {
 // Utilization returns the average fraction of link-cycles occupied so far
 // (Figure 12's companion metric). Zero before any traffic or time.
 func (n *Network) Utilization() float64 {
-	clock := n.engine.Now()
-	if n.sh != nil {
-		clock = n.sh.group.Now()
-	}
-	now := uint64(clock)
+	now := uint64(n.engine.Now())
 	if now == 0 {
 		return 0
 	}
@@ -544,17 +509,17 @@ func (n *Network) scheduleDelivery(at sim.Time, fn func()) {
 // Multicast sends one payload to several destinations along a shared X-Y
 // tree: links common to multiple destinations are charged once, modelling
 // the router multicast support of Table V. OnDeliver (if non-nil) runs once
-// per destination. On a sharded network remote deliveries are deferred to
-// the window barrier like Send's.
+// per destination. On a windowed network remote deliveries are deferred
+// to the window barrier like Send's.
 func (n *Network) Multicast(src int, dsts []int, bytes int, class TrafficClass, onDeliver func(dst int)) {
 	n.check(src)
 	if len(dsts) == 0 {
 		return
 	}
-	if sh := n.sh; sh != nil {
-		now := sh.engineOf(int32(src)).Now()
-		sh.sendSeq[src]++
-		p := pendingSend{at: now, seq: sh.sendSeq[src], src: int32(src),
+	if ex := n.ex; ex != nil {
+		now := n.engine.Now()
+		ex.sendSeq[src]++
+		p := pendingSend{at: now, seq: ex.sendSeq[src], src: int32(src),
 			bytes: int32(bytes), class: class, mfn: onDeliver,
 			dsts: make([]int32, len(dsts))}
 		for i, d := range dsts {
@@ -563,11 +528,10 @@ func (n *Network) Multicast(src int, dsts []int, bytes int, class TrafficClass, 
 			if d == src && onDeliver != nil {
 				// Same-node member: deliver immediately, like Send.
 				d := d
-				sh.engineOf(int32(src)).ScheduleAt(now+n.cfg.RouterLatency, func() { onDeliver(d) })
+				n.engine.ScheduleAt(now+n.cfg.RouterLatency, func() { onDeliver(d) })
 			}
 		}
-		s := sh.shardOf[src]
-		sh.outbox[s] = append(sh.outbox[s], p)
+		ex.outbox = append(ex.outbox, p)
 		return
 	}
 	n.multicastTraffic(src, dsts, nil, bytes, class)
@@ -590,7 +554,7 @@ func (n *Network) Multicast(src int, dsts []int, bytes int, class TrafficClass, 
 // multicastTraffic charges a multicast tree's traffic: links shared by
 // several destinations count once, stamping the scratch array with a
 // fresh epoch instead of building a per-message set. Exactly one of
-// dsts/dsts32 is non-nil (the serial and deferred call sites).
+// dsts/dsts32 is non-nil (the immediate and deferred call sites).
 func (n *Network) multicastTraffic(src int, dsts []int, dsts32 []int32, bytes int, class TrafficClass) {
 	n.epoch++
 	if n.epoch == 0 { // wrapped: old stamps are ambiguous, clear them
@@ -617,33 +581,18 @@ func (n *Network) multicastTraffic(src int, dsts []int, dsts32 []int32, bytes in
 	n.ctrMulticasts.Inc()
 }
 
-// flushShards is the ShardGroup barrier hook: it drains every shard's
-// outbox, orders the window's sends canonically by (send time, src node,
-// per-src sequence) — a key that does not depend on the shard count or
-// on goroutine scheduling — and routes them against the global link state
-// exactly as the serial Send path would have, scheduling each remote
-// delivery on its destination shard's engine stamped with the send time.
-func (n *Network) flushShards(limit sim.Time) {
-	sh := n.sh
-	buf := sh.scratch[:0]
-	for i := range sh.outbox {
-		buf = append(buf, sh.outbox[i]...)
-		ob := sh.outbox[i]
-		for j := range ob {
-			ob[j] = pendingSend{} // release closure/dsts references
-		}
-		sh.outbox[i] = ob[:0]
-	}
-	if len(buf) == 0 {
-		sh.scratch = buf
-		return
-	}
+// flushWindow is the window loop's barrier hook: it orders the window's
+// sends canonically by (send time, src node, per-src sequence) and routes
+// them against the link state exactly as the immediate Send path would
+// have, scheduling each remote delivery stamped with its send time.
+func (n *Network) flushWindow(limit sim.Time) {
+	buf := n.ex.outbox
 	slices.SortFunc(buf, comparePending)
 	for i := range buf {
 		n.routeDeferred(&buf[i], limit)
-		buf[i] = pendingSend{}
+		buf[i] = pendingSend{} // release closure/dsts references
 	}
-	sh.scratch = buf[:0]
+	n.ex.outbox = buf[:0]
 }
 
 // comparePending orders captured sends by (send time, src node, per-src
@@ -659,10 +608,9 @@ func comparePending(a, b pendingSend) int {
 	return cmp.Compare(a.seq, b.seq)
 }
 
-// routeDeferred performs the serial Send/Multicast bookkeeping for one
+// routeDeferred performs the immediate Send/Multicast bookkeeping for one
 // captured message at the window barrier.
 func (n *Network) routeDeferred(p *pendingSend, limit sim.Time) {
-	sh := n.sh
 	if p.dsts != nil { // multicast
 		n.multicastTraffic(int(p.src), nil, p.dsts, int(p.bytes), p.class)
 		for _, d := range p.dsts {
@@ -680,7 +628,7 @@ func (n *Network) routeDeferred(p *pendingSend, limit sim.Time) {
 			default:
 				d := int(d)
 				mfn := p.mfn
-				sh.engineOf(int32(d)).ScheduleStampedAt(arrive, p.at, func() { mfn(d) })
+				n.engine.ScheduleStampedAt(arrive, p.at, func() { mfn(d) })
 			}
 		}
 		return
@@ -700,14 +648,14 @@ func (n *Network) routeDeferred(p *pendingSend, limit sim.Time) {
 	case p.local:
 		// Delivered at capture time; accounted here.
 	default:
-		sh.engineOf(p.dst).ScheduleStampedAt(arrive, p.at, p.fn)
+		n.engine.ScheduleStampedAt(arrive, p.at, p.fn)
 	}
 }
 
 // deferHorizon extends the drain horizon for a fire-and-forget delivery
-// routed at a barrier: the chasing horizon event (on shard 0's engine,
-// which may have run past the arrival already) keeps the group clock open
-// through the latest such arrival.
+// routed at a barrier: the chasing horizon event (the engine may have run
+// past the arrival already) keeps the clock open through the latest such
+// arrival.
 func (n *Network) deferHorizon(arrive, limit sim.Time) {
 	if arrive > n.drainAt {
 		n.drainAt = arrive

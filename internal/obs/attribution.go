@@ -10,7 +10,7 @@ import (
 
 // Cycle attribution: where did the cycles go?
 //
-// An Attribution is one lane of stall accounting. Every blocking site in
+// An Attribution is a job's stall accounting. Every blocking site in
 // the model — a core that cannot dispatch, a cache request merged into an
 // in-flight miss, a NoC send queued behind a busy link, a DRAM access
 // behind the controller — charges the stall to a typed reason. Charging
@@ -18,15 +18,11 @@ import (
 // Charge/Observe methods are nil-receiver-safe single-branch no-ops, and
 // an enabled charge is two fixed-array adds. No maps, no allocation, ever.
 //
-// Lanes are single-writer like trace lanes: on a sharded machine each
-// shard engine charges its own lane and the lanes merge canonically after
-// the run. Every charge site fires at a deterministic simulation event —
-// the same events fire with the same outcomes at any shard count — so the
-// merged totals are byte-identical over the -shards × -j grid. Host-side
-// execution diagnostics (idle-elision savings, wheel occupancy, barrier
-// stalls) are NOT charges: they depend on the shard partition, so they
-// ride in the report's Exec section, which Canonical() strips alongside
-// Timing and Env.
+// Every charge site fires at a deterministic simulation event, so the
+// totals are byte-identical at any -j. Host-side execution diagnostics
+// (windows, idle-elision savings, wheel occupancy) are NOT charges: they
+// describe how the engine ran, so they ride in the report's Exec section,
+// which Canonical() strips alongside Timing and Env.
 
 // StallReason enumerates the blocking causes the model charges cycles to.
 type StallReason uint8
@@ -73,7 +69,7 @@ func (r StallReason) String() string { return stallNames[r] }
 // Component returns the subsystem the reason belongs to.
 func (r StallReason) Component() string { return stallComponents[r] }
 
-// HistKind enumerates the model-level (canonical, shard-invariant)
+// HistKind enumerates the model-level (canonical)
 // log-bucketed histograms an Attribution carries.
 type HistKind uint8
 
@@ -112,21 +108,12 @@ func (h *Hist) Observe(v uint64) {
 	h.Count++
 }
 
-// Merge adds src's observations into h.
-func (h *Hist) Merge(src *Hist) {
-	for i := range src.Buckets {
-		h.Buckets[i] += src.Buckets[i]
-	}
-	h.Sum += src.Sum
-	h.Count += src.Count
-}
-
 // BucketUpper returns bucket i's inclusive upper bound (2^i - 1).
 func BucketUpper(i int) uint64 {
 	return 1<<uint(i) - 1
 }
 
-// Attribution is one lane of cycle attribution. The zero value is ready;
+// Attribution is one job's cycle attribution. The zero value is ready;
 // a nil *Attribution means attribution is off and every method no-ops.
 type Attribution struct {
 	Counts [NumStallReasons]uint64
@@ -134,7 +121,7 @@ type Attribution struct {
 	Hists  [NumHistKinds]Hist
 }
 
-// NewAttribution returns an empty lane.
+// NewAttribution returns an empty attribution.
 func NewAttribution() *Attribution { return &Attribution{} }
 
 // Enabled reports whether charges are being recorded. Charge sites with
@@ -153,36 +140,12 @@ func (a *Attribution) Charge(r StallReason, cycles uint64) {
 	a.Cycles[r] += cycles
 }
 
-// Observe records a value into one of the lane's histograms.
+// Observe records a value into one of the histograms.
 func (a *Attribution) Observe(k HistKind, v uint64) {
 	if a == nil {
 		return
 	}
 	a.Hists[k].Observe(v)
-}
-
-// Merge adds src's charges into a. Used for the canonical cross-shard
-// lane merge; summation is order-independent, so the merged totals do not
-// depend on the shard count or merge order.
-func (a *Attribution) Merge(src *Attribution) {
-	if a == nil || src == nil {
-		return
-	}
-	for i := range src.Counts {
-		a.Counts[i] += src.Counts[i]
-		a.Cycles[i] += src.Cycles[i]
-	}
-	for i := range src.Hists {
-		a.Hists[i].Merge(&src.Hists[i])
-	}
-}
-
-// Reset zeroes the lane for reuse.
-func (a *Attribution) Reset() {
-	if a == nil {
-		return
-	}
-	*a = Attribution{}
 }
 
 // AttributionSchema versions the attribution section of a run report.
@@ -224,30 +187,21 @@ func ReportHist(name string, h *Hist) HistogramReport {
 }
 
 // ExecReport is the execution-dependent side of an attribution report:
-// how THIS run of the simulation went on THIS host with THIS shard
-// partition. Everything here varies with -shards (and some of it with
-// host load), so Canonical() strips it, exactly like JobTiming and RunEnv.
+// how the engine ran the job rather than what the simulated machine did.
+// Canonical() strips it, exactly like JobTiming and RunEnv.
 type ExecReport struct {
-	// Shards is the shard-engine count the job ran with.
-	Shards int `json:"shards,omitempty"`
 	// Windows is the number of barrier-synchronized windows executed.
 	Windows uint64 `json:"windows,omitempty"`
-	// IdleElidedCycles is the total idle cycles the engines' time wheels
-	// skipped instead of ticking through (summed over shards).
+	// IdleElidedCycles is the total idle cycles the engine's time wheel
+	// skipped instead of ticking through.
 	IdleElidedCycles uint64 `json:"idle_elided_cycles,omitempty"`
 	// WheelOccupancy is the distribution of pending wheel events observed
-	// at slow-path scheduler steps (summed over shards).
+	// at slow-path scheduler steps.
 	WheelOccupancy *HistogramReport `json:"wheel_occupancy,omitempty"`
-	// ShardStallSeconds is per-shard wall-clock time spent waiting at
-	// window barriers for the slowest shard.
-	ShardStallSeconds []float64 `json:"shard_stall_seconds,omitempty"`
-	// LaggardWindows counts, per shard, the windows where that shard was
-	// the slowest — the shard on the barrier critical path.
-	LaggardWindows []uint64 `json:"laggard_windows,omitempty"`
 }
 
 // AttributionReport is the attribution section of a JobReport. Stalls and
-// Hists are canonical — byte-identical for a job at any -shards/-j — and
+// Hists are canonical — byte-identical for a job at any -j — and
 // list entries in fixed enum order, skipping zeros. Exec is the
 // execution-dependent remainder, stripped by RunReport.Canonical.
 type AttributionReport struct {
@@ -257,7 +211,7 @@ type AttributionReport struct {
 	Exec   *ExecReport       `json:"exec,omitempty"`
 }
 
-// Report assembles the canonical report section from a merged lane. The
+// Report assembles the canonical report section. The
 // caller attaches the ExecReport, if any, afterwards.
 func (a *Attribution) Report() *AttributionReport {
 	if a == nil {
@@ -286,8 +240,8 @@ func (a *Attribution) Report() *AttributionReport {
 
 // WriteStallTable renders the attribution sections of a report as a flat
 // text table: one block per job, reasons sorted by charged cycles (then
-// count), with a shard-imbalance footer when the job ran sharded. This is
-// the -stall-report surface of nsexp and nsrun.
+// count), with an engine footer when the report carries an Exec section.
+// This is the -stall-report surface of nsexp and nsrun.
 func WriteStallTable(w io.Writer, rep *RunReport) error {
 	bw := bufio.NewWriter(w)
 	blocks := 0
@@ -339,21 +293,11 @@ func writeJobStalls(bw *bufio.Writer, a *AttributionReport) {
 		fmt.Fprintf(bw, "  hist %-24s count=%d sum=%d mean=%.1f\n",
 			h.Name, h.Count, h.Sum, histMean(h))
 	}
-	if ex := a.Exec; ex != nil {
-		if ex.IdleElidedCycles > 0 || ex.Windows > 0 {
-			fmt.Fprintf(bw, "  exec: shards=%d windows=%d idle_elided_cycles=%d\n",
-				ex.Shards, ex.Windows, ex.IdleElidedCycles)
-		}
-		if len(ex.ShardStallSeconds) > 1 {
-			fmt.Fprintf(bw, "  %-6s %14s %14s\n", "shard", "stall_s", "laggard_win")
-			for i, s := range ex.ShardStallSeconds {
-				var lw uint64
-				if i < len(ex.LaggardWindows) {
-					lw = ex.LaggardWindows[i]
-				}
-				fmt.Fprintf(bw, "  %-6d %14.3f %14d\n", i, s, lw)
-			}
-		}
+	if ex := a.Exec; ex != nil && (ex.IdleElidedCycles > 0 || ex.Windows > 0) {
+		// Every machine runs on one engine; the shards=1 token keeps the
+		// line's format for readers that parse it.
+		fmt.Fprintf(bw, "  exec: shards=1 windows=%d idle_elided_cycles=%d\n",
+			ex.Windows, ex.IdleElidedCycles)
 	}
 }
 

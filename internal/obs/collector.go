@@ -15,9 +15,8 @@ type JobRecord struct {
 	Trace *Tracer
 	// Sampler is the job's time series (nil when sampling is off).
 	Sampler *Sampler
-	// Attrib is the job's merged cycle-attribution lane (nil when
-	// attribution is off). The executing worker attaches it to its machine
-	// and merges the per-shard lanes back into it after the run.
+	// Attrib is the job's cycle attribution (nil when attribution is
+	// off). The executing worker attaches it to its machine.
 	Attrib *Attribution
 	// Exec is the execution-dependent attribution remainder the worker
 	// fills after the run (nil when attribution is off or the job was

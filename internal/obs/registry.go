@@ -69,9 +69,7 @@ func (r *Registry) Has(name string) bool {
 }
 
 // SumInto adds every non-zero counter into dst by name. Zero counters are
-// skipped, so a snapshot holds a counter only once it was touched, and
-// summing several registries (per-shard lanes) gives shard-independent
-// totals.
+// skipped, so a snapshot holds a counter only once it was touched.
 func (r *Registry) SumInto(dst map[string]uint64) {
 	for i, v := range r.vals {
 		if v != 0 {

@@ -22,10 +22,13 @@ type JobTiming struct {
 	WallSeconds float64 `json:"wall_seconds"`
 	// SimCyclesPerSec is simulated cycles per host second.
 	SimCyclesPerSec float64 `json:"sim_cycles_per_sec"`
-	// ShardStallSeconds is the wall-clock time the job's shard engines
-	// spent waiting at window barriers for the slowest shard, summed over
-	// shards (0 for serial jobs — and for parallel ones on an idle
-	// single-processor host, where windows run inline).
+
+	// ShardStallSeconds is kept only for perfbench/, the repo benchmark,
+	// which is its one reader; the next change to the benchmark removes
+	// it. Every machine runs on one engine, so there is no barrier stall
+	// to report.
+	//
+	// Deprecated: ShardStallSeconds is always 0.
 	ShardStallSeconds float64 `json:"shard_stall_seconds,omitempty"`
 }
 
@@ -72,17 +75,13 @@ type RunEnv struct {
 	Date      string `json:"date,omitempty"`
 	// Workers is the pool's concurrency bound.
 	Workers int `json:"workers,omitempty"`
-	// Shards is the per-job shard-engine count (parallel DES; 0/1 = serial).
-	// Like Workers it is an execution knob: job results are byte-identical
-	// at any value, so it lives in Env, outside the canonical report.
-	Shards int `json:"shards,omitempty"`
 	// WallSeconds is the whole run's host time.
 	WallSeconds float64 `json:"wall_seconds,omitempty"`
 	// PeakRSSBytes is the process's high-water resident set (VmHWM); 0
 	// when the platform does not expose it.
 	PeakRSSBytes uint64 `json:"peak_rss_bytes,omitempty"`
 	// Fleet is the coordinator's worker-topology snapshot (nsd coordinator
-	// mode). Like Workers and Shards it describes the execution, never a
+	// mode). Like Workers it describes the execution, never a
 	// result — Canonical strips the whole Env — so merged fleet reports
 	// stay byte-identical to single-daemon ones.
 	Fleet any `json:"fleet,omitempty"`
@@ -107,10 +106,9 @@ func (r *RunReport) Canonical() *RunReport {
 	for i, j := range r.Jobs {
 		j.Timing = JobTiming{}
 		if j.Attribution != nil && j.Attribution.Exec != nil {
-			// The Exec subsection describes the execution (shard partition,
-			// barrier waits, idle elision) rather than the simulated machine,
-			// so it varies with -shards; strip it like Timing, keeping the
-			// canonical Stalls/Hists.
+			// The Exec subsection describes the execution (windows, idle
+			// elision) rather than the simulated machine; strip it like
+			// Timing, keeping the canonical Stalls/Hists.
 			a := *j.Attribution
 			a.Exec = nil
 			j.Attribution = &a

@@ -150,19 +150,12 @@ func (t *Tracer) Cap() int {
 	return len(t.ring)
 }
 
-// MergeTracers replays the union of the lanes' retained events into dst in
-// a canonical full-field order (Time, Kind, Tile, A, B, Dur). A sharded
-// machine records each shard's events into its own lane; because the
-// multiset of events is shard-count-invariant, the sorted replay makes the
-// merged trace byte-identical at any shard count and goroutine schedule.
-// Dropped events (wrapped lanes) are folded into dst's drop count.
-func MergeTracers(dst *Tracer, lanes ...*Tracer) {
-	var all []Event
-	var dropped uint64
-	for _, l := range lanes {
-		all = append(all, l.Events()...)
-		dropped += l.Dropped()
-	}
+// AppendCanonical replays src's retained events into t in a canonical
+// full-field order (Time, Kind, Tile, A, B, Dur), whatever order they
+// were emitted in, and folds src's dropped events (a wrapped ring) into
+// t's drop count.
+func (t *Tracer) AppendCanonical(src *Tracer) {
+	all := src.Events()
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]
 		if a.Time != b.Time {
@@ -182,8 +175,8 @@ func MergeTracers(dst *Tracer, lanes ...*Tracer) {
 		}
 		return a.Dur < b.Dur
 	})
-	dst.total += dropped
+	t.total += src.Dropped()
 	for _, ev := range all {
-		dst.Emit(ev)
+		t.Emit(ev)
 	}
 }

@@ -19,14 +19,8 @@ func testTile() (*sim.Engine, *cache.Hierarchy, *cache.Tile) {
 	return e, h, h.Tile(0)
 }
 
-// counter sums one counter over the hierarchy's shard-lane registries.
-func counter(h *cache.Hierarchy, name string) uint64 {
-	var v uint64
-	for _, r := range h.Registries() {
-		v += r.Get(name)
-	}
-	return v
-}
+// counter reads one counter of the hierarchy's registry.
+func counter(h *cache.Hierarchy, name string) uint64 { return h.Registry().Get(name) }
 
 func TestStrideDetectsAndPrefetches(t *testing.T) {
 	e, h, tile := testTile()

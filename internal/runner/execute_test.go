@@ -79,8 +79,7 @@ func TestResultCounterNamesInterned(t *testing.T) {
 	for _, sys := range []core.System{core.Base, core.NS} {
 		j := job("histogram", sys)
 		m := machine.New(MachineConfig(j, sys == core.Base))
-		_, _, err := simulate(m, j, nil)
-		m.Close()
+		_, err := simulate(m, j, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

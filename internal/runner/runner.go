@@ -4,9 +4,9 @@
 // across worker goroutines with an in-process memo cache keyed by the job
 // digest, so a measurement shared by several figures (every figure's
 // (workload, Base) denominator, for instance) simulates exactly once per
-// process. Each simulation is a self-contained sim.ShardGroup of
-// deterministic engines, so results are bit-for-bit identical at any
-// worker count and any shard count.
+// process. Each simulation is a self-contained machine on one
+// deterministic engine, so results are bit-for-bit identical at any
+// worker count.
 package runner
 
 import (
@@ -161,35 +161,16 @@ func Execute(j Job) (*Result, error) { return ExecuteObs(j, nil) }
 // Tracing and sampling observe the run without perturbing it, so the
 // Result is identical either way.
 func ExecuteObs(j Job, rec *obs.JobRecord) (*Result, error) {
-	res, _, err := ExecuteShardsObs(j, rec, 1)
-	return res, err
-}
-
-// ExecuteShardsObs is ExecuteObs with the machine partitioned into shards
-// parallel DES engines. Shards is an execution knob like the pool's worker
-// count — the Result and report are bit-identical at any value — so it is
-// not part of Job or its memo key. Stream systems (whose per-bank engines
-// assume a single clock domain for SCM scheduling) are clamped to one
-// shard; only Base fans out. The second return value is the per-shard
-// wall-clock nanoseconds spent stalled at window barriers (nil when the
-// machine ran serially) — a load-balance diagnostic, not a result.
-func ExecuteShardsObs(j Job, rec *obs.JobRecord, shards int) (*Result, []uint64, error) {
 	if err := j.check(); err != nil {
-		return nil, nil, fmt.Errorf("runner: job %s: %w", j.Key(), err)
+		return nil, fmt.Errorf("runner: job %s: %w", j.Key(), err)
 	}
-	mc := MachineConfig(j, j.System == core.Base)
-	if j.System == core.Base {
-		mc.Shards = shards
-	}
-	m := machine.New(mc)
-	defer m.Close()
-	return simulate(m, j, rec)
+	return simulate(machine.New(MachineConfig(j, j.System == core.Base)), j, rec)
 }
 
 // simulate runs job j on the freshly built machine m: it allocates and
 // initializes the workload's data, runs the kernel w.Iters times and
 // assembles the Result.
-func simulate(m *machine.Machine, j Job, rec *obs.JobRecord) (*Result, []uint64, error) {
+func simulate(m *machine.Machine, j Job, rec *obs.JobRecord) (*Result, error) {
 	w := workloads.Get(j.Workload, j.Scale)
 	if rec != nil {
 		if rec.Trace != nil {
@@ -210,7 +191,7 @@ func simulate(m *machine.Machine, j Job, rec *obs.JobRecord) (*Result, []uint64,
 	for it := 0; it < w.Iters; it++ {
 		res, err := core.Run(m, w.Kernel, j.System, params, w.Params, d)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%s/%v: %w", j.Workload, j.System, err)
+			return nil, fmt.Errorf("%s/%v: %w", j.Workload, j.System, err)
 		}
 		for _, n := range res.DynOps {
 			out.TotalOps += n
@@ -220,7 +201,6 @@ func simulate(m *machine.Machine, j Job, rec *obs.JobRecord) (*Result, []uint64,
 		counters = res.Stats
 	}
 	m.FinishTrace()
-	m.FinishAttribution()
 	if rec != nil && rec.Attrib != nil {
 		rec.Exec = m.ExecProfile()
 	}
@@ -238,9 +218,5 @@ func simulate(m *machine.Machine, j Job, rec *obs.JobRecord) (*Result, []uint64,
 	out.LockAcquires = counters["lock.acquires"]
 	out.LockConflicts = counters["lock.conflicts"]
 	out.Energy = energy.Estimate(energy.ForCore(coreTypeName(j.CoreType)), counters, out.TotalOps, out.Cycles)
-	var stalls []uint64
-	if m.Shards() > 1 {
-		stalls = append(stalls, m.Group.StallNanos()...)
-	}
-	return out, stalls, nil
+	return out, nil
 }

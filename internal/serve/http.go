@@ -22,7 +22,8 @@ import (
 // JobRequest is the POST /api/v1/jobs body. Unset fields inherit the
 // daemon's base harness configuration, except Overrides: a request's
 // overrides are the job's overrides (no daemon sets overrides on its base
-// configuration).
+// configuration). An unknown field, top-level or in overrides, is a 400
+// naming it.
 type JobRequest struct {
 	Workload  string            `json:"workload"`
 	System    string            `json:"system"`
@@ -193,14 +194,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	promMetric(w, "nsd_pool_memo_hits_total", "counter", "Job requests served from the in-process memo cache.", pool.Hits())
 	promMetric(w, "nsd_pool_disk_hits_total", "counter", "Job requests served from the persistent result store.", pool.DiskHits())
 	promMetric(w, "nsd_pool_workers", "gauge", "Pool worker-goroutine bound.", pool.Workers())
-	promMetric(w, "nsd_pool_shards", "gauge", "Per-job shard-engine count (1 = serial machines).", pool.Shards())
-	if stalls := pool.ShardStalls(); len(stalls) > 0 {
-		fmt.Fprintf(w, "# HELP nsd_shard_window_stall_seconds Cumulative wall time each shard spent stalled at window barriers.\n")
-		fmt.Fprintf(w, "# TYPE nsd_shard_window_stall_seconds gauge\n")
-		for i, n := range stalls {
-			fmt.Fprintf(w, "nsd_shard_window_stall_seconds{shard=\"%d\"} %.6f\n", i, float64(n)/1e9)
-		}
-	}
 	if s.store != nil {
 		promMetric(w, "nsd_store_entries", "gauge", "Entries in the persistent result store.", s.store.Len())
 		promMetric(w, "nsd_store_size_bytes", "gauge", "Persistent result store size on disk.", s.store.SizeBytes())
@@ -221,8 +214,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
+	// A misspelled field, top-level or override, is an error naming it:
+	// ignoring it would silently run the job at paper defaults.
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad job request: %v", err)
 		return
 	}
@@ -433,7 +430,6 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		Command:   "nsd",
 		GoVersion: runtime.Version(),
 		Workers:   pool.Workers(),
-		Shards:    pool.Shards(),
 	}
 	if s.fleetEnv != nil {
 		rep.Env.Fleet = s.fleetEnv()
@@ -445,15 +441,13 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 // liveSnapshot is one /api/v1/live SSE payload: the gauges a dashboard
 // would poll from /metrics, pushed instead.
 type liveSnapshot struct {
-	Time              string    `json:"time"`
-	Executed          uint64    `json:"executed"`
-	MemoHits          uint64    `json:"memo_hits"`
-	DiskHits          uint64    `json:"disk_hits"`
-	Workers           int       `json:"workers"`
-	Shards            int       `json:"shards"`
-	Tasks             int       `json:"tasks"`
-	InFlight          int       `json:"in_flight"`
-	ShardStallSeconds []float64 `json:"shard_stall_seconds,omitempty"`
+	Time     string `json:"time"`
+	Executed uint64 `json:"executed"`
+	MemoHits uint64 `json:"memo_hits"`
+	DiskHits uint64 `json:"disk_hits"`
+	Workers  int    `json:"workers"`
+	Tasks    int    `json:"tasks"`
+	InFlight int    `json:"in_flight"`
 }
 
 // live builds the current snapshot.
@@ -465,10 +459,6 @@ func (s *Server) live() liveSnapshot {
 		MemoHits: pool.Hits(),
 		DiskHits: pool.DiskHits(),
 		Workers:  pool.Workers(),
-		Shards:   pool.Shards(),
-	}
-	for _, n := range pool.ShardStalls() {
-		snap.ShardStallSeconds = append(snap.ShardStallSeconds, float64(n)/1e9)
 	}
 	s.mu.Lock()
 	snap.Tasks = len(s.order)

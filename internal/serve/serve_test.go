@@ -742,6 +742,34 @@ func TestServeValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitJobRejectsUnknownFields: a misspelled override or top-level
+// field is a 400 naming the field, never a job run at paper defaults.
+func TestSubmitJobRejectsUnknownFields(t *testing.T) {
+	s := newTestServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, c := range []struct{ body, field string }{
+		{`{"workload":"histogram","system":"NS","overrides":{"scm_latency":16}}`, "scm_latency"},
+		{`{"workload":"histogram","system":"NS","sead":7}`, "sead"},
+	} {
+		var eb errorBody
+		resp := postJSON(t, ts.Client(), ts.URL+"/api/v1/jobs", "c1", json.RawMessage(c.body), &eb)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s = %d, want 400", c.body, resp.StatusCode)
+		}
+		if !strings.Contains(eb.Error, `"`+c.field+`"`) {
+			t.Fatalf("%s: error %q does not name %q", c.body, eb.Error, c.field)
+		}
+	}
+	s.mu.Lock()
+	n := len(s.order)
+	s.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("rejected requests created %d tasks", n)
+	}
+}
+
 // TestServeOverlappingTraffic exercises submit, status, cancel, SSE and
 // drain concurrently — the race-detector target the weekly tier runs with
 // -race. Every submission must reach a terminal state and the daemon must

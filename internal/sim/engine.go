@@ -26,11 +26,10 @@ type Event func()
 //
 // stamp is the event's logical scheduling time: the cycle the cause of the
 // event happened. Plain Schedule/ScheduleAt set stamp = now, so ordering
-// by (at, stamp, seq) is exactly the classic (at, seq) FIFO. The shard
-// exchange (ScheduleStampedAt) back-dates stamp to the cross-shard send
-// time, which slots a deferred delivery at the position it would have had
-// if scheduled the moment it was sent — the keystone of the parallel
-// engine's determinism argument (see ShardGroup).
+// by (at, stamp, seq) is exactly the classic (at, seq) FIFO. The window
+// barrier exchange (ScheduleStampedAt) back-dates stamp to the send time,
+// which slots a deferred delivery at the position it would have had if
+// scheduled the moment it was sent (see Windowed).
 type scheduled struct {
 	at    Time
 	stamp Time
@@ -87,7 +86,7 @@ type bucket struct {
 //
 // The ordering contract generalizes the heap-only engine's: events fire
 // in (time, stamp, sequence) order, where stamp is the cycle the event was
-// scheduled (back-dated by ScheduleStampedAt for deferred cross-shard
+// scheduled (back-dated by ScheduleStampedAt for barrier-routed
 // deliveries). For events scheduled through plain Schedule/ScheduleAt the
 // stamp is the monotone engine clock, so (time, stamp, sequence) order
 // coincides exactly with the classic (time, sequence) FIFO-within-a-cycle
@@ -115,9 +114,8 @@ type Engine struct {
 	// IdleElided accumulates simulated cycles the slow path jumped over
 	// without visiting — the engine's idle-elision savings. Like Executed
 	// it is always on (one add per slow-path step) and host-side only: it
-	// never feeds back into the model. On a sharded group each engine
-	// counts its own gaps, so the total depends on the partition — report
-	// consumers treat it as execution data, not model data.
+	// never feeds back into the model, so report consumers treat it as
+	// execution data, not model data.
 	IdleElided uint64
 	// occHist buckets the wheel occupancy (pending wheel events) observed
 	// at each slow-path step by bit length; occSum/occObs carry the sum
@@ -180,7 +178,7 @@ func (e *Engine) ScheduleAt(at Time, fn Event) {
 }
 
 // ScheduleStampedAt runs fn at absolute time at with a back-dated logical
-// scheduling time stamp <= at. It exists for the cross-shard exchange: a
+// scheduling time stamp <= at. It exists for the window exchange: a
 // message captured at send time stamp and routed at a window barrier is
 // delivered in exactly the order it would have occupied had it been
 // scheduled the moment it was sent, because events fire in
