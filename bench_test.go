@@ -208,7 +208,6 @@ func BenchmarkMatrix(b *testing.B) {
 func BenchmarkBigMesh16x16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := machine.Default()
-		cfg.MeshWidth, cfg.MeshHeight = 16, 16
 		cfg.NoC.Width, cfg.NoC.Height = 16, 16
 		m := machine.New(cfg)
 		for tile := 0; tile < m.Tiles(); tile++ {

@@ -12,7 +12,8 @@
 //	nsprof -                      # read the report from stdin
 //
 // It prints the stall breakdown (per reason: component, count, cycles,
-// share of attributed cycles) with the canonical wait histograms.
+// share of attributed cycles) with the canonical wait histograms, in the
+// block format of -stall-report (obs.WriteStalls).
 //
 // The trace subcommand summarizes a Chrome trace_event file written by
 // `nsexp -trace` (or any obs.WriteChromeTrace output) instead:
@@ -85,14 +86,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *perJob {
 		for _, j := range jobs {
-			fmt.Fprintf(stdout, "== %s ==\n", j.Key)
-			printBreakdown(stdout, j.Attribution.Stalls, j.Attribution.Hists, j.SimCycles, *top)
+			fmt.Fprintf(stdout, "== %s (%d simulated cycles) ==\n", j.Key, j.SimCycles)
+			obs.WriteStalls(stdout, j.Attribution, *top)
 			fmt.Fprintln(stdout)
 		}
 	} else {
-		stalls, hists, cycles := aggregate(jobs)
-		fmt.Fprintf(stdout, "== %d job(s) ==\n", len(jobs))
-		printBreakdown(stdout, stalls, hists, cycles, *top)
+		a, cycles := aggregate(jobs)
+		fmt.Fprintf(stdout, "== %d job(s) (%d simulated cycles) ==\n", len(jobs), cycles)
+		obs.WriteStalls(stdout, a, *top)
 		fmt.Fprintln(stdout)
 	}
 	return 0
@@ -116,29 +117,25 @@ func readReport(path string) (*obs.RunReport, error) {
 	return &rep, nil
 }
 
-// aggregate sums the jobs' stall entries by reason and their histograms
-// by name; cycles is the summed simulated cycle count (the denominator
-// of the share column).
-func aggregate(jobs []obs.JobReport) ([]obs.StallEntry, []obs.HistogramReport, uint64) {
-	type acc struct {
-		component     string
-		count, cycles uint64
-	}
-	byReason := map[string]*acc{}
+// aggregate sums the jobs' stall entries by reason and their histograms'
+// counts and sums by name, each in name order; cycles is the summed
+// simulated cycle count.
+func aggregate(jobs []obs.JobReport) (*obs.AttributionReport, uint64) {
+	byReason := map[string]*obs.StallEntry{}
 	byHist := map[string]*obs.HistogramReport{}
 	var cycles uint64
 	var reasons, hists []string
 	for _, j := range jobs {
 		cycles += j.SimCycles
 		for _, s := range j.Attribution.Stalls {
-			a := byReason[s.Reason]
-			if a == nil {
-				a = &acc{component: s.Component}
-				byReason[s.Reason] = a
+			e := byReason[s.Reason]
+			if e == nil {
+				e = &obs.StallEntry{Reason: s.Reason, Component: s.Component}
+				byReason[s.Reason] = e
 				reasons = append(reasons, s.Reason)
 			}
-			a.count += s.Count
-			a.cycles += s.Cycles
+			e.Count += s.Count
+			e.Cycles += s.Cycles
 		}
 		for _, h := range j.Attribution.Hists {
 			m := byHist[h.Name]
@@ -153,52 +150,12 @@ func aggregate(jobs []obs.JobReport) ([]obs.StallEntry, []obs.HistogramReport, u
 	}
 	sort.Strings(reasons)
 	sort.Strings(hists)
-	outS := make([]obs.StallEntry, 0, len(reasons))
+	a := &obs.AttributionReport{Schema: obs.AttributionSchema}
 	for _, r := range reasons {
-		a := byReason[r]
-		outS = append(outS, obs.StallEntry{Reason: r, Component: a.component, Count: a.count, Cycles: a.cycles})
-	}
-	outH := make([]obs.HistogramReport, 0, len(hists))
-	for _, h := range hists {
-		outH = append(outH, *byHist[h])
-	}
-	return outS, outH, cycles
-}
-
-// printBreakdown renders stall rows sorted by attributed cycles (then
-// count), with each row's share of the total attributed cycles.
-func printBreakdown(w io.Writer, stalls []obs.StallEntry, hists []obs.HistogramReport, simCycles uint64, top int) {
-	rows := append([]obs.StallEntry(nil), stalls...)
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].Cycles != rows[j].Cycles {
-			return rows[i].Cycles > rows[j].Cycles
-		}
-		return rows[i].Count > rows[j].Count
-	})
-	var totalCyc uint64
-	for _, r := range rows {
-		totalCyc += r.Cycles
-	}
-	if top > 0 && len(rows) > top {
-		fmt.Fprintf(w, "(top %d of %d stall reasons)\n", top, len(rows))
-		rows = rows[:top]
-	}
-	fmt.Fprintf(w, "%-22s %-6s %14s %14s %7s\n", "stall", "comp", "count", "cycles", "%cyc")
-	for _, r := range rows {
-		pct := 0.0
-		if totalCyc > 0 {
-			pct = 100 * float64(r.Cycles) / float64(totalCyc)
-		}
-		fmt.Fprintf(w, "%-22s %-6s %14d %14d %6.1f%%\n", r.Reason, r.Component, r.Count, r.Cycles, pct)
-	}
-	if simCycles > 0 && totalCyc > 0 {
-		fmt.Fprintf(w, "attributed wait cycles: %d over %d simulated cycles\n", totalCyc, simCycles)
+		a.Stalls = append(a.Stalls, *byReason[r])
 	}
 	for _, h := range hists {
-		mean := 0.0
-		if h.Count > 0 {
-			mean = float64(h.Sum) / float64(h.Count)
-		}
-		fmt.Fprintf(w, "hist %-26s count=%d sum=%d mean=%.2f\n", h.Name, h.Count, h.Sum, mean)
+		a.Hists = append(a.Hists, *byHist[h])
 	}
+	return a, cycles
 }

@@ -54,50 +54,53 @@ const brripMax = 3
 // "long" re-reference prediction. Table V: p = 0.03.
 const brripLongProbX1000 = 30
 
-// Line is one cache line's bookkeeping. Aux carries owner-specific data
-// (directory state at L3 banks, nothing for private caches).
+// Line is one cache line's bookkeeping.
 type Line struct {
-	Tag   uint64 // full line address (addr >> lineBits)
-	State LineState
-	Dirty bool
-	lru   uint64
-	rrpv  uint8
-	Aux   any
+	Tag uint64 // line number (addr / LineBytes)
+	lru uint64
+	// sharers and owner are the full-map directory state of an L3 line
+	// (private caches leave them unused): a bitmask of the tiles holding
+	// Shared copies, and the tile holding E/M or -1. Bank.install sets
+	// them when the line enters the L3.
+	sharers uint64
+	owner   int
+	State   LineState
+	Dirty   bool
+	rrpv    uint8
 }
 
 // Valid reports whether the line holds data.
 func (l Line) Valid() bool { return l.State != Invalid }
 
-// ArrayConfig is the geometry of one cache array.
+// ArrayConfig is the geometry of one cache array; every array holds
+// LineBytes-byte lines.
 type ArrayConfig struct {
 	SizeBytes int
 	Ways      int
-	LineBytes int
 	Policy    ReplacementPolicy
 	Latency   sim.Time
 }
 
 // Sets returns the number of sets implied by the geometry.
 func (c ArrayConfig) Sets() int {
-	return c.SizeBytes / (c.Ways * c.LineBytes)
+	return c.SizeBytes / (c.Ways * LineBytes)
 }
 
 // Array is a set-associative cache array.
 type Array struct {
-	cfg      ArrayConfig
-	sets     int
-	lineBits uint
-	lines    [][]Line
-	clock    uint64
-	rng      *sim.Rand
+	cfg   ArrayConfig
+	sets  int
+	lines [][]Line
+	clock uint64
+	rng   *sim.Rand
 }
 
 // NewArray builds an array, validating the geometry.
 func NewArray(cfg ArrayConfig, seed uint64) *Array {
-	if cfg.LineBytes <= 0 || cfg.Ways <= 0 || cfg.SizeBytes <= 0 {
+	if cfg.Ways <= 0 || cfg.SizeBytes <= 0 {
 		panic("cache: non-positive geometry")
 	}
-	if cfg.SizeBytes%(cfg.Ways*cfg.LineBytes) != 0 {
+	if cfg.SizeBytes%(cfg.Ways*LineBytes) != 0 {
 		panic(fmt.Sprintf("cache: size %d not divisible by ways*line", cfg.SizeBytes))
 	}
 	sets := cfg.Sets()
@@ -105,24 +108,17 @@ func NewArray(cfg ArrayConfig, seed uint64) *Array {
 	for i := range lines {
 		lines[i] = make([]Line, cfg.Ways)
 	}
-	lineBits := uint(0)
-	for 1<<lineBits < cfg.LineBytes {
-		lineBits++
-	}
-	if 1<<lineBits != cfg.LineBytes {
-		panic("cache: line size must be a power of two")
-	}
-	return &Array{cfg: cfg, sets: sets, lineBits: lineBits, lines: lines, rng: sim.NewRand(seed ^ 0xcafe)}
+	return &Array{cfg: cfg, sets: sets, lines: lines, rng: sim.NewRand(seed ^ 0xcafe)}
 }
 
 // Config returns the array geometry.
 func (a *Array) Config() ArrayConfig { return a.cfg }
 
 // LineAddr returns addr with the offset bits cleared.
-func (a *Array) LineAddr(addr uint64) uint64 { return addr >> a.lineBits << a.lineBits }
+func (a *Array) LineAddr(addr uint64) uint64 { return addr / LineBytes * LineBytes }
 
 func (a *Array) indexOf(addr uint64) (set int, tag uint64) {
-	tag = addr >> a.lineBits
+	tag = addr / LineBytes
 	return int(tag % uint64(a.sets)), tag
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 func testArray(policy ReplacementPolicy) *Array {
-	return NewArray(ArrayConfig{SizeBytes: 1024, Ways: 2, LineBytes: 64, Policy: policy, Latency: 1}, 1)
+	return NewArray(ArrayConfig{SizeBytes: 1024, Ways: 2, Policy: policy, Latency: 1}, 1)
 }
 
 func TestArrayGeometry(t *testing.T) {
@@ -129,8 +129,8 @@ func TestStateStrings(t *testing.T) {
 func TestBadGeometryPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("non-power-of-two line should panic")
+			t.Fatal("size not a multiple of ways*line should panic")
 		}
 	}()
-	NewArray(ArrayConfig{SizeBytes: 960, Ways: 2, LineBytes: 60}, 1)
+	NewArray(ArrayConfig{SizeBytes: 960, Ways: 2}, 1)
 }

@@ -47,14 +47,12 @@ func (b *Bank) Array() *Array { return b.array }
 // the slice's set index uses the full set range (without this, lines that
 // map to one bank alias into 1/numBanks of its sets).
 func (b *Bank) localAddr(line uint64) uint64 {
-	lb := uint64(b.h.cfg.LineBytes)
-	return line / lb / uint64(len(b.h.banks)) * lb
+	return line / LineBytes / uint64(len(b.h.banks)) * LineBytes
 }
 
 // globalAddr reconstructs the global line address from a local tag.
 func (b *Bank) globalAddr(localTag uint64) uint64 {
-	lb := uint64(b.h.cfg.LineBytes)
-	return (localTag*uint64(len(b.h.banks)) + uint64(b.id)) * lb
+	return (localTag*uint64(len(b.h.banks)) + uint64(b.id)) * LineBytes
 }
 
 // Probe reports the line's presence and state in this slice (tests).
@@ -99,14 +97,6 @@ func (b *Bank) runTxn(line uint64, work txnWork) {
 	})
 }
 
-// dirOf returns the directory info of a present line, creating it lazily.
-func dirOf(l *Line) *dirInfo {
-	if l.Aux == nil {
-		l.Aux = newDir()
-	}
-	return l.Aux.(*dirInfo)
-}
-
 // ensurePresent guarantees line is resident in this bank's L3 slice,
 // fetching from DRAM on a miss (and evicting a victim, with invalidations
 // and writebacks). onReady reports whether DRAM was involved.
@@ -123,7 +113,7 @@ func (b *Bank) ensurePresent(line uint64, onReady func(fromMem bool)) {
 		h.net.Send(&noc.Message{
 			Src: b.id, Dst: ctrl, Bytes: CtrlBytes, Class: noc.TrafficControl,
 			OnDeliver: func() {
-				h.dram.Access(line, h.cfg.LineBytes, false, func() {
+				h.dram.Access(line, LineBytes, false, func() {
 					h.net.Send(&noc.Message{
 						Src: ctrl, Dst: b.id, Bytes: LineBytes, Class: noc.TrafficData,
 						OnDeliver: func() {
@@ -141,125 +131,152 @@ func (b *Bank) ensurePresent(line uint64, onReady func(fromMem bool)) {
 // are invalidated (inclusive L3) and dirty data goes back to DRAM.
 func (b *Bank) install(line uint64) {
 	nl, victim := b.array.Insert(b.localAddr(line), Shared)
-	nl.Aux = newDir()
+	nl.owner = -1
 	if !victim.Valid() {
 		return
 	}
 	h := b.h
 	vline := b.globalAddr(victim.Tag)
-	dirty := victim.Dirty
-	if d, ok := victim.Aux.(*dirInfo); ok {
-		// Inclusive eviction: recall/invalidate private copies.
-		var dsts []int
-		if d.owner >= 0 {
-			dsts = append(dsts, d.owner)
-		}
-		for t := 0; t < h.Tiles(); t++ {
-			if d.sharers&(1<<uint(t)) != 0 {
-				dsts = append(dsts, t)
-			}
-		}
-		if len(dsts) > 0 {
-			b.ob.ctr.l3Recalls.Inc()
-			h.net.Multicast(b.id, dsts, CtrlBytes, noc.TrafficControl, func(dst int) {
-				if h.tiles[dst].InvalidateLine(vline) {
-					// Dirty private copy: flows to DRAM.
-					h.net.Send(&noc.Message{Src: dst, Dst: h.ctrlNodeFor(vline), Bytes: LineBytes, Class: noc.TrafficData,
-						OnDeliver: func() { h.dram.Access(vline, h.cfg.LineBytes, true, nil) }})
-				}
-			})
+	// Inclusive eviction: recall/invalidate private copies.
+	var dsts []int
+	if victim.owner >= 0 {
+		dsts = append(dsts, victim.owner)
+	}
+	for t := 0; t < h.Tiles(); t++ {
+		if victim.sharers&(1<<uint(t)) != 0 {
+			dsts = append(dsts, t)
 		}
 	}
-	if dirty {
+	if len(dsts) > 0 {
+		b.ob.ctr.l3Recalls.Inc()
+		h.net.Multicast(b.id, dsts, CtrlBytes, noc.TrafficControl, func(dst int) {
+			if h.tiles[dst].InvalidateLine(vline) {
+				// Dirty private copy: flows to DRAM.
+				h.writeToMem(dst, vline)
+			}
+		})
+	}
+	if victim.Dirty {
 		b.ob.ctr.l3Writebacks.Inc()
-		ctrl := h.ctrlNodeFor(vline)
-		h.net.Send(&noc.Message{Src: b.id, Dst: ctrl, Bytes: LineBytes, Class: noc.TrafficData,
-			OnDeliver: func() { h.dram.Access(vline, h.cfg.LineBytes, true, nil) }})
+		h.writeToMem(b.id, vline)
 	}
 }
 
-// handleCoherence serves a GetS/GetM/Upgrade from a tile. respond fires
-// when the bank is ready to send the data/ack back (the caller routes it).
+// writeToMem carries a dirty line from mesh node src to its memory
+// controller and writes it to DRAM.
+func (h *Hierarchy) writeToMem(src int, line uint64) {
+	h.net.Send(&noc.Message{Src: src, Dst: h.ctrlNodeFor(line), Bytes: LineBytes, Class: noc.TrafficData,
+		OnDeliver: func() { h.dram.Access(line, LineBytes, true, nil) }})
+}
+
+// ackSize is the payload of a private cache's reply to a downgrade or an
+// invalidation: the line when its copy was dirty, else a control ack.
+func ackSize(wasDirty bool) (int, noc.TrafficClass) {
+	if wasDirty {
+		return LineBytes, noc.TrafficData
+	}
+	return CtrlBytes, noc.TrafficControl
+}
+
+// handleCoherence serves one request for line at this bank. A tile's
+// GetS/GetM/Upgrade names the tile as requester; the bank's colocated
+// SE_L3 issues reqStreamRead/reqStreamWrite with requester -1 (§IV-B
+// "Stream Forward"): private copies are recalled through the same
+// protocol, but no private cache is filled. respond fires when the bank
+// is ready to send the data/ack back (the caller routes it).
 func (b *Bank) handleCoherence(line uint64, kind reqKind, requester int, respond func(grant LineState, fromMem bool)) {
 	b.submit(line, func(release func()) {
 		b.ensurePresent(line, func(fromMem bool) {
 			l := b.array.Peek(b.localAddr(line))
-			d := dirOf(l)
 			switch kind {
-			case reqGetS:
-				b.serveGetS(line, l, d, requester, fromMem, respond, release)
-			case reqGetM, reqUpgrade:
-				b.serveGetM(line, l, d, requester, fromMem, respond, release)
+			case reqGetS, reqStreamRead:
+				b.serveRead(line, l, kind, requester, fromMem, respond, release)
+			case reqGetM, reqUpgrade, reqStreamWrite:
+				b.serveWrite(line, l, kind, requester, fromMem, respond, release)
 			}
 		})
 	})
 }
 
-func (b *Bank) serveGetS(line uint64, l *Line, d *dirInfo, requester int, fromMem bool, respond func(LineState, bool), release func()) {
-	h := b.h
+// serveRead serves a GetS or a stream read: an owner other than the
+// requester is downgraded to S first.
+func (b *Bank) serveRead(line uint64, l *Line, kind reqKind, requester int, fromMem bool, respond func(LineState, bool), release func()) {
 	var grantAndGo func()
 	grantAndGo = func() {
-		l = b.array.Peek(b.localAddr(line))
+		if kind == reqStreamRead {
+			// The SE_L3 consumes the data at the bank: no private copy
+			// to grant, and no refetch of a line evicted during the
+			// owner round trip.
+			respond(Shared, fromMem)
+			release()
+			return
+		}
+		l := b.array.Peek(b.localAddr(line))
 		if l == nil {
 			// Evicted mid-transaction by a conflicting install (this
 			// transaction was parked on a remote round trip): refetch.
 			b.ensurePresent(line, func(bool) { grantAndGo() })
 			return
 		}
-		d = dirOf(l)
 		grant := Shared
-		if d.owner < 0 && d.sharers == 0 {
+		if l.owner < 0 && l.sharers == 0 {
 			grant = Exclusive
-			d.owner = requester
+			l.owner = requester
 		} else {
-			d.sharers |= 1 << uint(requester)
+			l.sharers |= 1 << uint(requester)
 		}
 		respond(grant, fromMem)
 		release()
 	}
-	if d.owner >= 0 && d.owner != requester {
-		owner := d.owner
-		// Downgrade the owner to S; dirty data returns to the bank.
-		b.ob.ctr.l3Downgrades.Inc()
-		h.net.Send(&noc.Message{Src: b.id, Dst: owner, Bytes: CtrlBytes, Class: noc.TrafficControl,
-			OnDeliver: func() {
-				wasDirty := h.tiles[owner].downgradeLine(line)
-				bytes, class := CtrlBytes, noc.TrafficControl
-				if wasDirty {
-					bytes, class = LineBytes, noc.TrafficData
-				}
-				h.net.Send(&noc.Message{Src: owner, Dst: b.id, Bytes: bytes, Class: class,
-					OnDeliver: func() {
-						ll := b.array.Peek(b.localAddr(line))
-						if ll != nil {
-							dd := dirOf(ll)
-							if wasDirty {
-								ll.Dirty = true
-							}
-							dd.sharers |= 1 << uint(owner)
-							dd.owner = -1
-						}
-						grantAndGo()
-					}})
-			}})
+	switch {
+	case l.owner < 0:
+	case l.owner != requester:
+		b.downgradeOwner(line, l.owner, grantAndGo)
 		return
-	}
-	if d.owner == requester {
-		d.owner = -1
-		d.sharers |= 1 << uint(requester)
+	default:
+		l.owner = -1
+		l.sharers |= 1 << uint(requester)
 	}
 	grantAndGo()
 }
 
-func (b *Bank) serveGetM(line uint64, l *Line, d *dirInfo, requester int, fromMem bool, respond func(LineState, bool), release func()) {
-	b.invalidateOthers(line, d, requester, func() {
-		ll := b.array.Peek(b.localAddr(line))
-		if ll != nil {
-			dd := dirOf(ll)
-			dd.sharers = 0
-			dd.owner = requester
-			// The requester will dirty it; the L3 copy is now stale once
-			// written, which the eventual writeback repairs.
+// downgradeOwner moves owner's private E/M copy of line to S, then runs
+// then: dirty data returns to the bank and the directory records the
+// owner as a sharer.
+func (b *Bank) downgradeOwner(line uint64, owner int, then func()) {
+	h := b.h
+	b.ob.ctr.l3Downgrades.Inc()
+	h.net.Send(&noc.Message{Src: b.id, Dst: owner, Bytes: CtrlBytes, Class: noc.TrafficControl,
+		OnDeliver: func() {
+			wasDirty := h.tiles[owner].downgradeLine(line)
+			bytes, class := ackSize(wasDirty)
+			h.net.Send(&noc.Message{Src: owner, Dst: b.id, Bytes: bytes, Class: class,
+				OnDeliver: func() {
+					if l := b.array.Peek(b.localAddr(line)); l != nil {
+						if wasDirty {
+							l.Dirty = true
+						}
+						l.sharers |= 1 << uint(owner)
+						l.owner = -1
+					}
+					then()
+				}})
+		}})
+}
+
+// serveWrite serves a GetM, an Upgrade or a stream write: every other
+// private copy is invalidated and the requester (none, for a stream
+// write) becomes the owner.
+func (b *Bank) serveWrite(line uint64, l *Line, kind reqKind, requester int, fromMem bool, respond func(LineState, bool), release func()) {
+	b.invalidateOthers(line, l, requester, func() {
+		if l := b.array.Peek(b.localAddr(line)); l != nil {
+			l.sharers = 0
+			l.owner = requester
+			if kind == reqStreamWrite {
+				// The SE_L3 updates the L3 copy in place. A tile's
+				// write leaves it stale until the eventual writeback.
+				l.Dirty = true
+			}
 		}
 		respond(Modified, fromMem)
 		release()
@@ -268,14 +285,14 @@ func (b *Bank) serveGetM(line uint64, l *Line, d *dirInfo, requester int, fromMe
 
 // invalidateOthers clears every private copy except requester's own,
 // gathering acks (dirty owners return data).
-func (b *Bank) invalidateOthers(line uint64, d *dirInfo, requester int, done func()) {
+func (b *Bank) invalidateOthers(line uint64, l *Line, requester int, done func()) {
 	h := b.h
 	var dsts []int
-	if d.owner >= 0 && d.owner != requester {
-		dsts = append(dsts, d.owner)
+	if l.owner >= 0 && l.owner != requester {
+		dsts = append(dsts, l.owner)
 	}
 	for t := 0; t < h.Tiles(); t++ {
-		if t != requester && d.sharers&(1<<uint(t)) != 0 {
+		if t != requester && l.sharers&(1<<uint(t)) != 0 {
 			dsts = append(dsts, t)
 		}
 	}
@@ -287,10 +304,7 @@ func (b *Bank) invalidateOthers(line uint64, d *dirInfo, requester int, done fun
 	remaining := len(dsts)
 	h.net.Multicast(b.id, dsts, CtrlBytes, noc.TrafficControl, func(dst int) {
 		wasDirty := h.tiles[dst].InvalidateLine(line)
-		bytes, class := CtrlBytes, noc.TrafficControl
-		if wasDirty {
-			bytes, class = LineBytes, noc.TrafficData
-		}
+		bytes, class := ackSize(wasDirty)
 		h.net.Send(&noc.Message{Src: dst, Dst: b.id, Bytes: bytes, Class: class,
 			OnDeliver: func() {
 				if wasDirty {
@@ -313,65 +327,27 @@ func (b *Bank) handleWriteback(line uint64, from int) {
 		b.engine.Schedule(h.cfg.L3Bank.Latency, func() {
 			if l := b.array.Peek(b.localAddr(line)); l != nil {
 				l.Dirty = true
-				d := dirOf(l)
-				if d.owner == from {
-					d.owner = -1
+				if l.owner == from {
+					l.owner = -1
 				}
-				d.sharers &^= 1 << uint(from)
+				l.sharers &^= 1 << uint(from)
 			} else {
 				// Raced with an L3 eviction: forward straight to DRAM.
-				ctrl := h.ctrlNodeFor(line)
-				h.net.Send(&noc.Message{Src: b.id, Dst: ctrl, Bytes: LineBytes, Class: noc.TrafficData,
-					OnDeliver: func() { h.dram.Access(line, h.cfg.LineBytes, true, nil) }})
+				h.writeToMem(b.id, line)
 			}
 			release()
 		})
 	})
 }
 
-// StreamRead reads a line at this bank on behalf of a colocated SE_L3
-// (§IV-B "Stream Forward"): private M copies are recalled via normal
-// coherence, but no private cache is filled. onDone reports DRAM
-// involvement.
+// StreamRead reads a line at this bank on behalf of a colocated SE_L3:
+// private M copies are recalled via normal coherence, but no private
+// cache is filled. onDone reports DRAM involvement.
 func (b *Bank) StreamRead(line uint64, onDone func(fromMem bool)) {
 	if b.h.HomeBank(line) != b.id {
 		panic("cache: StreamRead at non-home bank")
 	}
-	b.submit(line, func(release func()) {
-		b.ensurePresent(line, func(fromMem bool) {
-			l := b.array.Peek(b.localAddr(line))
-			d := dirOf(l)
-			if d.owner >= 0 {
-				owner := d.owner
-				h := b.h
-				b.ob.ctr.l3Downgrades.Inc()
-				h.net.Send(&noc.Message{Src: b.id, Dst: owner, Bytes: CtrlBytes, Class: noc.TrafficControl,
-					OnDeliver: func() {
-						wasDirty := h.tiles[owner].downgradeLine(line)
-						bytes, class := CtrlBytes, noc.TrafficControl
-						if wasDirty {
-							bytes, class = LineBytes, noc.TrafficData
-						}
-						h.net.Send(&noc.Message{Src: owner, Dst: b.id, Bytes: bytes, Class: class,
-							OnDeliver: func() {
-								if ll := b.array.Peek(b.localAddr(line)); ll != nil {
-									if wasDirty {
-										ll.Dirty = true
-									}
-									dd := dirOf(ll)
-									dd.sharers |= 1 << uint(owner)
-									dd.owner = -1
-								}
-								onDone(fromMem)
-								release()
-							}})
-					}})
-				return
-			}
-			onDone(fromMem)
-			release()
-		})
-	})
+	b.handleCoherence(line, reqStreamRead, -1, func(_ LineState, fromMem bool) { onDone(fromMem) })
 }
 
 // StreamWrite writes a line at this bank on behalf of a colocated SE_L3:
@@ -380,20 +356,5 @@ func (b *Bank) StreamWrite(line uint64, onDone func(fromMem bool)) {
 	if b.h.HomeBank(line) != b.id {
 		panic("cache: StreamWrite at non-home bank")
 	}
-	b.submit(line, func(release func()) {
-		b.ensurePresent(line, func(fromMem bool) {
-			l := b.array.Peek(b.localAddr(line))
-			d := dirOf(l)
-			b.invalidateOthers(line, d, -1, func() {
-				if ll := b.array.Peek(b.localAddr(line)); ll != nil {
-					ll.Dirty = true
-					dd := dirOf(ll)
-					dd.sharers = 0
-					dd.owner = -1
-				}
-				onDone(fromMem)
-				release()
-			})
-		})
-	})
+	b.handleCoherence(line, reqStreamWrite, -1, func(_ LineState, fromMem bool) { onDone(fromMem) })
 }

@@ -39,6 +39,8 @@ func (l Level) String() string {
 }
 
 // Sizes of protocol messages (payload bytes; the NoC adds its header).
+// LineBytes is also the line size of every cache array and the L3's
+// bank-interleave granularity.
 const (
 	CtrlBytes = 8  // requests, invalidations, acks, upgrades
 	LineBytes = 64 // a full cache line of data
@@ -46,30 +48,20 @@ const (
 
 // Config describes the full hierarchy for one machine.
 type Config struct {
-	LineBytes int
-	L1        ArrayConfig
-	L2        ArrayConfig
-	L3Bank    ArrayConfig
+	L1     ArrayConfig
+	L2     ArrayConfig
+	L3Bank ArrayConfig
 }
 
 // DefaultConfig returns the Table V hierarchy: 32 KB 8-way L1 (2-cycle),
 // 256 KB 16-way L2 (16-cycle), 1 MB 16-way L3 bank (20-cycle, BRRIP).
 func DefaultConfig() Config {
 	return Config{
-		LineBytes: 64,
-		L1:        ArrayConfig{SizeBytes: 32 << 10, Ways: 8, LineBytes: 64, Policy: LRU, Latency: 2},
-		L2:        ArrayConfig{SizeBytes: 256 << 10, Ways: 16, LineBytes: 64, Policy: BRRIP, Latency: 16},
-		L3Bank:    ArrayConfig{SizeBytes: 1 << 20, Ways: 16, LineBytes: 64, Policy: BRRIP, Latency: 20},
+		L1:     ArrayConfig{SizeBytes: 32 << 10, Ways: 8, Policy: LRU, Latency: 2},
+		L2:     ArrayConfig{SizeBytes: 256 << 10, Ways: 16, Policy: BRRIP, Latency: 16},
+		L3Bank: ArrayConfig{SizeBytes: 1 << 20, Ways: 16, Policy: BRRIP, Latency: 20},
 	}
 }
-
-// dirInfo is the full-map directory state attached to each L3 line.
-type dirInfo struct {
-	sharers uint64 // bitmask of tiles with Shared copies
-	owner   int    // tile holding E/M, or -1
-}
-
-func newDir() *dirInfo { return &dirInfo{owner: -1} }
 
 // hierCounters interns every hierarchy counter once at construction so the
 // protocol hot paths count with a slice increment instead of a map lookup.
@@ -189,12 +181,12 @@ func (h *Hierarchy) Bank(i int) *Bank { return h.banks[i] }
 
 // LineAddr clears the offset bits of addr.
 func (h *Hierarchy) LineAddr(addr uint64) uint64 {
-	return addr / uint64(h.cfg.LineBytes) * uint64(h.cfg.LineBytes)
+	return addr / LineBytes * LineBytes
 }
 
 // HomeBank returns the static-NUCA home bank of addr (64 B interleave).
 func (h *Hierarchy) HomeBank(addr uint64) int {
-	return int(addr / uint64(h.cfg.LineBytes) % uint64(len(h.banks)))
+	return int(addr / LineBytes % uint64(len(h.banks)))
 }
 
 func (h *Hierarchy) ctrlNodeFor(addr uint64) int {
@@ -375,7 +367,7 @@ func (a *tileAccess) afterL2() {
 func (t *Tile) fillL1(line uint64, state LineState) {
 	_, victim := t.l1.Insert(line, state)
 	if victim.Valid() && victim.Dirty {
-		vaddr := victim.Tag * uint64(t.h.cfg.LineBytes)
+		vaddr := victim.Tag * LineBytes
 		if l2 := t.l2.Peek(vaddr); l2 != nil {
 			l2.Dirty = true
 			l2.State = Modified
@@ -388,7 +380,7 @@ func (t *Tile) fillL1(line uint64, state LineState) {
 func (t *Tile) fillL2(line uint64, state LineState) {
 	_, victim := t.l2.Insert(line, state)
 	if victim.Valid() {
-		vaddr := victim.Tag * uint64(t.h.cfg.LineBytes)
+		vaddr := victim.Tag * LineBytes
 		// Inclusive: drop the L1 copy, folding its dirtiness in.
 		if l1 := t.l1.Invalidate(vaddr); l1.Valid() && l1.Dirty {
 			victim.Dirty = true
@@ -407,6 +399,10 @@ const (
 	reqGetS reqKind = iota
 	reqGetM
 	reqUpgrade
+	// reqStreamRead and reqStreamWrite are a bank's own SE_L3 accessing
+	// its slice (Bank.StreamRead/StreamWrite).
+	reqStreamRead
+	reqStreamWrite
 )
 
 // requestLine sends a coherence request for a's line to the home bank and

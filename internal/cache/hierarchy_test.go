@@ -17,10 +17,9 @@ func testMachine() (*sim.Engine, *Hierarchy) {
 	net := noc.New(e, ncfg)
 	dram := mem.New(e, mem.DefaultConfig())
 	cfg := Config{
-		LineBytes: 64,
-		L1:        ArrayConfig{SizeBytes: 1 << 10, Ways: 2, LineBytes: 64, Policy: LRU, Latency: 2},
-		L2:        ArrayConfig{SizeBytes: 4 << 10, Ways: 4, LineBytes: 64, Policy: LRU, Latency: 16},
-		L3Bank:    ArrayConfig{SizeBytes: 16 << 10, Ways: 4, LineBytes: 64, Policy: LRU, Latency: 20},
+		L1:     ArrayConfig{SizeBytes: 1 << 10, Ways: 2, Policy: LRU, Latency: 2},
+		L2:     ArrayConfig{SizeBytes: 4 << 10, Ways: 4, Policy: LRU, Latency: 16},
+		L3Bank: ArrayConfig{SizeBytes: 16 << 10, Ways: 4, Policy: LRU, Latency: 20},
 	}
 	return e, New(e, net, dram, cfg)
 }
@@ -198,6 +197,165 @@ func TestStreamWriteInvalidatesAll(t *testing.T) {
 	}
 	if bl := bank.Probe(0x1000); bl == nil || !bl.Dirty {
 		t.Fatal("stream write did not dirty the L3 line")
+	}
+}
+
+func TestStreamReadDowngradesCleanExclusive(t *testing.T) {
+	e, h := testMachine()
+	const addr = 0x1000 // homed at bank 0, one hop from tile 1
+	access(e, h, 1, addr, false)
+	if l := h.Tile(1).L2().Peek(addr); l == nil || l.State != Exclusive || l.Dirty {
+		t.Fatalf("sole reader holds %v, want clean E", l)
+	}
+	reg := h.net.Registry()
+	dataBefore := reg.Get("noc.bytehops.data")
+	ctrlBefore := reg.Get("noc.bytehops.control")
+	bank := h.Bank(h.HomeBank(addr))
+	done := false
+	bank.StreamRead(addr, func(bool) { done = true })
+	e.Run()
+	if !done {
+		t.Fatal("stream read never completed")
+	}
+	if counter(h, "l3.downgrades") != 1 {
+		t.Fatalf("l3.downgrades = %d, want 1", counter(h, "l3.downgrades"))
+	}
+	if l := h.Tile(1).L2().Peek(addr); l == nil || l.State != Shared {
+		t.Fatalf("previous owner holds %v, want S", l)
+	}
+	// The downgrade and its ack are both control-size: a clean copy
+	// returns no data.
+	if got := reg.Get("noc.bytehops.data"); got != dataBefore {
+		t.Fatalf("clean downgrade moved data: bytehops.data %d -> %d", dataBefore, got)
+	}
+	hops := uint64(h.net.HopCount(bank.ID(), 1))
+	want := 2 * uint64(CtrlBytes+h.net.Config().HeaderBytes) * hops
+	if got := reg.Get("noc.bytehops.control") - ctrlBefore; got != want {
+		t.Fatalf("downgrade round trip charged %d control byte-hops, want %d", got, want)
+	}
+	if bl := bank.Probe(addr); bl == nil || bl.Dirty {
+		t.Fatal("clean downgrade left the L3 line missing or dirty")
+	}
+}
+
+// l3Conflicts returns n line addresses homed at addr's bank that share
+// its L3 set in testMachine's geometry (4 banks, 64 sets of 4 ways), so
+// reading four of them evicts addr from the L3.
+func l3Conflicts(addr uint64, n int) []uint64 {
+	const stride = LineBytes * 4 * 64 // banks × sets
+	var out []uint64
+	for i := 1; i <= n; i++ {
+		out = append(out, addr+uint64(i)*stride)
+	}
+	return out
+}
+
+func TestL3VictimRecallsPrivateCopies(t *testing.T) {
+	e, h := testMachine()
+	const addr = 0x1000
+	access(e, h, 0, addr, false)
+	for _, a := range l3Conflicts(addr, 4) {
+		access(e, h, 1, a, false)
+	}
+	if h.Bank(h.HomeBank(addr)).Probe(addr) != nil {
+		t.Fatal("line not evicted from the L3")
+	}
+	if counter(h, "l3.recalls") != 1 {
+		t.Fatalf("l3.recalls = %d, want 1", counter(h, "l3.recalls"))
+	}
+	if h.Tile(0).HasLine(addr) {
+		t.Fatal("inclusive L3 eviction left a private copy")
+	}
+	if counter(h, "l3.writebacks") != 0 {
+		t.Fatal("clean L3 victim written back")
+	}
+}
+
+func TestDirtyL3VictimWritesBack(t *testing.T) {
+	e, h := testMachine()
+	const addr = 0x1000
+	access(e, h, 0, addr, true)
+	access(e, h, 1, addr, false) // downgrade: the dirty data moves to the L3
+	bank := h.Bank(h.HomeBank(addr))
+	if bl := bank.Probe(addr); bl == nil || !bl.Dirty {
+		t.Fatal("setup: L3 line not dirty")
+	}
+	writesBefore := h.dram.Registry().Get("dram.writes")
+	for _, a := range l3Conflicts(addr, 4) {
+		access(e, h, 2, a, false)
+	}
+	if bank.Probe(addr) != nil {
+		t.Fatal("line not evicted from the L3")
+	}
+	if counter(h, "l3.writebacks") != 1 {
+		t.Fatalf("l3.writebacks = %d, want 1", counter(h, "l3.writebacks"))
+	}
+	if got := h.dram.Registry().Get("dram.writes") - writesBefore; got != 1 {
+		t.Fatalf("dram.writes grew by %d, want 1", got)
+	}
+	if h.Tile(0).HasLine(addr) || h.Tile(1).HasLine(addr) {
+		t.Fatal("inclusive L3 eviction left a sharer's copy")
+	}
+}
+
+// TestLineEvictedDuringDowngrade races an L3 eviction against an owner
+// downgrade: tile 3 owns the line dirty, tile 2's misses fill the line's
+// L3 set, and a read started at a swept offset finds the owner and waits
+// on its ack while the fourth fill evicts the line. A GetS then refetches
+// the line before granting it; a stream read completes without it.
+func TestLineEvictedDuringDowngrade(t *testing.T) {
+	const addr = 0x1000
+	// stage runs one race with the read starting start cycles after the
+	// conflicting misses; lost reports whether the line left the L3 while
+	// the read waited on its owner's ack: a sixth L3 miss (tile 3's fill,
+	// the four conflict fills, a refetch), or no line when a stream read
+	// completes.
+	stage := func(start sim.Time, stream bool) (h *Hierarchy, lost bool) {
+		e, h := testMachine()
+		access(e, h, 3, addr, true)
+		for _, a := range l3Conflicts(addr, 4) {
+			h.Tile(2).Access(a, false, 0, nil)
+		}
+		bank := h.Bank(h.HomeBank(addr))
+		done := false
+		e.Schedule(start, func() {
+			if stream {
+				bank.StreamRead(addr, func(bool) {
+					done = true
+					lost = bank.Probe(addr) == nil || counter(h, "l3.misses") == 6
+				})
+				return
+			}
+			h.Tile(1).Access(addr, false, 0, func(Level) { done = true })
+		})
+		e.Run()
+		if !done {
+			t.Fatalf("read started at +%d never completed", start)
+		}
+		if !stream {
+			lost = counter(h, "l3.misses") == 6
+		}
+		return h, lost && counter(h, "l3.downgrades") == 1
+	}
+	for _, stream := range []bool{false, true} {
+		raced := false
+		for start := sim.Time(0); start < 400 && !raced; start++ {
+			h, lost := stage(start, stream)
+			if !lost {
+				continue
+			}
+			raced = true
+			present := h.Bank(h.HomeBank(addr)).Probe(addr) != nil
+			if stream && present {
+				t.Errorf("stream read at +%d refetched the evicted line", start)
+			}
+			if !stream && (!present || !h.Tile(1).HasLine(addr)) {
+				t.Errorf("GetS at +%d did not refetch the evicted line: L3 %v, tile 1 %v", start, present, h.Tile(1).HasLine(addr))
+			}
+		}
+		if !raced {
+			t.Fatalf("no start offset evicted the line during the downgrade (stream=%v)", stream)
+		}
 	}
 }
 

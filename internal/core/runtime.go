@@ -13,6 +13,7 @@ import (
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/tlb"
 )
 
 // streamMode is how the runtime executes one stream under the selected
@@ -181,7 +182,7 @@ func (cr *coreRun) decoupledCore() bool {
 // thereafter (§IV-B). Returns extra latency and hit status.
 func (cr *coreRun) seTLBLookup(bank int, pa uint64) (sim.Time, bool) {
 	pages := cr.shared.sePages[bank]
-	page := pa >> 21 // huge-page granularity
+	page := pa >> tlb.HugePageBits
 	if pages[page] {
 		return 0, true
 	}
@@ -210,7 +211,7 @@ func Run(m *machine.Machine, k *ir.Kernel, sys System, params Params, kparams ma
 	if err != nil {
 		return nil, err
 	}
-	cores := m.Cores()
+	cores := m.Tiles()
 	if uint64(cores) > total && total > 0 {
 		cores = int(total)
 	}

@@ -158,7 +158,7 @@ func BenchmarkGenTrace(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	part := Partition(total, m.Cores())[0]
+	part := Partition(total, m.Tiles())[0]
 	var entries, bytes int
 	b.ReportAllocs()
 	b.ResetTimer()

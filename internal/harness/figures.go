@@ -140,7 +140,7 @@ func idealTraffic(m *machine.Machine, w *workloads.Workload, plan *compiler.Plan
 	if err != nil {
 		return
 	}
-	cores := m.Cores()
+	cores := m.Tiles()
 	parts := core.Partition(total, cores)
 	// Streams whose data is forwarded to another stream (multi-op).
 	forwarded := map[int]bool{}
@@ -679,8 +679,8 @@ func TableIV() *Table {
 func TableV(cfg Config) *Table {
 	mc := MachineConfig(cfg, true)
 	t := &Table{Title: "Table V: system and microarchitecture parameters", Cols: []string{"value"}}
-	t.AddRow("mesh width", float64(mc.MeshWidth))
-	t.AddRow("mesh height", float64(mc.MeshHeight))
+	t.AddRow("mesh width", float64(mc.NoC.Width))
+	t.AddRow("mesh height", float64(mc.NoC.Height))
 	t.AddRow("core issue width", float64(mc.CoreType.IssueWidth))
 	t.AddRow("core ROB", float64(mc.CoreType.ROB))
 	t.AddRow("core LQ", float64(mc.CoreType.LQ))
@@ -695,7 +695,7 @@ func TableV(cfg Config) *Table {
 	t.AddRow("router stages", float64(mc.NoC.RouterLatency))
 	t.AddRow("mem controllers", float64(mc.Mem.Controllers))
 	t.AddRow("DRAM latency", float64(mc.Mem.AccessLatency))
-	p := core.DefaultParams(mc.MeshWidth * mc.MeshHeight)
+	p := core.DefaultParams(mc.NoC.Width * mc.NoC.Height)
 	t.AddRow("range window R", float64(p.RangeWindow))
 	t.AddRow("credit windows", float64(p.CreditWindows))
 	t.AddRow("SCM issue latency", float64(p.SCMIssueLatency))

@@ -9,7 +9,7 @@ import (
 )
 
 func newData() *Data {
-	return NewData(tlb.NewAddressSpace(true, 1))
+	return NewData(tlb.NewAddressSpace())
 }
 
 // sumKernel builds acc = Σ A[i] for N elements.

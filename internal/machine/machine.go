@@ -16,51 +16,36 @@ import (
 	"repro/internal/tlb"
 )
 
-// Config sizes a machine.
+// Config sizes a machine. Every tile runs a core and holds an L3 bank;
+// memory is allocated on huge pages (tlb.AddressSpace).
 type Config struct {
-	// MeshWidth/MeshHeight give the tile grid (8×8 in the paper; tests
-	// and CI-scale experiments use 4×4).
-	MeshWidth, MeshHeight int
-	// Cores is how many tiles run worker threads (≤ tiles; the rest only
-	// contribute L3 banks). 0 means all.
-	Cores int
 	// CoreType selects the core model.
 	CoreType cpu.Config
 	// Cache configures the hierarchy (DefaultConfig for Table V).
 	Cache cache.Config
-	// NoC configures the mesh.
+	// NoC configures the mesh; its Width×Height is the tile grid (8×8 in
+	// the paper; tests and CI-scale experiments use 4×4).
 	NoC noc.Config
 	// Mem configures DRAM.
 	Mem mem.Config
-	// UseHugePages backs allocations with physically contiguous huge
-	// pages (the §IV-A assumption range-sync relies on).
-	UseHugePages bool
 	// EnablePrefetchers turns on the Bingo + stride prefetchers (the
 	// Base system only, §VI).
 	EnablePrefetchers bool
-	// Seed feeds the address space's base-page scatter RNG, the only
-	// seeded machine state.
-	Seed uint64
 }
 
 // Default returns the paper's 8×8 OOO8 machine.
 func Default() Config {
-	ncfg := noc.DefaultConfig()
 	return Config{
-		MeshWidth: 8, MeshHeight: 8,
-		CoreType:     cpu.OOO8(),
-		Cache:        cache.DefaultConfig(),
-		NoC:          ncfg,
-		Mem:          mem.DefaultConfig(),
-		UseHugePages: true,
-		Seed:         1,
+		CoreType: cpu.OOO8(),
+		Cache:    cache.DefaultConfig(),
+		NoC:      noc.DefaultConfig(),
+		Mem:      mem.DefaultConfig(),
 	}
 }
 
 // CI returns a reduced 4×4 machine for tests and CI-scale experiments.
 func CI() Config {
 	cfg := Default()
-	cfg.MeshWidth, cfg.MeshHeight = 4, 4
 	cfg.NoC.Width, cfg.NoC.Height = 4, 4
 	return cfg
 }
@@ -99,22 +84,8 @@ type Machine struct {
 	Attrib *obs.Attribution
 }
 
-// normalize canonicalizes a config for New: NoC dimensions follow the
-// mesh, zero Cores means every tile.
-func normalize(cfg Config) Config {
-	if cfg.MeshWidth <= 0 || cfg.MeshHeight <= 0 {
-		panic("machine: bad mesh")
-	}
-	cfg.NoC.Width, cfg.NoC.Height = cfg.MeshWidth, cfg.MeshHeight
-	if cfg.Cores == 0 {
-		cfg.Cores = cfg.MeshWidth * cfg.MeshHeight
-	}
-	return cfg
-}
-
 // New assembles a machine.
 func New(cfg Config) *Machine {
-	cfg = normalize(cfg)
 	engine := sim.NewEngine()
 	loop := sim.NewWindowed(engine, noc.Lookahead(cfg.NoC))
 	net := noc.New(engine, cfg.NoC)
@@ -128,7 +99,7 @@ func New(cfg Config) *Machine {
 		Net:    net,
 		Dram:   dram,
 		Hier:   hier,
-		AS:     tlb.NewAddressSpace(cfg.UseHugePages, cfg.Seed),
+		AS:     tlb.NewAddressSpace(),
 		Obs:    obs.NewRegistry(),
 	}
 	if cfg.EnablePrefetchers {
@@ -214,9 +185,6 @@ func (m *Machine) Stopped() bool { return m.Engine.Stopped() }
 
 // Tiles returns the mesh node count.
 func (m *Machine) Tiles() int { return m.Net.Nodes() }
-
-// Cores returns the worker-core count.
-func (m *Machine) Cores() int { return m.Cfg.Cores }
 
 // Translate maps a virtual to a physical address. Translation is
 // functional and costs no cycles: every workload runs on huge pages, so

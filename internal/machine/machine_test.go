@@ -8,7 +8,7 @@ import (
 
 func TestDefaultIsTableV(t *testing.T) {
 	cfg := Default()
-	if cfg.MeshWidth != 8 || cfg.MeshHeight != 8 {
+	if cfg.NoC.Width != 8 || cfg.NoC.Height != 8 {
 		t.Fatal("default mesh is not 8x8")
 	}
 	if cfg.CoreType.Name != "OOO8" {
@@ -17,15 +17,12 @@ func TestDefaultIsTableV(t *testing.T) {
 	if cfg.Cache.L2.SizeBytes != 256<<10 || cfg.Cache.L3Bank.SizeBytes != 1<<20 {
 		t.Fatal("Table V cache sizes wrong")
 	}
-	if !cfg.UseHugePages {
-		t.Fatal("huge pages must default on (§IV-A)")
-	}
 }
 
 func TestNewAssemblesEverything(t *testing.T) {
 	m := New(CI())
-	if m.Tiles() != 16 || m.Cores() != 16 {
-		t.Fatalf("tiles=%d cores=%d", m.Tiles(), m.Cores())
+	if m.Tiles() != 16 {
+		t.Fatalf("tiles=%d, want 16", m.Tiles())
 	}
 	if m.Hier.Tiles() != 16 {
 		t.Fatal("hierarchy size mismatch")
@@ -80,14 +77,5 @@ func TestCollectStatsMergesTraffic(t *testing.T) {
 	// included.
 	if fresh := New(CI()).Counters(); len(fresh) != 0 {
 		t.Fatalf("new machine reports counters: %v", fresh)
-	}
-}
-
-func TestCoresCappedByConfig(t *testing.T) {
-	cfg := CI()
-	cfg.Cores = 4
-	m := New(cfg)
-	if m.Cores() != 4 || m.Tiles() != 16 {
-		t.Fatalf("cores=%d tiles=%d, want 4/16", m.Cores(), m.Tiles())
 	}
 }

@@ -28,10 +28,6 @@ type Config struct {
 	RouterLatency sim.Time
 	// HeaderBytes is added to every message's payload for flit headers.
 	HeaderBytes int
-	// ModelContention enables per-link serialization and queueing; when
-	// false the mesh is a pure latency model (used by the ideal-system
-	// studies of Figure 1b).
-	ModelContention bool
 }
 
 // DefaultConfig returns the Table V mesh: 8×8, 256-bit 1-cycle links,
@@ -44,7 +40,6 @@ func DefaultConfig() Config {
 		LinkLatency:       1,
 		RouterLatency:     5,
 		HeaderBytes:       8,
-		ModelContention:   true,
 	}
 }
 
@@ -427,17 +422,14 @@ func (n *Network) Send(m *Message) {
 }
 
 // deliveryTimeAt computes the arrival time of a message sent at now,
-// advancing link reservations when contention modelling is on.
+// advancing the link reservations along its route: each hop waits for
+// its link, then stores and forwards the whole message.
 func (n *Network) deliveryTimeAt(now sim.Time, src, dst, bytes int) sim.Time {
 	if src == dst {
 		return now + n.cfg.RouterLatency
 	}
 	ser := n.serializationCycles(bytes)
 	t := now + n.cfg.RouterLatency // injection router
-	if !n.cfg.ModelContention {
-		hops := sim.Time(n.HopCount(src, dst))
-		return t + hops*(n.cfg.LinkLatency+n.cfg.RouterLatency) + ser - 1
-	}
 	for _, l := range n.routeLinks(src, dst) {
 		start := t
 		if free := n.nextFree[l]; free > start {
@@ -668,16 +660,6 @@ func (n *Network) deferHorizon(arrive, limit sim.Time) {
 		}
 		n.engine.ScheduleAt(at, n.horizonEv)
 	}
-}
-
-// Latency estimates (without sending) the uncontended latency between two
-// nodes for a message of the given payload size.
-func (n *Network) Latency(src, dst, bytes int) sim.Time {
-	hops := sim.Time(n.HopCount(src, dst))
-	if hops == 0 {
-		return n.cfg.RouterLatency
-	}
-	return n.cfg.RouterLatency + hops*(n.cfg.LinkLatency+n.cfg.RouterLatency) + n.serializationCycles(bytes) - 1
 }
 
 func abs(x int) int {

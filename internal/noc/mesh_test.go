@@ -153,19 +153,6 @@ func TestContentionSerializes(t *testing.T) {
 	}
 }
 
-func TestNoContentionModeMatchesLatency(t *testing.T) {
-	e := sim.NewEngine()
-	cfg := DefaultConfig()
-	cfg.ModelContention = false
-	n := New(e, cfg)
-	var at sim.Time
-	n.Send(&Message{Src: 0, Dst: 63, Bytes: 64, Class: TrafficData, OnDeliver: func() { at = e.Now() }})
-	e.Run()
-	if want := n.Latency(0, 63, 64); at != want {
-		t.Fatalf("uncontended arrival %d, want Latency() = %d", at, want)
-	}
-}
-
 func TestMulticastSharedLinksChargedOnce(t *testing.T) {
 	e, n := testNet(8, 8)
 	// From (0,0) to (7,0) and (7,1): X path is shared for 7 hops, then the
@@ -193,14 +180,17 @@ func TestMulticastEmpty(t *testing.T) {
 }
 
 func TestLatencyMonotonicInDistance(t *testing.T) {
-	_, n := testNet(8, 8)
 	prev := sim.Time(0)
 	for d := 0; d < 8; d++ {
-		l := n.Latency(0, n.NodeAt(d, 0), 64)
-		if l < prev {
-			t.Fatalf("latency not monotone at distance %d", d)
+		// A lone message on an idle mesh: no contention, pure latency.
+		e, n := testNet(8, 8)
+		var at sim.Time
+		n.Send(&Message{Src: 0, Dst: n.NodeAt(d, 0), Bytes: 64, Class: TrafficData, OnDeliver: func() { at = e.Now() }})
+		e.Run()
+		if at <= prev {
+			t.Fatalf("arrival %d at distance %d, not later than %d at distance %d", at, d, prev, d-1)
 		}
-		prev = l
+		prev = at
 	}
 }
 

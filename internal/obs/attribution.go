@@ -239,9 +239,8 @@ func (a *Attribution) Report() *AttributionReport {
 }
 
 // WriteStallTable renders the attribution sections of a report as a flat
-// text table: one block per job, reasons sorted by charged cycles (then
-// count), with an engine footer when the report carries an Exec section.
-// This is the -stall-report surface of nsexp and nsrun.
+// text table: one WriteStalls block per job, headed by its key. This is
+// the -stall-report surface of nsexp and nsrun.
 func WriteStallTable(w io.Writer, rep *RunReport) error {
 	bw := bufio.NewWriter(w)
 	blocks := 0
@@ -255,7 +254,7 @@ func WriteStallTable(w io.Writer, rep *RunReport) error {
 		}
 		blocks++
 		fmt.Fprintf(bw, "%s\n", j.Key)
-		writeJobStalls(bw, j.Attribution)
+		WriteStalls(bw, j.Attribution, 0)
 	}
 	if blocks == 0 {
 		fmt.Fprintln(bw, "no attribution data (report written without -stall-report?)")
@@ -263,10 +262,13 @@ func WriteStallTable(w io.Writer, rep *RunReport) error {
 	return bw.Flush()
 }
 
-// writeJobStalls renders one job's attribution block.
-func writeJobStalls(bw *bufio.Writer, a *AttributionReport) {
+// WriteStalls renders one attribution block: reasons sorted by charged
+// cycles (then count) with their share of the charged cycles, the wait
+// histograms, and an engine footer when a carries an Exec section. top > 0
+// keeps only the top rows, noting how many were cut.
+func WriteStalls(w io.Writer, a *AttributionReport, top int) {
 	if len(a.Stalls) == 0 {
-		fmt.Fprintln(bw, "  no stalls charged")
+		fmt.Fprintln(w, "  no stalls charged")
 	} else {
 		entries := make([]StallEntry, len(a.Stalls))
 		copy(entries, a.Stalls)
@@ -280,23 +282,27 @@ func writeJobStalls(bw *bufio.Writer, a *AttributionReport) {
 		for _, e := range entries {
 			totalCycles += e.Cycles
 		}
-		fmt.Fprintf(bw, "  %-6s %-18s %14s %14s %7s\n", "comp", "reason", "count", "cycles", "%cyc")
+		if top > 0 && len(entries) > top {
+			fmt.Fprintf(w, "  (top %d of %d stall reasons)\n", top, len(entries))
+			entries = entries[:top]
+		}
+		fmt.Fprintf(w, "  %-6s %-18s %14s %14s %7s\n", "comp", "reason", "count", "cycles", "%cyc")
 		for _, e := range entries {
 			pct := "-"
 			if totalCycles > 0 && e.Cycles > 0 {
 				pct = fmt.Sprintf("%.1f", 100*float64(e.Cycles)/float64(totalCycles))
 			}
-			fmt.Fprintf(bw, "  %-6s %-18s %14d %14d %7s\n", e.Component, e.Reason, e.Count, e.Cycles, pct)
+			fmt.Fprintf(w, "  %-6s %-18s %14d %14d %7s\n", e.Component, e.Reason, e.Count, e.Cycles, pct)
 		}
 	}
 	for _, h := range a.Hists {
-		fmt.Fprintf(bw, "  hist %-24s count=%d sum=%d mean=%.1f\n",
+		fmt.Fprintf(w, "  hist %-24s count=%d sum=%d mean=%.1f\n",
 			h.Name, h.Count, h.Sum, histMean(h))
 	}
 	if ex := a.Exec; ex != nil && (ex.IdleElidedCycles > 0 || ex.Windows > 0) {
 		// Every machine runs on one engine; the shards=1 token keeps the
 		// line's format for readers that parse it.
-		fmt.Fprintf(bw, "  exec: shards=1 windows=%d idle_elided_cycles=%d\n",
+		fmt.Fprintf(w, "  exec: shards=1 windows=%d idle_elided_cycles=%d\n",
 			ex.Windows, ex.IdleElidedCycles)
 	}
 }

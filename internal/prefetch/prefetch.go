@@ -16,13 +16,11 @@ type BingoConfig struct {
 	// PHTEntries is the number of pattern-history-table entries
 	// (8 KB table / ~8 B per entry = 1024).
 	PHTEntries int
-	// LineBytes is the cache line size.
-	LineBytes uint64
 }
 
 // DefaultBingoConfig returns the Table V configuration.
 func DefaultBingoConfig() BingoConfig {
-	return BingoConfig{RegionBytes: 2048, PHTEntries: 1024, LineBytes: 64}
+	return BingoConfig{RegionBytes: 2048, PHTEntries: 1024}
 }
 
 // bingoEntry is one learned region footprint, keyed by the long event
@@ -59,7 +57,7 @@ type regionGen struct {
 
 // NewBingo attaches a Bingo prefetcher to a tile.
 func NewBingo(tile *cache.Tile, cfg BingoConfig) *Bingo {
-	if cfg.RegionBytes == 0 || cfg.LineBytes == 0 || cfg.PHTEntries <= 0 {
+	if cfg.RegionBytes == 0 || cfg.PHTEntries <= 0 {
 		panic("prefetch: bad bingo config")
 	}
 	return &Bingo{
@@ -73,12 +71,12 @@ func NewBingo(tile *cache.Tile, cfg BingoConfig) *Bingo {
 func (b *Bingo) regionOf(addr uint64) uint64 { return addr / b.cfg.RegionBytes }
 
 func (b *Bingo) lineBit(addr uint64) uint {
-	return uint(addr % b.cfg.RegionBytes / b.cfg.LineBytes)
+	return uint(addr % b.cfg.RegionBytes / cache.LineBytes)
 }
 
 // eventKey hashes the trigger event (PC + region offset).
 func (b *Bingo) eventKey(pc, addr uint64) uint64 {
-	off := addr % b.cfg.RegionBytes / b.cfg.LineBytes
+	off := addr % b.cfg.RegionBytes / cache.LineBytes
 	h := pc*0x9e3779b97f4a7c15 ^ off*0xbf58476d1ce4e5b9
 	return h
 }
@@ -101,7 +99,7 @@ func (b *Bingo) Observe(addr, pc uint64) {
 			for bit := uint(0); fp != 0; bit++ {
 				if fp&(1<<bit) != 0 {
 					fp &^= 1 << bit
-					b.tile.Prefetch(base + uint64(bit)*b.cfg.LineBytes)
+					b.tile.Prefetch(base + uint64(bit)*cache.LineBytes)
 				}
 			}
 		}

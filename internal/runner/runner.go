@@ -41,7 +41,7 @@ type Job struct {
 // default point shares its cache entry with plain runs.
 func (j Job) Key() string {
 	mc := scaleMachine(j.Scale)
-	def := core.DefaultParams(mc.MeshWidth * mc.MeshHeight)
+	def := core.DefaultParams(mc.NoC.Width * mc.NoC.Height)
 	ov := j.Overrides.canon(def)
 	k := fmt.Sprintf("%s|%s|%s|%s|seed=%d",
 		j.Workload, j.System, j.Scale, coreTypeName(j.CoreType), j.Seed)
@@ -111,7 +111,7 @@ func scaleMachine(s workloads.Scale) machine.Config {
 }
 
 // MachineConfig builds the machine for a job: its scale's machine with
-// the job's core type and seed. An unknown core type panics; Execute
+// the job's core type. An unknown core type panics; Execute
 // checks it first and returns the error instead.
 func MachineConfig(j Job, prefetchers bool) machine.Config {
 	mc := scaleMachine(j.Scale)
@@ -121,7 +121,6 @@ func MachineConfig(j Job, prefetchers bool) machine.Config {
 	}
 	mc.CoreType = ct
 	mc.EnablePrefetchers = prefetchers
-	mc.Seed = j.Seed
 	return mc
 }
 

@@ -5,40 +5,8 @@ import (
 	"testing/quick"
 )
 
-func TestPageTableBase(t *testing.T) {
-	pt := NewPageTable()
-	pt.MapBase(5, 9)
-	pa, huge, ok := pt.Translate(5<<BasePageBits | 123)
-	if !ok || huge {
-		t.Fatal("base translation failed")
-	}
-	if pa != 9<<BasePageBits|123 {
-		t.Fatalf("pa = %#x", pa)
-	}
-}
-
-func TestPageTableHuge(t *testing.T) {
-	pt := NewPageTable()
-	pt.MapHuge(3, 7)
-	va := uint64(3)<<HugePageBits | 0x12345
-	pa, huge, ok := pt.Translate(va)
-	if !ok || !huge {
-		t.Fatal("huge translation failed")
-	}
-	if pa != 7<<HugePageBits|0x12345 {
-		t.Fatalf("pa = %#x", pa)
-	}
-}
-
-func TestPageTableUnmapped(t *testing.T) {
-	pt := NewPageTable()
-	if _, _, ok := pt.Translate(0x1234); ok {
-		t.Fatal("unmapped address translated")
-	}
-}
-
 func TestHugeAllocContiguous(t *testing.T) {
-	as := NewAddressSpace(true, 1)
+	as := NewAddressSpace()
 	va := as.Alloc(3 * HugePageSize)
 	base := as.Translate(va)
 	for off := uint64(0); off < 3*HugePageSize; off += 4096 {
@@ -48,31 +16,16 @@ func TestHugeAllocContiguous(t *testing.T) {
 	}
 }
 
-func TestBasePageAllocScattered(t *testing.T) {
-	as := NewAddressSpace(false, 1)
-	va := as.Alloc(16 * BasePageSize)
-	contiguous := true
-	base := as.Translate(va)
-	for off := uint64(0); off < 16*BasePageSize; off += BasePageSize {
-		if as.Translate(va+off) != base+off {
-			contiguous = false
-		}
-	}
-	if contiguous {
-		t.Fatal("base-page allocation unexpectedly contiguous; scatter broken")
-	}
-}
-
 func TestAllocationsDisjointProperty(t *testing.T) {
-	// Property: distinct allocations never share a physical page.
+	// Property: distinct allocations never share a physical huge page.
 	f := func(sizes []uint16) bool {
-		as := NewAddressSpace(true, 2)
+		as := NewAddressSpace()
 		seen := map[uint64]bool{}
 		for _, s := range sizes {
 			size := uint64(s) + 1
 			va := as.Alloc(size)
-			for off := uint64(0); off < size; off += BasePageSize {
-				ppn := as.Translate(va+off) >> BasePageBits
+			first, last := as.Translate(va)>>HugePageBits, as.Translate(va+size-1)>>HugePageBits
+			for ppn := first; ppn <= last; ppn++ {
 				if seen[ppn] {
 					return false
 				}
@@ -87,11 +40,16 @@ func TestAllocationsDisjointProperty(t *testing.T) {
 }
 
 func TestTranslateUnmappedPanics(t *testing.T) {
-	as := NewAddressSpace(true, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("translate of unmapped address should panic")
-		}
-	}()
-	as.Translate(0)
+	as := NewAddressSpace()
+	end := as.Alloc(1) + HugePageSize
+	for _, va := range []uint64{0, end} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("translate of unmapped address %#x should panic", va)
+				}
+			}()
+			as.Translate(va)
+		}()
+	}
 }

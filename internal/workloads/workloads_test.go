@@ -13,7 +13,7 @@ import (
 // execute runs a workload functionally and returns its accumulators.
 func execute(t *testing.T, w *Workload) (*ir.Data, map[string]uint64) {
 	t.Helper()
-	d := ir.NewData(tlb.NewAddressSpace(true, 7))
+	d := ir.NewData(tlb.NewAddressSpace())
 	d.AllocArrays(w.Kernel)
 	w.Init(d, sim.NewRand(99))
 	total := outerTrip(t, w)
