@@ -109,9 +109,13 @@ func GetWorkload(name string, scale Scale) *Workload { return workloads.Get(name
 func DefaultConfig() Config { return harness.DefaultConfig() }
 
 // NewMachine builds a machine for a configuration; prefetchers must be
-// enabled exactly for the Base system.
-func NewMachine(cfg Config, prefetchers bool) *Machine {
-	return machine.New(harness.MachineConfig(cfg, prefetchers))
+// enabled exactly for the Base system. An unknown core type is an error.
+func NewMachine(cfg Config, prefetchers bool) (*Machine, error) {
+	mc, err := harness.MachineConfig(cfg, prefetchers)
+	if err != nil {
+		return nil, err
+	}
+	return machine.New(mc), nil
 }
 
 // RunWorkload simulates one workload on one system.
@@ -123,7 +127,10 @@ func RunWorkload(name string, sys System, cfg Config) (*Result, error) {
 // the cycle count and the run result. Data arrays are allocated and handed
 // to init for filling.
 func RunKernel(k *Kernel, sys System, cfg Config, kparams map[string]uint64, init func(*ir.Data)) (*core.RunResult, error) {
-	m := machine.New(harness.MachineConfig(cfg, sys == core.Base))
+	m, err := NewMachine(cfg, sys == core.Base)
+	if err != nil {
+		return nil, err
+	}
 	d := ir.NewData(m.AS)
 	d.AllocArrays(k)
 	if init != nil {
@@ -254,7 +261,7 @@ func StaticTable(id string) (*Table, error) {
 	case "5":
 		cfg := harness.DefaultConfig()
 		cfg.Scale = ScalePaper
-		return harness.TableV(cfg), nil
+		return harness.TableV(cfg)
 	case "area":
 		return harness.AreaReport(), nil
 	default:

@@ -1,6 +1,7 @@
 package nearstream
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
@@ -58,6 +59,24 @@ func TestRunKernelPublicAPI(t *testing.T) {
 	}
 	if sum != 2*n {
 		t.Fatalf("sum = %d, want %d", sum, 2*n)
+	}
+}
+
+// TestRunKernelUnknownCoreType checks that a configuration naming an
+// unknown core type is an error from RunKernel, not a panic.
+func TestRunKernelUnknownCoreType(t *testing.T) {
+	b := NewKernelBuilder("api_bogus_core")
+	b.Array("A", ir.I64, 16)
+	b.Loop("i", 16)
+	b.Load(ir.I64, ir.AffineAddr("A", 0, map[int]int64{0: 1}))
+	cfg := DefaultConfig()
+	cfg.CoreType = "bogus"
+	_, err := RunKernel(b.Build(), NS, cfg, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+		t.Fatalf("RunKernel with core type bogus: err = %v, want one naming \"bogus\"", err)
+	}
+	if _, err := NewMachine(cfg, false); err == nil {
+		t.Fatal("NewMachine accepted core type bogus")
 	}
 }
 

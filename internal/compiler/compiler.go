@@ -174,8 +174,15 @@ type Plan struct {
 	ByAccess map[ir.ValueRef]*Stream
 	// Claimed maps every absorbed op (access or compute) to its stream.
 	Claimed map[ir.ValueRef]*Stream
+	// byOp is Claimed as a dense per-op table (nil: on-core), filled at
+	// the end of Compile for StreamOf.
+	byOp []*Stream
 	// FullyDecoupled marks §V kernels whose inner loop is eliminated.
 	FullyDecoupled bool
+	// Sids bounds every stream id the plan names (Sid, BaseSid,
+	// ValueDepSids): the count Compile assigned, merged-away streams
+	// included, so per-sid tables can be dense.
+	Sids int
 }
 
 // ClassOf returns the accounting category of an op.
@@ -184,8 +191,8 @@ func (p *Plan) ClassOf(id ir.ValueRef) Category {
 	if op.Kind == ir.OpConst || op.Kind == ir.OpParam {
 		return CatConfig
 	}
-	s, ok := p.Claimed[id]
-	if !ok {
+	s := p.StreamOf(id)
+	if s == nil {
 		return CatCore
 	}
 	if id == s.AccessOp || id == s.MergedStore {
@@ -201,7 +208,7 @@ func (p *Plan) ClassOf(id ir.ValueRef) Category {
 
 // StreamOf returns the stream an op belongs to (nil when on-core).
 func (p *Plan) StreamOf(id ir.ValueRef) *Stream {
-	return p.Claimed[id]
+	return p.byOp[id]
 }
 
 // compileState carries pass state.
@@ -237,6 +244,11 @@ func Compile(k *ir.Kernel) (*Plan, error) {
 	cs.assignIndirectIndices()
 	cs.assignLoadClosures()
 	cs.analyzeDecoupling()
+	cs.plan.Sids = cs.nextSid
+	cs.plan.byOp = make([]*Stream, len(k.Ops))
+	for id, s := range cs.plan.Claimed {
+		cs.plan.byOp[id] = s
+	}
 	return cs.plan, nil
 }
 

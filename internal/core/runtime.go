@@ -105,10 +105,11 @@ type coreRun struct {
 	k      *ir.Kernel
 	trace  *Trace
 
-	modes        map[int]streamMode
-	remotes      map[int]*remoteStream
+	// modes, remotes and prefetch are by sid (nil: no such executor).
+	modes        []streamMode
+	remotes      []*remoteStream
 	extraRemotes []*remoteStream // parallel chase instances (§V)
-	prefetch     map[int]*inCoreStream
+	prefetch     []*inCoreStream
 	chains       []*chainStream
 	lastAcc      map[string]uint64
 
@@ -158,13 +159,7 @@ func (cr *coreRun) nextSidBound() int {
 	if cr.plan == nil {
 		return 0
 	}
-	max := 0
-	for _, s := range cr.plan.Streams {
-		if s.Sid >= max {
-			max = s.Sid + 1
-		}
-	}
-	return max
+	return cr.plan.Sids
 }
 
 // streamOf returns the stream claiming an op, or nil.
@@ -239,12 +234,13 @@ func Run(m *machine.Machine, k *ir.Kernel, sys System, params Params, kparams ma
 		cr := &coreRun{
 			shared: shared, m: m, coreID: c, sys: sys, pol: pol,
 			params: params, plan: plan, k: k, trace: tr,
-			modes: map[int]streamMode{}, remotes: map[int]*remoteStream{},
-			prefetch: map[int]*inCoreStream{},
-			lastSeq:  make([]uint64, len(k.Ops)),
-			haveSeq:  make([]bool, len(k.Ops)),
+			lastSeq: make([]uint64, len(k.Ops)),
+			haveSeq: make([]bool, len(k.Ops)),
 		}
 		nsid := cr.nextSidBound()
+		cr.modes = make([]streamMode, nsid)
+		cr.remotes = make([]*remoteStream, nsid)
+		cr.prefetch = make([]*inCoreStream, nsid)
 		cr.elemCount = make([]int, nsid)
 		cr.consumeCount = make([]int, nsid)
 		cr.decideModes()
@@ -266,9 +262,8 @@ func Run(m *machine.Machine, k *ir.Kernel, sys System, params Params, kparams ma
 		cr.core.Start()
 		// Start streams in sid order: same-cycle events fire FIFO, so a
 		// deterministic insert order keeps runs bit-identical.
-		for sid := 0; sid < cr.nextSidBound(); sid++ {
-			if rs, ok := cr.remotes[sid]; ok {
-				rs := rs
+		for _, rs := range cr.remotes {
+			if rs != nil {
 				m.Engine.Schedule(1, rs.start)
 			}
 		}
@@ -338,7 +333,9 @@ func runEngine(m *machine.Machine, runs []*coreRun) {
 		for _, cr := range runs {
 			retired += cr.core.OpsRetired
 			for _, rs := range cr.remotes {
-				offq += rs.inflight
+				if rs != nil {
+					offq += rs.inflight
+				}
 			}
 			for _, rs := range cr.extraRemotes {
 				offq += rs.inflight
@@ -548,8 +545,8 @@ func scheduleContextSwitch(m *machine.Machine, runs []*coreRun, params Params) {
 	m.Engine.ScheduleAt(sim.Time(params.ContextSwitchAt), func() {
 		var all []*remoteStream
 		for _, cr := range runs {
-			for sid := 0; sid < cr.nextSidBound(); sid++ {
-				if rs, ok := cr.remotes[sid]; ok {
+			for _, rs := range cr.remotes {
+				if rs != nil {
 					all = append(all, rs)
 				}
 			}

@@ -346,8 +346,10 @@ func (cr *coreRun) setSeq(id ir.ValueRef, seq uint64) {
 // for every offloaded stream's done/final-value message.
 func (cr *coreRun) emitEnd() {
 	cr.endEmitted = true
-	for range cr.remotes {
-		cr.push(cr.newOp(cpu.IntAlu), nil) // s_end
+	for _, rs := range cr.remotes {
+		if rs != nil {
+			cr.push(cr.newOp(cpu.IntAlu), nil) // s_end
+		}
 	}
 	if cr.pendingStreams > 0 {
 		cr.push(cr.newOp(cpu.Load), func(done func()) {

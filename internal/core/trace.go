@@ -56,8 +56,9 @@ type Trace struct {
 	Addrs []uint64
 	// DynOps counts dynamic ops by compiler category.
 	DynOps map[compiler.Category]uint64
-	// StreamElems[sid] is the ordered element list of each stream.
-	StreamElems map[int][]streamElem
+	// StreamElems[sid] is the ordered element list of each stream, for
+	// every sid below the plan's Sids (all empty without a plan).
+	StreamElems [][]streamElem
 	// Iters is the number of innermost iterations.
 	Iters uint64
 	// Accs carries the functional reduction results.
@@ -79,13 +80,10 @@ type streamElem struct {
 // interpreter's wall-clock (growslice memmove), so reuse keeps the warmed
 // capacity. What the pool retains is the packed buffers of the runs in
 // flight, released after two GC cycles without use. Every lookup into
-// StreamElems is by sid, so stale keys left truncated to length 0 by
-// getTrace are indistinguishable from absent ones.
+// StreamElems is by sid, so stale lists left truncated to length 0 by
+// getTrace are indistinguishable from empty ones.
 var tracePool = sync.Pool{New: func() any {
-	return &Trace{
-		DynOps:      map[compiler.Category]uint64{},
-		StreamElems: map[int][]streamElem{},
-	}
+	return &Trace{DynOps: map[compiler.Category]uint64{}}
 }}
 
 // getTrace checks a cleared Trace out of the pool. Accs is never reused:
@@ -123,6 +121,11 @@ func GenTrace(m *machine.Machine, k *ir.Kernel, p *compiler.Plan, params map[str
 		return nil, err
 	}
 	tr := getTrace()
+	if p != nil {
+		for len(tr.StreamElems) < p.Sids {
+			tr.StreamElems = append(tr.StreamElems, nil)
+		}
+	}
 	innermost := len(k.Loops) - 1
 	// Classification is static per op: resolve it once up front into
 	// dense tables instead of map lookups per dynamic instruction, and

@@ -37,7 +37,11 @@ func (e *Exp) Fig1a(subset []string) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := machine.New(MachineConfig(cfg, false))
+		mc, err := MachineConfig(cfg, false)
+		if err != nil {
+			return nil, err
+		}
+		m := machine.New(mc)
 		loadOps, storeOps, coreOps, cfgOps, err := classifyDynOps(w, plan, w.NewData(m.AS, cfg.Seed))
 		if err != nil {
 			return nil, err
@@ -113,7 +117,11 @@ func (e *Exp) Fig1b(subset []string) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := machine.New(MachineConfig(cfg, false))
+		mc, err := MachineConfig(cfg, false)
+		if err != nil {
+			return nil, err
+		}
+		m := machine.New(mc)
 		noPriv, perfPriv, nearLLC, err := idealTraffic(m, w, plan, w.NewData(m.AS, cfg.Seed))
 		if err != nil {
 			return nil, err
@@ -676,8 +684,11 @@ func TableIV() *Table {
 
 // TableV renders the simulated system's parameters for a configuration —
 // the reproduction's counterpart of the paper's Table V.
-func TableV(cfg Config) *Table {
-	mc := MachineConfig(cfg, true)
+func TableV(cfg Config) (*Table, error) {
+	mc, err := MachineConfig(cfg, true)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{Title: "Table V: system and microarchitecture parameters", Cols: []string{"value"}}
 	t.AddRow("mesh width", float64(mc.NoC.Width))
 	t.AddRow("mesh height", float64(mc.NoC.Height))
@@ -702,7 +713,7 @@ func TableV(cfg Config) *Table {
 	t.AddRow("SCC count", float64(p.SCCCount))
 	t.AddRow("SCC ROB total", float64(p.SCCROB))
 	t.AddRow("SE fifo depth", float64(p.FIFODepth))
-	return t
+	return t, nil
 }
 
 // AreaReport renders the §VII-A area estimate.

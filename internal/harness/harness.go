@@ -72,7 +72,7 @@ func (c Config) Job(wname string, sys core.System) runner.Job {
 
 // MachineConfig builds the machine for a configuration's scale (see
 // runner.MachineConfig).
-func MachineConfig(cfg Config, prefetchers bool) machine.Config {
+func MachineConfig(cfg Config, prefetchers bool) (machine.Config, error) {
 	return runner.MachineConfig(cfg.Job("", core.Base), prefetchers)
 }
 

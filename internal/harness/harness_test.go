@@ -155,7 +155,10 @@ func TestFig16MRSWHelpsFailedCAS(t *testing.T) {
 func TestTableVParameters(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scale = 1 // paper scale
-	tab := TableV(cfg)
+	tab, err := TableV(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if v, ok := tab.Cell("core ROB", "value"); !ok || v != 224 {
 		t.Fatalf("OOO8 ROB = %v, want 224 (Table V)", v)
 	}

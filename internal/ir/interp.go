@@ -35,44 +35,53 @@ type Hooks struct {
 const maxWhileIters = 100_000_000
 
 // Exec interprets a kernel functionally over a partition of the outermost
-// loop [outerLo, outerHi). It returns the final kernel-wide accumulators
-// (by name). Per-iteration accumulators are visible to the kernel's own
-// ops only. hooks may be nil.
+// loop [outerLo, outerHi). It returns the accumulators (by name) that were
+// reset at least once, at their final values. params override the
+// kernel's default Params. hooks may be nil.
+//
+// Names (arrays, parameters, accumulators) are resolved once per call
+// into per-op tables; a name that does not resolve still fails only when
+// an op using it executes.
 func Exec(k *Kernel, d *Data, params map[string]uint64, outerLo, outerHi uint64, hooks *Hooks) (map[string]uint64, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
 	in := &interp{
 		k: k, d: d, hooks: hooks,
-		params: map[string]uint64{},
-		vals:   make([]uint64, len(k.Ops)),
-		accs:   map[string]uint64{},
-		idx:    make([]uint64, len(k.Loops)),
-		chase:  make([]uint64, len(k.Loops)),
+		vals:  make([]uint64, len(k.Ops)),
+		idx:   make([]uint64, len(k.Loops)),
+		chase: make([]uint64, len(k.Loops)),
 	}
-	for name, v := range k.Params {
-		in.params[name] = v
-	}
-	for name, v := range params {
-		in.params[name] = v
-	}
+	in.resolve(params)
 	in.splitLevels()
 	if err := in.runLevel(0, outerLo, outerHi); err != nil {
 		return nil, err
 	}
-	return in.accs, nil
+	accs := make(map[string]uint64, len(in.accNames))
+	for slot, name := range in.accNames {
+		if in.accSet[slot] {
+			accs[name] = in.accs[slot]
+		}
+	}
+	return accs, nil
 }
 
 type interp struct {
-	k      *Kernel
-	d      *Data
-	hooks  *Hooks
-	params map[string]uint64
-	vals   []uint64
-	accs   map[string]uint64
-	accSet map[string]bool
-	idx    []uint64
-	chase  []uint64
+	k     *Kernel
+	d     *Data
+	hooks *Hooks
+	vals  []uint64
+	idx   []uint64
+	chase []uint64
+	// ops[i] holds op i's resolved names and trips[L] loop L's trip
+	// parameter (see resolve).
+	ops   []resolvedOp
+	trips []param
+	// accs/accSet are the accumulators by slot; accNames[slot] is the
+	// accumulator's name.
+	accs     []uint64
+	accSet   []bool
+	accNames []string
 	// prologue[L] and epilogue[L] are op index ranges for level L: ops
 	// before/after the first deeper-level op.
 	prologue [][]int
@@ -82,13 +91,81 @@ type interp struct {
 	accResets [][]int
 }
 
+// resolvedOp is an op's names resolved for one Exec.
+type resolvedOp struct {
+	// arr is a memory op's array (nil when d has no such array).
+	arr *ArrayData
+	// coefs are an affine memory op's (level, coefficient) pairs.
+	coefs []levelCoef
+	// acc is an OpReduce/OpAccRead's accumulator slot.
+	acc int
+	// param is an OpParam's value.
+	param param
+}
+
+type levelCoef struct {
+	level int
+	coef  int64
+}
+
+// param is a parameter's value and whether it was given.
+type param struct {
+	v  uint64
+	ok bool
+}
+
+// resolve builds the per-op and per-loop name tables: params (falling
+// back to the kernel's defaults) for OpParam ops and trip parameters,
+// arrays and affine coefficients for memory ops, and one accumulator slot
+// per distinct accumulator name.
+func (in *interp) resolve(params map[string]uint64) {
+	lookup := func(name string) param {
+		if v, ok := params[name]; ok {
+			return param{v, true}
+		}
+		v, ok := in.k.Params[name]
+		return param{v, ok}
+	}
+	in.ops = make([]resolvedOp, len(in.k.Ops))
+	slots := map[string]int{}
+	for i := range in.k.Ops {
+		op, r := &in.k.Ops[i], &in.ops[i]
+		switch op.Kind {
+		case OpParam:
+			r.param = lookup(op.Param)
+		case OpLoad, OpStore, OpAtomic:
+			r.arr, _ = in.d.ArrayOK(op.Addr.Array)
+			if op.Addr.IsAffine() {
+				for level, coef := range op.Addr.Coefs {
+					r.coefs = append(r.coefs, levelCoef{level, coef})
+				}
+			}
+		case OpReduce, OpAccRead:
+			slot, ok := slots[op.Acc]
+			if !ok {
+				slot = len(in.accNames)
+				slots[op.Acc] = slot
+				in.accNames = append(in.accNames, op.Acc)
+			}
+			r.acc = slot
+		}
+	}
+	in.accs = make([]uint64, len(in.accNames))
+	in.accSet = make([]bool, len(in.accNames))
+	in.trips = make([]param, len(in.k.Loops))
+	for L, loop := range in.k.Loops {
+		if loop.TripParam != "" {
+			in.trips[L] = lookup(loop.TripParam)
+		}
+	}
+}
+
 // splitLevels partitions each level's ops into prologue (before any
 // deeper op) and epilogue (after).
 func (in *interp) splitLevels() {
 	levels := len(in.k.Loops)
 	in.prologue = make([][]int, levels)
 	in.epilogue = make([][]int, levels)
-	in.accSet = map[string]bool{}
 	in.accResets = make([][]int, levels+1)
 	for i := range in.k.Ops {
 		if op := &in.k.Ops[i]; op.Kind == OpReduce { // Exec validated AccLevel
@@ -116,9 +193,9 @@ func (in *interp) splitLevels() {
 // resetAccs clears accumulators bound to level L (-1: kernel-wide).
 func (in *interp) resetAccs(L int) {
 	for _, i := range in.accResets[L+1] {
-		op := &in.k.Ops[i]
-		in.accs[op.Acc] = op.Imm
-		in.accSet[op.Acc] = true
+		slot := in.ops[i].acc
+		in.accs[slot] = in.k.Ops[i].Imm
+		in.accSet[slot] = true
 	}
 }
 
@@ -156,11 +233,11 @@ func (in *interp) tripOf(L int) uint64 {
 	case loop.TripVal != NoValue:
 		return in.vals[loop.TripVal]
 	case loop.TripParam != "":
-		v, ok := in.params[loop.TripParam]
-		if !ok {
+		p := in.trips[L]
+		if !p.ok {
 			panic(fmt.Sprintf("ir: missing trip parameter %q", loop.TripParam))
 		}
-		return v
+		return p.v
 	default:
 		return loop.Trip
 	}
@@ -210,9 +287,13 @@ func (in *interp) runBody(L int) error {
 	return nil
 }
 
-// address resolves an op's Addr to (array, element index, virtual addr).
-func (in *interp) address(op *Op) (*ArrayData, uint64) {
-	a := in.d.Array(op.Addr.Array)
+// address resolves op id's Addr to (array, element index).
+func (in *interp) address(id ValueRef, op *Op) (*ArrayData, uint64) {
+	r := &in.ops[id]
+	a := r.arr
+	if a == nil {
+		a = in.d.Array(op.Addr.Array) // panics: unknown array
+	}
 	switch {
 	case op.Addr.IsPointer():
 		ptr := in.vals[op.Addr.Pointer]
@@ -223,8 +304,8 @@ func (in *interp) address(op *Op) (*ArrayData, uint64) {
 		return a, in.vals[op.Addr.IndexVal]
 	default:
 		idx := op.Addr.Offset
-		for level, coef := range op.Addr.Coefs {
-			idx += coef * int64(in.idx[level])
+		for _, c := range r.coefs {
+			idx += c.coef * int64(in.idx[c.level])
 		}
 		if op.Addr.Base != NoValue {
 			idx += int64(in.vals[op.Addr.Base])
@@ -242,11 +323,11 @@ func (in *interp) eval(id ValueRef) error {
 	case OpConst:
 		in.vals[id] = op.Imm
 	case OpParam:
-		v, ok := in.params[op.Param]
-		if !ok {
+		p := in.ops[id].param
+		if !p.ok {
 			return fmt.Errorf("ir: missing parameter %q", op.Param)
 		}
-		in.vals[id] = v
+		in.vals[id] = p.v
 	case OpIndex:
 		in.vals[id] = in.idx[op.Imm]
 	case OpChaseVar:
@@ -262,27 +343,28 @@ func (in *interp) eval(id ValueRef) error {
 			in.vals[id] = in.vals[op.B]
 		}
 	case OpReduce:
-		if !in.accSet[op.Acc] {
+		slot := in.ops[id].acc
+		if !in.accSet[slot] {
 			return fmt.Errorf("ir: accumulator %q used before reset (AccLevel wrong?)", op.Acc)
 		}
-		in.accs[op.Acc] = binOp(op.Type, op.Bin, in.accs[op.Acc], in.vals[op.Val])
-		in.vals[id] = in.accs[op.Acc]
+		in.accs[slot] = binOp(op.Type, op.Bin, in.accs[slot], in.vals[op.Val])
+		in.vals[id] = in.accs[slot]
 	case OpAccRead:
-		in.vals[id] = in.accs[op.Acc]
+		in.vals[id] = in.accs[in.ops[id].acc]
 	case OpLoad:
-		arr, idx := in.address(op)
+		arr, idx := in.address(id, op)
 		v := arr.Get(idx)
 		in.vals[id] = v
 		in.emitMem(id, op, arr, idx, false, false, false, v, v)
 	case OpStore:
-		arr, idx := in.address(op)
+		arr, idx := in.address(id, op)
 		old := arr.Get(idx)
 		v := in.vals[op.Val]
 		arr.Set(idx, v)
 		in.emitMem(id, op, arr, idx, true, false, old != v, old, v)
 		in.vals[id] = v
 	case OpAtomic:
-		arr, idx := in.address(op)
+		arr, idx := in.address(id, op)
 		old := arr.Get(idx)
 		var next uint64
 		switch op.Atomic {

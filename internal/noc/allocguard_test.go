@@ -86,7 +86,9 @@ func TestSendAllocFreeWithAttribution(t *testing.T) {
 // to a window loop — the path machine.New builds. Sends from inside a
 // window are captured to the outbox and routed at the barrier, and
 // neither the capture nor the barrier's canonical ordering of the
-// window's sends may allocate.
+// window's sends may allocate. That includes a fire-and-forget multicast
+// with no same-node member: its destinations are copied into the
+// exchange's reused buffer.
 func TestWindowedSendAllocFree(t *testing.T) {
 	loop, n := windowedNet(4, 4)
 	e := loop.Engine()
@@ -96,10 +98,12 @@ func TestWindowedSendAllocFree(t *testing.T) {
 		{Src: 12, Dst: 1, Bytes: 64, Class: TrafficData},
 		{Src: 9, Dst: 9, Bytes: 16, Class: TrafficOffload},
 	}
+	mcDsts := []int{1, 7, 10, 14}
 	send := func() {
 		for i := range msgs {
 			n.Send(&msgs[i])
 		}
+		n.Multicast(6, mcDsts, 8, TrafficControl, nil)
 	}
 	window := func() {
 		e.Schedule(1, send)
@@ -109,6 +113,6 @@ func TestWindowedSendAllocFree(t *testing.T) {
 		window()
 	}
 	if a := testing.AllocsPerRun(200, window); a != 0 {
-		t.Errorf("4-send window on a windowed network: %.2f allocs/op, want 0", a)
+		t.Errorf("4-send, 1-multicast window on a windowed network: %.2f allocs/op, want 0", a)
 	}
 }

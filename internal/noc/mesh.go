@@ -7,7 +7,6 @@
 package noc
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -139,13 +138,15 @@ type Network struct {
 	// attrib (usually nil) receives link-backpressure charges from
 	// deliveryTimeAt.
 	attrib *obs.Attribution
-	// ex is non-nil once AttachWindows has bound the network to a
-	// window loop; it turns Send/Multicast into capture sites whose
-	// routing is deferred to window barriers (see exchange).
-	ex *exchange
+	// ex holds the sends awaiting routing. Once AttachWindows has bound
+	// the network to a window loop (windowed), they wait for the window
+	// barrier; otherwise each is routed as it is sent (see exchange).
+	ex       exchange
+	windowed bool
 }
 
-// exchange is the window-barrier send path of a windowed network.
+// exchange is the send path of a network: Send and Multicast capture
+// their message here and flush decides its link timing.
 //
 // Link reservation (deliveryTimeAt) is global, non-causal state: a send
 // from any node advances nextFree on every link of its route. A windowed
@@ -157,32 +158,46 @@ type Network struct {
 // canonical order, not the emission order, decides link contention among
 // same-cycle sends; it is part of the model the golden digests pin.
 //
+// The outbox holds that order almost by construction: sends append at
+// the engine's clock, which never decreases, so the outbox is in time
+// order and each src's sends are in sequence order. Only a run of
+// same-cycle sends needs ordering, by src and stably (see order).
+//
 // Same-node messages bypass the exchange for timing (they use no links
 // and their router-only latency may be below the lookahead) and are
-// scheduled immediately, exactly like the immediate path; only their
-// accounting is deferred to the barrier.
+// scheduled at capture; only their accounting waits for routing.
+//
+// A network without a window loop routes each send as it is captured,
+// so its order is the emission order.
 type exchange struct {
 	outbox []pendingSend
-	// sendSeq is the per-src-node send counter, the canonical tiebreak
-	// for same-cycle sends.
-	sendSeq []uint64
+	// mcasts holds the window's multicast payloads, named by their
+	// pendingSend's dst; their destinations lie back to back in dsts.
+	mcasts []pendingMulticast
+	dsts   []int32
+	// keys is order's scratch: one src<<32|position key per send.
+	keys []uint64
 }
 
-// pendingSend is one captured Send or Multicast awaiting barrier routing.
+// pendingSend is one captured Send or Multicast awaiting routing.
 type pendingSend struct {
 	at       sim.Time // send time
-	seq      uint64   // per-src sequence at the send
-	src, dst int32
+	fn       func()
+	src, dst int32 // dst indexes exchange.mcasts for a multicast
 	bytes    int32
-	class    TrafficClass
+	class    uint8
 	// local marks a same-node message already scheduled on its engine:
-	// the barrier only does its accounting.
-	local bool
-	fn    func()
-	// dsts/mfn describe a multicast (dst is unused); same-node members
-	// were already scheduled at capture, like local above.
-	dsts []int32
-	mfn  func(dst int)
+	// routing only does its accounting.
+	local     bool
+	multicast bool
+}
+
+// pendingMulticast is a captured multicast's payload: its destinations
+// exchange.dsts[off:off+n] and per-destination callback. Same-node
+// members were already scheduled at capture, like pendingSend.local.
+type pendingMulticast struct {
+	off, n int32
+	fn     func(dst int)
 }
 
 // New builds a network on the given engine.
@@ -250,8 +265,8 @@ func (n *Network) AttachWindows(w *sim.Windowed) {
 	if w.Engine() != n.engine {
 		panic("noc: window loop drives another engine")
 	}
-	n.ex = &exchange{sendSeq: make([]uint64, n.Nodes())}
-	w.AddFlush(n.flushWindow)
+	n.windowed = true
+	w.AddFlush(func(limit sim.Time) { n.flush(limit + 1) })
 }
 
 // Registry returns the network's counter registry (message counts and
@@ -390,35 +405,35 @@ func (n *Network) serializationCycles(bytes int) sim.Time {
 func (n *Network) Send(m *Message) {
 	n.check(m.Src)
 	n.check(m.Dst)
-	if ex := n.ex; ex != nil {
-		now := n.engine.Now()
-		ex.sendSeq[m.Src]++
-		p := pendingSend{at: now, seq: ex.sendSeq[m.Src],
-			src: int32(m.Src), dst: int32(m.Dst), bytes: int32(m.Bytes),
-			class: m.Class, fn: m.OnDeliver}
-		if m.Src == m.Dst {
-			// Same-node: no link state touched, and the router-only
-			// latency may undercut the lookahead window — deliver
-			// immediately, exactly like the immediate path, deferring
-			// only the accounting.
-			p.local = true
-			if m.OnDeliver != nil {
-				n.engine.ScheduleAt(now+n.cfg.RouterLatency, m.OnDeliver)
-			}
+	now := n.engine.Now()
+	p := pendingSend{at: now, fn: m.OnDeliver,
+		src: int32(m.Src), dst: int32(m.Dst), bytes: int32(m.Bytes),
+		class: uint8(m.Class)}
+	if m.Src == m.Dst {
+		// Same-node: no link state touched, and the router-only latency
+		// may undercut the lookahead window — deliver now, deferring only
+		// the accounting.
+		p.local = true
+		if m.OnDeliver != nil {
+			n.engine.ScheduleAt(now+n.cfg.RouterLatency, m.OnDeliver)
 		}
-		ex.outbox = append(ex.outbox, p)
+	}
+	n.capture(&p)
+}
+
+// capture queues one send for routing at the window barrier on a
+// windowed network, and routes it at once otherwise.
+func (n *Network) capture(p *pendingSend) {
+	ex := &n.ex
+	if n.windowed {
+		ex.outbox = append(ex.outbox, *p)
 		return
 	}
-	n.ctrSends.Inc()
-	hops := n.HopCount(m.Src, m.Dst)
-	n.record(m.Class, m.Bytes+n.cfg.HeaderBytes, hops)
-	arrive := n.deliveryTimeAt(n.engine.Now(), m.Src, m.Dst, m.Bytes)
-	if tr := n.tracer; tr.Enabled() {
-		now := n.engine.Now()
-		tr.Emit(obs.Event{Time: uint64(now), Dur: uint64(arrive - now),
-			Kind: obs.KindNoCMsg, Tile: int32(m.Src), A: uint64(m.Dst), B: uint64(m.Bytes)})
+	n.routeOne(p, p.at)
+	if p.multicast {
+		clear(ex.mcasts)
+		ex.mcasts, ex.dsts = ex.mcasts[:0], ex.dsts[:0]
 	}
-	n.scheduleDelivery(arrive, m.OnDeliver)
 }
 
 // deliveryTimeAt computes the arrival time of a message sent at now,
@@ -479,25 +494,6 @@ func (n *Network) Utilization() float64 {
 	return float64(n.BusyLinkCycles()) / float64(uint64(links)*now)
 }
 
-func (n *Network) scheduleDelivery(at sim.Time, fn func()) {
-	n.Delivered++ // counted at send; the counter is only read after a run
-	if fn == nil {
-		// A run's drain time (and so its cycle count) must still cover
-		// fire-and-forget deliveries, but scheduling a nop per message
-		// only to hold the clock open wastes an engine event each. Fold
-		// them into the single chasing horizon event instead.
-		if at > n.drainAt {
-			n.drainAt = at
-		}
-		if !n.horizonQd {
-			n.horizonQd = true
-			n.engine.ScheduleAt(n.drainAt, n.horizonEv)
-		}
-		return
-	}
-	n.engine.ScheduleAt(at, fn)
-}
-
 // Multicast sends one payload to several destinations along a shared X-Y
 // tree: links common to multiple destinations are charged once, modelling
 // the router multicast support of Table V. OnDeliver (if non-nil) runs once
@@ -508,104 +504,97 @@ func (n *Network) Multicast(src int, dsts []int, bytes int, class TrafficClass, 
 	if len(dsts) == 0 {
 		return
 	}
-	if ex := n.ex; ex != nil {
-		now := n.engine.Now()
-		ex.sendSeq[src]++
-		p := pendingSend{at: now, seq: ex.sendSeq[src], src: int32(src),
-			bytes: int32(bytes), class: class, mfn: onDeliver,
-			dsts: make([]int32, len(dsts))}
-		for i, d := range dsts {
-			n.check(d)
-			p.dsts[i] = int32(d)
-			if d == src && onDeliver != nil {
-				// Same-node member: deliver immediately, like Send.
-				d := d
-				n.engine.ScheduleAt(now+n.cfg.RouterLatency, func() { onDeliver(d) })
-			}
-		}
-		ex.outbox = append(ex.outbox, p)
-		return
-	}
-	n.multicastTraffic(src, dsts, nil, bytes, class)
+	now := n.engine.Now()
+	ex := &n.ex
+	p := pendingSend{at: now, src: int32(src), dst: int32(len(ex.mcasts)),
+		bytes: int32(bytes), class: uint8(class), multicast: true}
+	ex.mcasts = append(ex.mcasts, pendingMulticast{off: int32(len(ex.dsts)), n: int32(len(dsts)), fn: onDeliver})
 	for _, d := range dsts {
-		arrive := n.deliveryTimeAt(n.engine.Now(), src, d, bytes)
-		if tr := n.tracer; tr.Enabled() {
-			now := n.engine.Now()
-			tr.Emit(obs.Event{Time: uint64(now), Dur: uint64(arrive - now),
-				Kind: obs.KindNoCMsg, Tile: int32(src), A: uint64(d), B: uint64(bytes)})
+		n.check(d)
+		ex.dsts = append(ex.dsts, int32(d))
+		if d == src && onDeliver != nil {
+			// Same-node member: deliver now, like Send.
+			d := d
+			n.engine.ScheduleAt(now+n.cfg.RouterLatency, func() { onDeliver(d) })
 		}
-		if onDeliver == nil {
-			n.scheduleDelivery(arrive, nil)
-			continue
-		}
-		d := d
-		n.scheduleDelivery(arrive, func() { onDeliver(d) })
 	}
+	n.capture(&p)
 }
 
 // multicastTraffic charges a multicast tree's traffic: links shared by
 // several destinations count once, stamping the scratch array with a
-// fresh epoch instead of building a per-message set. Exactly one of
-// dsts/dsts32 is non-nil (the immediate and deferred call sites).
-func (n *Network) multicastTraffic(src int, dsts []int, dsts32 []int32, bytes int, class TrafficClass) {
+// fresh epoch instead of building a per-message set.
+func (n *Network) multicastTraffic(src int, dsts []int32, bytes int, class TrafficClass) {
 	n.epoch++
 	if n.epoch == 0 { // wrapped: old stamps are ambiguous, clear them
 		clear(n.linkSeen)
 		n.epoch = 1
 	}
 	unique := 0
-	count := func(d int) {
-		n.check(d)
-		for _, l := range n.routeLinks(src, d) {
+	for _, d := range dsts {
+		for _, l := range n.routeLinks(src, int(d)) {
 			if n.linkSeen[l] != n.epoch {
 				n.linkSeen[l] = n.epoch
 				unique++
 			}
 		}
 	}
-	for _, d := range dsts {
-		count(d)
-	}
-	for _, d := range dsts32 {
-		count(int(d))
-	}
 	n.record(class, bytes+n.cfg.HeaderBytes, unique)
 	n.ctrMulticasts.Inc()
 }
 
-// flushWindow is the window loop's barrier hook: it orders the window's
-// sends canonically by (send time, src node, per-src sequence) and routes
-// them against the link state exactly as the immediate Send path would
-// have, scheduling each remote delivery stamped with its send time.
-func (n *Network) flushWindow(limit sim.Time) {
-	buf := n.ex.outbox
-	slices.SortFunc(buf, comparePending)
+// flush routes the captured sends in canonical order against the link
+// state, scheduling each remote delivery stamped with its send time. On a
+// windowed network it is the barrier hook, and earliest is the cycle
+// after the window just executed; deliveries never land before it.
+func (n *Network) flush(earliest sim.Time) {
+	ex := &n.ex
+	for _, k := range ex.order() {
+		n.routeOne(&ex.outbox[uint32(k)], earliest)
+	}
+	clear(ex.outbox) // release closure references
+	clear(ex.mcasts)
+	ex.outbox, ex.mcasts, ex.dsts = ex.outbox[:0], ex.mcasts[:0], ex.dsts[:0]
+}
+
+// order returns the outbox in canonical (send time, src node, per-src
+// sequence) order as keys src<<32|position. The outbox is already in
+// time order and in per-src sequence order, so only each run of
+// same-cycle sends is sorted, by src; the position in the key keeps
+// same-src sends in append (sequence) order.
+func (ex *exchange) order() []uint64 {
+	buf := ex.outbox
+	keys := ex.keys[:0]
 	for i := range buf {
-		n.routeDeferred(&buf[i], limit)
-		buf[i] = pendingSend{} // release closure/dsts references
+		keys = append(keys, uint64(buf[i].src)<<32|uint64(i))
 	}
-	n.ex.outbox = buf[:0]
+	for lo := 0; lo < len(buf); {
+		at := buf[lo].at
+		hi := lo + 1
+		for hi < len(buf) && buf[hi].at == at {
+			hi++
+		}
+		if hi < len(buf) && buf[hi].at < at {
+			panic(fmt.Sprintf("noc: send at cycle %d captured after one at %d", buf[hi].at, at))
+		}
+		if hi-lo > 1 {
+			slices.Sort(keys[lo:hi])
+		}
+		lo = hi
+	}
+	ex.keys = keys
+	return keys
 }
 
-// comparePending orders captured sends by (send time, src node, per-src
-// sequence). The key is unique, so the order is total and stable sorting
-// is unnecessary.
-func comparePending(a, b pendingSend) int {
-	if c := cmp.Compare(a.at, b.at); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.src, b.src); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.seq, b.seq)
-}
-
-// routeDeferred performs the immediate Send/Multicast bookkeeping for one
-// captured message at the window barrier.
-func (n *Network) routeDeferred(p *pendingSend, limit sim.Time) {
-	if p.dsts != nil { // multicast
-		n.multicastTraffic(int(p.src), nil, p.dsts, int(p.bytes), p.class)
-		for _, d := range p.dsts {
+// routeOne charges one captured message's traffic, reserves its links
+// and schedules its deliveries.
+func (n *Network) routeOne(p *pendingSend, earliest sim.Time) {
+	class := TrafficClass(p.class)
+	if p.multicast {
+		mc := &n.ex.mcasts[p.dst]
+		dsts := n.ex.dsts[mc.off : mc.off+mc.n]
+		n.multicastTraffic(int(p.src), dsts, int(p.bytes), class)
+		for _, d := range dsts {
 			arrive := n.deliveryTimeAt(p.at, int(p.src), int(d), int(p.bytes))
 			if tr := n.tracer; tr.Enabled() {
 				tr.Emit(obs.Event{Time: uint64(p.at), Dur: uint64(arrive - p.at),
@@ -613,21 +602,21 @@ func (n *Network) routeDeferred(p *pendingSend, limit sim.Time) {
 			}
 			n.Delivered++
 			switch {
-			case p.mfn == nil:
-				n.deferHorizon(arrive, limit)
+			case mc.fn == nil:
+				n.deferHorizon(arrive, earliest)
 			case d == p.src:
 				// Delivered at capture time; accounted here.
 			default:
 				d := int(d)
-				mfn := p.mfn
+				mfn := mc.fn
 				n.engine.ScheduleStampedAt(arrive, p.at, func() { mfn(d) })
 			}
 		}
 		return
 	}
 	n.ctrSends.Inc()
-	hops := n.HopCount(int(p.src), int(p.dst))
-	n.record(p.class, int(p.bytes)+n.cfg.HeaderBytes, hops)
+	hops := len(n.routeLinks(int(p.src), int(p.dst)))
+	n.record(class, int(p.bytes)+n.cfg.HeaderBytes, hops)
 	arrive := n.deliveryTimeAt(p.at, int(p.src), int(p.dst), int(p.bytes))
 	if tr := n.tracer; tr.Enabled() {
 		tr.Emit(obs.Event{Time: uint64(p.at), Dur: uint64(arrive - p.at),
@@ -636,7 +625,7 @@ func (n *Network) routeDeferred(p *pendingSend, limit sim.Time) {
 	n.Delivered++
 	switch {
 	case p.fn == nil:
-		n.deferHorizon(arrive, limit)
+		n.deferHorizon(arrive, earliest)
 	case p.local:
 		// Delivered at capture time; accounted here.
 	default:
@@ -644,21 +633,18 @@ func (n *Network) routeDeferred(p *pendingSend, limit sim.Time) {
 	}
 }
 
-// deferHorizon extends the drain horizon for a fire-and-forget delivery
-// routed at a barrier: the chasing horizon event (the engine may have run
-// past the arrival already) keeps the clock open through the latest such
-// arrival.
-func (n *Network) deferHorizon(arrive, limit sim.Time) {
+// deferHorizon extends the drain horizon for a fire-and-forget delivery:
+// instead of one nop event per message, the chasing horizon event keeps
+// the clock open through the latest such arrival. At a barrier the
+// engine may have run past the arrival already, so the event fires no
+// earlier than earliest.
+func (n *Network) deferHorizon(arrive, earliest sim.Time) {
 	if arrive > n.drainAt {
 		n.drainAt = arrive
 	}
 	if !n.horizonQd {
 		n.horizonQd = true
-		at := n.drainAt
-		if min := limit + 1; at < min {
-			at = min
-		}
-		n.engine.ScheduleAt(at, n.horizonEv)
+		n.engine.ScheduleAt(max(n.drainAt, earliest), n.horizonEv)
 	}
 }
 

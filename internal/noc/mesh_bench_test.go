@@ -47,3 +47,29 @@ func BenchmarkDeliveryTimeOnly(b *testing.B) {
 		n.deliveryTimeAt(n.engine.Now(), i%64, (i*13)%64, 64)
 	}
 }
+
+// BenchmarkWindowFlush runs one window on a windowed 4×4 mesh in which
+// every node sends in the same cycle, in a scrambled node order: the
+// capture path plus the barrier's canonical ordering and routing of a
+// 16-send same-cycle run.
+func BenchmarkWindowFlush(b *testing.B) {
+	loop, n := windowedNet(4, 4)
+	e := loop.Engine()
+	nodes := n.Nodes()
+	msgs := make([]Message, nodes)
+	for i := range msgs {
+		src := (i * 7) % nodes
+		msgs[i] = Message{Src: src, Dst: nodes - 1 - src, Bytes: 64, Class: TrafficData}
+	}
+	send := func() {
+		for i := range msgs {
+			n.Send(&msgs[i])
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Schedule(1, send)
+		loop.Run()
+	}
+}

@@ -1,9 +1,12 @@
 package noc
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -141,5 +144,85 @@ func TestAttachWindowsValidation(t *testing.T) {
 			}()
 			New(e, cfg).AttachWindows(tc.loop)
 		}()
+	}
+}
+
+// TestWindowFlushCanonicalOrder is a randomized oracle for the barrier's
+// routing order. Each trial fills one window with bursts of same-cycle
+// sends and multicasts from random sources (same-node ones included),
+// then reads the order the barrier routed them in back from the tracer,
+// where each message's payload size is its capture index. That order
+// must equal a stable sort of the capture order by (send time, src).
+func TestWindowFlushCanonicalOrder(t *testing.T) {
+	rng := sim.NewRand(7)
+	reordered := 0
+	for trial := 0; trial < 40; trial++ {
+		loop, n := windowedNet(4, 4)
+		e := loop.Engine()
+		tr := obs.NewTracer(1 << 14)
+		tr.SetEnabled(true)
+		n.SetTracer(tr)
+		nodes := n.Nodes()
+		type capture struct {
+			at   sim.Time
+			src  int
+			dsts int
+		}
+		var sent []capture
+		for c := sim.Time(0); c < loop.Window(); c++ {
+			burst := rng.Intn(10)
+			e.ScheduleAt(c, func() {
+				for j := 0; j < burst; j++ {
+					id, src := len(sent), rng.Intn(nodes)
+					if rng.Intn(4) == 0 {
+						dsts := make([]int, 1+rng.Intn(4))
+						for i := range dsts {
+							dsts[i] = rng.Intn(nodes) // may be src
+						}
+						n.Multicast(src, dsts, id, TrafficControl, nil)
+						sent = append(sent, capture{e.Now(), src, len(dsts)})
+						continue
+					}
+					n.Send(&Message{Src: src, Dst: rng.Intn(nodes), Bytes: id, Class: TrafficData})
+					sent = append(sent, capture{e.Now(), src, 1})
+				}
+			})
+		}
+		loop.Run()
+		if loop.Windows() == 0 || len(sent) == 0 {
+			t.Fatal("trial captured nothing")
+		}
+		want := make([]int, len(sent))
+		for i := range want {
+			want[i] = i
+		}
+		slices.SortStableFunc(want, func(a, b int) int {
+			if c := cmp.Compare(sent[a].at, sent[b].at); c != 0 {
+				return c
+			}
+			return cmp.Compare(sent[a].src, sent[b].src)
+		})
+		if !slices.IsSorted(want) {
+			reordered++
+		}
+		// A multicast traces one event per destination, back to back.
+		var got []int
+		evs := tr.Events()
+		for i := 0; i < len(evs); {
+			id := int(evs[i].B)
+			if id >= len(sent) || int(evs[i].Tile) != sent[id].src || sim.Time(evs[i].Time) != sent[id].at {
+				t.Fatalf("trial %d: traced event %+v matches no capture", trial, evs[i])
+			}
+			got = append(got, id)
+			i += sent[id].dsts
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: routed in order %v, want %v", trial, got, want)
+		}
+	}
+	// The oracle must be able to tell canonical from capture order, or a
+	// barrier routing in append order would pass it.
+	if reordered < 30 {
+		t.Fatalf("only %d of 40 trials reordered anything", reordered)
 	}
 }

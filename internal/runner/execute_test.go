@@ -78,9 +78,12 @@ func TestResultCounterNamesInterned(t *testing.T) {
 		counterReads(t, "../energy/energy.go", "Estimate")...)
 	for _, sys := range []core.System{core.Base, core.NS} {
 		j := job("histogram", sys)
-		m := machine.New(MachineConfig(j, sys == core.Base))
-		_, err := simulate(m, j, nil)
+		mc, err := MachineConfig(j, sys == core.Base)
 		if err != nil {
+			t.Fatal(err)
+		}
+		m := machine.New(mc)
+		if _, err := simulate(m, j, nil); err != nil {
 			t.Fatal(err)
 		}
 		for _, name := range names {

@@ -51,15 +51,6 @@ func (j Job) Key() string {
 	return k
 }
 
-// check rejects a job naming an unknown workload or core type.
-func (j Job) check() error {
-	if err := workloads.CheckNames(j.Workload); err != nil {
-		return err
-	}
-	_, err := ParseCoreType(j.CoreType)
-	return err
-}
-
 // DefaultCoreType is the core type of a job that names none.
 const DefaultCoreType = "OOO8"
 
@@ -111,17 +102,16 @@ func scaleMachine(s workloads.Scale) machine.Config {
 }
 
 // MachineConfig builds the machine for a job: its scale's machine with
-// the job's core type. An unknown core type panics; Execute
-// checks it first and returns the error instead.
-func MachineConfig(j Job, prefetchers bool) machine.Config {
+// the job's core type. An unknown core type is an error.
+func MachineConfig(j Job, prefetchers bool) (machine.Config, error) {
 	mc := scaleMachine(j.Scale)
 	ct, err := ParseCoreType(j.CoreType)
 	if err != nil {
-		panic("runner: " + err.Error())
+		return machine.Config{}, err
 	}
 	mc.CoreType = ct
 	mc.EnablePrefetchers = prefetchers
-	return mc
+	return mc, nil
 }
 
 // Result is one (workload, system) measurement.
@@ -160,10 +150,15 @@ func Execute(j Job) (*Result, error) { return ExecuteObs(j, nil) }
 // Tracing and sampling observe the run without perturbing it, so the
 // Result is identical either way.
 func ExecuteObs(j Job, rec *obs.JobRecord) (*Result, error) {
-	if err := j.check(); err != nil {
+	err := workloads.CheckNames(j.Workload)
+	var mc machine.Config
+	if err == nil {
+		mc, err = MachineConfig(j, j.System == core.Base)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("runner: job %s: %w", j.Key(), err)
 	}
-	return simulate(machine.New(MachineConfig(j, j.System == core.Base)), j, rec)
+	return simulate(machine.New(mc), j, rec)
 }
 
 // simulate runs job j on the freshly built machine m: it allocates and
