@@ -87,7 +87,7 @@ func newRunCounters(r *obs.Registry) runCounters {
 type runShared struct {
 	m       *machine.Machine
 	scms    []*SCM
-	sePages []map[uint64]bool // per-bank SE_L3 translation cache
+	sePages []flatmap.Map[struct{}] // per-bank SE_L3 translation cache, keyed by huge page
 	ctr     runCounters
 	// attrib receives the SE_L3 stall charges (nil = off).
 	attrib *obs.Attribution
@@ -176,12 +176,12 @@ func (cr *coreRun) decoupledCore() bool {
 // seTLBLookup models the SE_L3-colocated TLB: one access per page, cached
 // thereafter (§IV-B). Returns extra latency and hit status.
 func (cr *coreRun) seTLBLookup(bank int, pa uint64) (sim.Time, bool) {
-	pages := cr.shared.sePages[bank]
+	pages := &cr.shared.sePages[bank]
 	page := pa >> tlb.HugePageBits
-	if pages[page] {
+	if pages.Contains(page) {
 		return 0, true
 	}
-	pages[page] = true
+	pages.Put(page, struct{}{})
 	cr.shared.ctr.setlbMisses.Inc()
 	return 8, false
 }
@@ -212,22 +212,22 @@ func Run(m *machine.Machine, k *ir.Kernel, sys System, params Params, kparams ma
 	}
 	parts := Partition(total, cores)
 
-	shared := &runShared{m: m, scms: make([]*SCM, m.Tiles()), sePages: make([]map[uint64]bool, m.Tiles()), ctr: newRunCounters(m.Obs)}
+	shared := &runShared{m: m, scms: make([]*SCM, m.Tiles()), sePages: make([]flatmap.Map[struct{}], m.Tiles()), ctr: newRunCounters(m.Obs)}
 	shared.attrib = m.Attrib
 	for i := range shared.scms {
 		shared.scms[i] = NewSCM(m.Engine, params)
-		shared.sePages[i] = map[uint64]bool{}
 	}
 
 	res := &RunResult{DynOps: map[compiler.Category]uint64{}, Plan: plan}
 	runs := make([]*coreRun, 0, cores)
 	remainingCores := 0
+	var tb TraceBuilder
 	for c := 0; c < cores; c++ {
 		lo, hi := parts[c][0], parts[c][1]
 		if lo >= hi {
 			continue
 		}
-		tr, err := GenTrace(m, k, plan, kparams, d, lo, hi)
+		tr, err := GenTrace(&tb, m, k, plan, kparams, d, lo, hi)
 		if err != nil {
 			return nil, err
 		}
@@ -249,11 +249,14 @@ func Run(m *machine.Machine, k *ir.Kernel, sys System, params Params, kparams ma
 		cr.core.SetAttribution(m.Attrib)
 		runs = append(runs, cr)
 		for cat, n := range tr.DynOps {
-			res.DynOps[cat] += n
+			if n > 0 {
+				res.DynOps[compiler.Category(cat)] += n
+			}
 		}
 		res.Accs = append(res.Accs, tr.Accs)
 		remainingCores++
 	}
+	tb = TraceBuilder{} // every trace holds its own copy: free the buffers before simulating
 
 	finished := 0
 	for _, cr := range runs {
@@ -295,12 +298,6 @@ func Run(m *machine.Machine, k *ir.Kernel, sys System, params Params, kparams ma
 	}
 	res.Cycles = last
 	res.Stats = m.Counters()
-	// The run is over: nothing references the trace buffers (the streams
-	// holding element slices died with their coreRuns), so recycle them.
-	for _, cr := range runs {
-		putTrace(cr.trace)
-		cr.trace = nil
-	}
 	return res, nil
 }
 

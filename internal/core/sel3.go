@@ -37,7 +37,6 @@ type remoteStream struct {
 	// slot — consumer streams re-register their advance event per
 	// element, which made a map of slices the hottest allocation site in
 	// the simulator; registrations beyond the first overflow to waiterOv.
-	readyAt  []sim.Time
 	done     []bool
 	waiter   []func()         // lazily sized to len(elems)
 	waiterOv map[int][]func() // rare: second and later waiters
@@ -138,7 +137,6 @@ func (rs *remoteStream) lockKey() int {
 func newRemoteStream(cr *coreRun, s *compiler.Stream, elems []streamElem) *remoteStream {
 	rs := &remoteStream{
 		cr: cr, s: s, elems: elems,
-		readyAt:      make([]sim.Time, len(elems)),
 		done:         make([]bool, len(elems)),
 		visitedBanks: make([]bool, cr.m.Tiles()),
 		curBank:      -1,
@@ -646,8 +644,6 @@ func (rs *remoteStream) releaseLock(bank int, line uint64) {
 // elemDone finalizes element i: responses, window bookkeeping, pipeline
 // refill.
 func (rs *remoteStream) elemDone(i int, line uint64, bank int) {
-	now := rs.cr.m.Engine.Now()
-	rs.readyAt[i] = now
 	rs.done[i] = true
 	rs.inflight--
 	rs.elemsProcessed++
@@ -673,7 +669,7 @@ func (rs *remoteStream) elemDone(i int, line uint64, bank int) {
 		if bytes > 0 {
 			rs.sendResponse(i, bank, bytes)
 		} else {
-			rs.respAt[i] = now
+			rs.respAt[i] = rs.cr.m.Engine.Now()
 			rs.respDone[i] = true
 		}
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/compiler"
 	"repro/internal/ir"
@@ -55,7 +54,7 @@ type Trace struct {
 	// of the wordMem words that own them.
 	Addrs []uint64
 	// DynOps counts dynamic ops by compiler category.
-	DynOps map[compiler.Category]uint64
+	DynOps [compiler.CatConfig + 1]uint64
 	// StreamElems[sid] is the ordered element list of each stream, for
 	// every sid below the plan's Sids (all empty without a plan).
 	StreamElems [][]streamElem
@@ -74,37 +73,29 @@ type streamElem struct {
 	changed bool // atomics: whether the value changed (MRSW)
 }
 
-// tracePool recycles Trace objects across runs. A paper-scale kernel's
-// word, address and stream-element buffers reach tens of millions of
-// elements; regrowing them geometrically from nil dominated the
-// interpreter's wall-clock (growslice memmove), so reuse keeps the warmed
-// capacity. What the pool retains is the packed buffers of the runs in
-// flight, released after two GC cycles without use. Every lookup into
-// StreamElems is by sid, so stale lists left truncated to length 0 by
-// getTrace are indistinguishable from empty ones.
-var tracePool = sync.Pool{New: func() any {
-	return &Trace{DynOps: map[compiler.Category]uint64{}}
-}}
-
-// getTrace checks a cleared Trace out of the pool. Accs is never reused:
-// it escapes into the RunResult.
-func getTrace() *Trace {
-	tr := tracePool.Get().(*Trace)
-	tr.Words = tr.Words[:0]
-	tr.Addrs = tr.Addrs[:0]
-	clear(tr.DynOps)
-	for sid, s := range tr.StreamElems {
-		tr.StreamElems[sid] = s[:0]
-	}
-	tr.Iters = 0
-	tr.Accs = nil
-	return tr
+// TraceBuilder holds the growable buffers GenTrace interprets a partition
+// into. Run keeps one per job and passes it to GenTrace for each core in
+// turn; GenTrace hands back exact-length copies, so the builder's
+// capacity peaks at one core's trace (about 1/64 of a job's on the
+// 64-tile mesh) and every Trace holds exactly its own entries. Reuse is
+// what keeps geometric regrowth from nil (growslice memmove) out of the
+// interpreter's wall-clock. The zero value is ready to use.
+type TraceBuilder struct {
+	words []uint32
+	addrs []uint64
+	elems [][]streamElem // per sid
 }
 
-// putTrace returns a trace whose buffers are no longer referenced —
-// callers must not hold on to Words, Addrs or StreamElems slices past
-// this.
-func putTrace(tr *Trace) { tracePool.Put(tr) }
+// exactCopy returns s copied into a slice with cap == len, nil when s is
+// empty, so a Trace neither shares nor pins the builder's arrays.
+func exactCopy[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	c := make([]T, len(s))
+	copy(c, s)
+	return c
+}
 
 // checkTraceOps reports a kernel with more ops than a trace word can name.
 func checkTraceOps(name string, nops int) error {
@@ -116,16 +107,25 @@ func checkTraceOps(name string, nops int) error {
 
 // GenTrace interprets kernel k over [outerLo, outerHi) with plan p,
 // producing the core's trace. The machine supplies address translation.
-func GenTrace(m *machine.Machine, k *ir.Kernel, p *compiler.Plan, params map[string]uint64, d *ir.Data, outerLo, outerHi uint64) (*Trace, error) {
+// The entries are recorded in b's buffers, which the returned Trace does
+// not share: b may build the next trace straight away.
+func GenTrace(b *TraceBuilder, m *machine.Machine, k *ir.Kernel, p *compiler.Plan, params map[string]uint64, d *ir.Data, outerLo, outerHi uint64) (*Trace, error) {
 	if err := checkTraceOps(k.Name, len(k.Ops)); err != nil {
 		return nil, err
 	}
-	tr := getTrace()
+	nsid := 0
 	if p != nil {
-		for len(tr.StreamElems) < p.Sids {
-			tr.StreamElems = append(tr.StreamElems, nil)
-		}
+		nsid = p.Sids
 	}
+	for len(b.elems) < nsid {
+		b.elems = append(b.elems, nil)
+	}
+	b.words, b.addrs = b.words[:0], b.addrs[:0]
+	elems := b.elems[:nsid]
+	for sid := range elems {
+		elems[sid] = elems[sid][:0]
+	}
+	tr := &Trace{}
 	innermost := len(k.Loops) - 1
 	// Classification is static per op: resolve it once up front into
 	// dense tables instead of map lookups per dynamic instruction, and
@@ -146,7 +146,7 @@ func GenTrace(m *machine.Machine, k *ir.Kernel, p *compiler.Plan, params map[str
 		classes[i] = p.ClassOf(id)
 		streams[i] = p.StreamOf(id)
 	}
-	var dynOps [int(compiler.CatConfig) + 1]uint64
+	var dynOps [compiler.CatConfig + 1]uint64
 	// instances[L] counts how many times loop level L has been entered
 	// (distinct dynamic instances — chains for while loops).
 	instances := make([]uint32, len(k.Loops))
@@ -158,14 +158,14 @@ func GenTrace(m *machine.Machine, k *ir.Kernel, p *compiler.Plan, params map[str
 			if level == innermost {
 				tr.Iters++
 			}
-			tr.Words = append(tr.Words, iterWord)
+			b.words = append(b.words, iterWord)
 		},
 		OnOp: func(id ir.ValueRef, op *ir.Op) {
 			if op.Kind == ir.OpLoad || op.Kind == ir.OpStore || op.Kind == ir.OpAtomic {
 				return // recorded by OnMem with the address attached
 			}
 			dynOps[classes[id]]++
-			tr.Words = append(tr.Words, uint32(id)<<wordIDShift)
+			b.words = append(b.words, uint32(id)<<wordIDShift)
 		},
 		OnMem: func(ev ir.MemEvent) {
 			dynOps[classes[ev.OpID]]++
@@ -174,8 +174,8 @@ func GenTrace(m *machine.Machine, k *ir.Kernel, p *compiler.Plan, params map[str
 			if ev.Write {
 				w |= wordWrite
 			}
-			tr.Words = append(tr.Words, w)
-			tr.Addrs = append(tr.Addrs, pa)
+			b.words = append(b.words, w)
+			b.addrs = append(b.addrs, pa)
 			// One stream element per iteration, recorded at the primary
 			// access: chase field loads and the store half of merged RMW
 			// streams share the primary's element.
@@ -184,7 +184,7 @@ func GenTrace(m *machine.Machine, k *ir.Kernel, p *compiler.Plan, params map[str
 				if s.MergedStore != ir.NoValue {
 					changed = true // the merged store will modify the line
 				}
-				tr.StreamElems[s.Sid] = append(tr.StreamElems[s.Sid], streamElem{
+				elems[s.Sid] = append(elems[s.Sid], streamElem{
 					pa: pa, chain: instances[s.Level], size: uint8(ev.Size),
 					changed: changed,
 				})
@@ -195,12 +195,24 @@ func GenTrace(m *machine.Machine, k *ir.Kernel, p *compiler.Plan, params map[str
 	if err != nil {
 		return nil, fmt.Errorf("core: trace generation: %w", err)
 	}
-	for c, n := range dynOps {
-		if n > 0 {
-			tr.DynOps[compiler.Category(c)] = n
+	tr.Words = exactCopy(b.words)
+	tr.Addrs = exactCopy(b.addrs)
+	tr.DynOps = dynOps
+	tr.StreamElems = make([][]streamElem, nsid)
+	tr.Accs = accs
+	// Every stream's elements share one exact-size array; each list is
+	// capped at its own length.
+	total := 0
+	for _, es := range elems {
+		total += len(es)
+	}
+	all := make([]streamElem, 0, total)
+	for sid, es := range elems {
+		if len(es) > 0 {
+			all = append(all, es...)
+			tr.StreamElems[sid] = all[len(all)-len(es) : len(all) : len(all)]
 		}
 	}
-	tr.Accs = accs
 	return tr, nil
 }
 

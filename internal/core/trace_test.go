@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -42,13 +43,18 @@ type decodedEntry struct {
 // TestTraceEncodingRoundTrip pins the packed encoding: the (kind, id, pa,
 // write) sequence recorded straight from the interpreter's hooks must be
 // exactly what coreSource decodes from the trace words and addresses,
-// with every address consumed.
+// with every address consumed. Every buffer the trace holds is sized
+// exactly to its entries: traces live for the whole run.
 func TestTraceEncodingRoundTrip(t *testing.T) {
 	const rows, cols = 6, 40
 	k := nestedKernel(rows, cols)
 	m := machine.New(machine.CI())
 	d := setupData(m, k)
 	fillSeq(d, "A", rows*cols)
+	plan, err := compiler.Compile(k)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var want []decodedEntry
 	var writes, atomics int
@@ -77,11 +83,11 @@ func TestTraceEncodingRoundTrip(t *testing.T) {
 		t.Fatalf("kernel exercised %d writes, %d atomics; want both", writes, atomics)
 	}
 
-	tr, err := GenTrace(m, k, nil, nil, d, 1, rows)
+	var tb TraceBuilder
+	tr, err := GenTrace(&tb, m, k, plan, nil, d, 1, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer putTrace(tr)
 	cr := &coreRun{trace: tr}
 	var got []decodedEntry
 	for cr.cursor < len(tr.Words) {
@@ -101,6 +107,79 @@ func TestTraceEncodingRoundTrip(t *testing.T) {
 	}
 	if len(tr.Words) != len(want) {
 		t.Fatalf("%d words for %d entries", len(tr.Words), len(want))
+	}
+
+	if cap(tr.Words) != len(tr.Words) || cap(tr.Addrs) != len(tr.Addrs) {
+		t.Errorf("Words len %d cap %d, Addrs len %d cap %d; want cap == len",
+			len(tr.Words), cap(tr.Words), len(tr.Addrs), cap(tr.Addrs))
+	}
+	if len(tr.StreamElems) != plan.Sids {
+		t.Fatalf("%d stream element lists, plan has %d sids", len(tr.StreamElems), plan.Sids)
+	}
+	nelems := 0
+	for sid, es := range tr.StreamElems {
+		nelems += len(es)
+		if cap(es) != len(es) {
+			t.Errorf("StreamElems[%d] len %d cap %d; want cap == len", sid, len(es), cap(es))
+		}
+	}
+	if nelems == 0 {
+		t.Fatal("the plan's streams recorded no elements")
+	}
+}
+
+// TestGenTraceCopiesOutOfBuilder: a trace shares nothing with the builder
+// that made it, so building the next core's trace on the same builder —
+// or scribbling over every byte the builder holds — leaves the first one
+// as it was.
+func TestGenTraceCopiesOutOfBuilder(t *testing.T) {
+	const rows, cols = 6, 40
+	k := nestedKernel(rows, cols)
+	m := machine.New(machine.CI())
+	d := setupData(m, k)
+	fillSeq(d, "A", rows*cols)
+	plan, err := compiler.Compile(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tb TraceBuilder
+	first, err := GenTrace(&tb, m, k, plan, nil, d, 0, rows/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words, addrs := slices.Clone(first.Words), slices.Clone(first.Addrs)
+	elems := make([][]streamElem, len(first.StreamElems))
+	for sid, es := range first.StreamElems {
+		elems[sid] = slices.Clone(es)
+	}
+
+	second, err := GenTrace(&tb, m, k, plan, nil, d, rows/2, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(second.Addrs, addrs) {
+		t.Fatal("both partitions produced the same addresses; the check below would prove nothing")
+	}
+	// Words repeat row to row, so a second trace alone cannot show they
+	// are shared; overwrite the builder's whole capacity as well.
+	fill(tb.words[:cap(tb.words)], ^uint32(0))
+	fill(tb.addrs[:cap(tb.addrs)], ^uint64(0))
+	for _, es := range tb.elems {
+		fill(es[:cap(es)], streamElem{pa: ^uint64(0)})
+	}
+	if !slices.Equal(first.Words, words) || !slices.Equal(first.Addrs, addrs) {
+		t.Fatal("reusing the builder rewrote the first trace's words or addresses")
+	}
+	for sid := range elems {
+		if !slices.Equal(first.StreamElems[sid], elems[sid]) {
+			t.Fatalf("reusing the builder rewrote the first trace's stream %d elements", sid)
+		}
+	}
+}
+
+func fill[T any](s []T, v T) {
+	for i := range s {
+		s[i] = v
 	}
 }
 
@@ -143,8 +222,9 @@ func TestStreamElemSize(t *testing.T) {
 }
 
 // BenchmarkGenTrace interprets core 0's partition of the CI-scale
-// histogram kernel under its stream plan. B/entry is the trace's
-// footprint (words, addresses and stream elements) per dynamic entry.
+// histogram kernel under its stream plan, reusing one builder across
+// iterations as Run does across cores. B/entry is the trace's footprint
+// (words, addresses and stream elements) per dynamic entry.
 func BenchmarkGenTrace(b *testing.B) {
 	w := workloads.Get("histogram", workloads.ScaleCI)
 	m := machine.New(machine.CI())
@@ -160,10 +240,11 @@ func BenchmarkGenTrace(b *testing.B) {
 	}
 	part := Partition(total, m.Tiles())[0]
 	var entries, bytes int
+	var tb TraceBuilder
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr, err := GenTrace(m, w.Kernel, plan, w.Params, d, part[0], part[1])
+		tr, err := GenTrace(&tb, m, w.Kernel, plan, w.Params, d, part[0], part[1])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -172,7 +253,6 @@ func BenchmarkGenTrace(b *testing.B) {
 		for _, es := range tr.StreamElems {
 			bytes += len(es) * int(unsafe.Sizeof(streamElem{}))
 		}
-		putTrace(tr)
 	}
 	b.ReportMetric(float64(bytes)/float64(entries), "B/entry")
 }

@@ -21,8 +21,8 @@ const MaxTime Time = math.MaxUint64
 type Event func()
 
 // scheduled is one queued event. Events live by value inside the engine's
-// wheel buckets and overflow heap: Schedule neither allocates a node nor
-// boxes through any.
+// wheel slab and overflow heap: once those have grown to the most events
+// pending at once, Schedule neither allocates nor boxes through any.
 //
 // stamp is the event's logical scheduling time: the cycle the cause of the
 // event happened. Plain Schedule/ScheduleAt set stamp = now, so ordering
@@ -63,14 +63,20 @@ const (
 	wheelWords = wheelSize / 64
 )
 
-// bucket holds the events of one wheel slot in insertion (= sequence)
-// order. head indexes the next event to fire; the slice is reset, not
-// reallocated, when it empties, so steady-state operation is allocation
-// free. Because all wheel events lie in a window of exactly wheelSize
-// cycles, a slot never holds two distinct timestamps at once.
+// node is one wheel event in the engine's slab, linked into its slot's
+// FIFO list (or the free list) by next. Index 0 is a sentinel that never
+// holds an event, so a zero link means "none".
+type node struct {
+	scheduled
+	next int32
+}
+
+// bucket is one wheel slot: the head and tail of a singly linked list of
+// slab nodes in (stamp, seq) order. Because all wheel events lie in a
+// window of exactly wheelSize cycles, a slot never holds two distinct
+// timestamps at once.
 type bucket struct {
-	head int
-	ev   []scheduled
+	head, tail int32
 }
 
 // Engine is a deterministic discrete-event scheduler.
@@ -78,11 +84,13 @@ type bucket struct {
 // Events are kept in a two-level structure. The first level is a time
 // wheel: a power-of-two ring of per-cycle buckets covering the next
 // wheelSize cycles, giving O(1) schedule and pop for the short delays that
-// dominate cycle-level models. The second level is an index-based binary
-// min-heap of scheduled values ordered by (time, sequence) that absorbs
-// the rare far-future events (delay >= wheelSize). An occupancy bitmap
-// over the wheel slots makes "find the next non-empty cycle" a handful of
-// word scans.
+// dominate cycle-level models. Buckets are linked lists threaded through
+// one engine-owned node slab with a free list, so wheel storage follows
+// the events pending, like gem5's per-tick event bins. The second level
+// is an index-based binary min-heap of scheduled values ordered by
+// (time, sequence) that absorbs the rare far-future events (delay >=
+// wheelSize). An occupancy bitmap over the wheel slots makes "find the
+// next non-empty cycle" a handful of word scans.
 //
 // The ordering contract generalizes the heap-only engine's: events fire
 // in (time, stamp, sequence) order, where stamp is the cycle the event was
@@ -98,11 +106,16 @@ type Engine struct {
 	now Time
 	seq uint64
 
-	// Near level: wheel[t&wheelMask] buckets events for cycle t, with
-	// occ's bit t&wheelMask set while the bucket is non-empty.
+	// Near level: wheel[t&wheelMask] lists the events for cycle t, with
+	// occ's bit t&wheelMask set while the bucket is non-empty. Every wheel
+	// event lives in nodes; popped nodes go on the free list headed by
+	// free, so the slab's length is the most wheel events ever pending at
+	// once, not the sum of each slot's largest burst.
 	wheel      []bucket
 	occ        []uint64
 	wheelCount int
+	nodes      []node
+	free       int32
 
 	// Far level: overflow min-heap for events >= wheelSize cycles out.
 	queue []scheduled
@@ -131,20 +144,11 @@ const occBuckets = 65
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	e := &Engine{
+	return &Engine{
 		wheel: make([]bucket, wheelSize),
 		occ:   make([]uint64, wheelWords),
+		nodes: make([]node, 1, 64), // nodes[0] is the nil sentinel
 	}
-	// Seed every bucket with a small slice of one shared backing array so
-	// that scheduling into a never-before-used slot does not allocate; a
-	// slot that ever holds more events grows (and keeps) its own larger
-	// slice through the usual append doubling.
-	const seedCap = 2
-	backing := make([]scheduled, wheelSize*seedCap)
-	for i := range e.wheel {
-		e.wheel[i].ev = backing[i*seedCap : i*seedCap : (i+1)*seedCap]
-	}
-	return e
 }
 
 // Now returns the current simulation time.
@@ -163,18 +167,52 @@ func (e *Engine) ScheduleAt(at Time, fn Event) {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", at, e.now))
 	}
 	e.seq++
+	s := scheduled{at: at, stamp: e.now, seq: e.seq, fn: fn}
 	if at-e.now < wheelSize {
-		slot := int(at & wheelMask)
-		b := &e.wheel[slot]
 		// Plain schedules carry stamp = now, and now is monotone, so a
 		// bucket's (stamp, seq) order is append order: no sorted insert.
-		b.ev = append(b.ev, scheduled{at: at, stamp: e.now, seq: e.seq, fn: fn})
-		e.occ[slot>>6] |= 1 << uint(slot&63)
-		e.wheelCount++
+		slot := int(at & wheelMask)
+		e.link(slot, e.wheel[slot].tail, e.alloc(s))
 		return
 	}
-	e.queue = append(e.queue, scheduled{at: at, stamp: e.now, seq: e.seq, fn: fn})
+	e.queue = append(e.queue, s)
 	e.siftUp(len(e.queue) - 1)
+}
+
+// alloc stores s in a slab node, reusing a freed one when there is one,
+// and returns its index. Appending may move the slab, so callers take
+// node pointers only after alloc.
+func (e *Engine) alloc(s scheduled) int32 {
+	i := e.free
+	if i == 0 {
+		e.nodes = append(e.nodes, node{scheduled: s})
+		return int32(len(e.nodes) - 1)
+	}
+	n := &e.nodes[i]
+	e.free = n.next
+	n.scheduled = s
+	n.next = 0
+	return i
+}
+
+// link inserts node i into the bucket at slot right after node prev (0:
+// at the head) and marks the slot occupied.
+func (e *Engine) link(slot int, prev, i int32) {
+	b := &e.wheel[slot]
+	n := &e.nodes[i]
+	if prev == 0 {
+		n.next = b.head
+		b.head = i
+	} else {
+		p := &e.nodes[prev]
+		n.next = p.next
+		p.next = i
+	}
+	if n.next == 0 {
+		b.tail = i
+	}
+	e.occ[slot>>6] |= 1 << uint(slot&63)
+	e.wheelCount++
 }
 
 // ScheduleStampedAt runs fn at absolute time at with a back-dated logical
@@ -194,21 +232,22 @@ func (e *Engine) ScheduleStampedAt(at, stamp Time, fn Event) {
 	e.seq++
 	s := scheduled{at: at, stamp: stamp, seq: e.seq, fn: fn}
 	if at-e.now < wheelSize {
+		// A back-dated stamp may order before events already listed; s
+		// goes right after the last node that does not order after it.
+		// Barrier deliveries for one cycle arrive in canonical order, so
+		// the tail usually is that node.
 		slot := int(at & wheelMask)
 		b := &e.wheel[slot]
-		// A back-dated stamp may order before events already appended;
-		// insert at the sorted position (scanning from the back — barrier
-		// deliveries for one cycle arrive in canonical order, so inserts
-		// cluster near the tail).
-		i := len(b.ev)
-		for i > b.head && lessSched(&s, &b.ev[i-1]) {
-			i--
+		prev := b.tail
+		if prev != 0 && lessSched(&s, &e.nodes[prev].scheduled) {
+			prev = 0
+			for i := b.head; i != 0; i = e.nodes[i].next {
+				if !lessSched(&s, &e.nodes[i].scheduled) {
+					prev = i
+				}
+			}
 		}
-		b.ev = append(b.ev, scheduled{})
-		copy(b.ev[i+1:], b.ev[i:])
-		b.ev[i] = s
-		e.occ[slot>>6] |= 1 << uint(slot&63)
-		e.wheelCount++
+		e.link(slot, prev, e.alloc(s))
 		return
 	}
 	e.queue = append(e.queue, s)
@@ -265,19 +304,23 @@ func (e *Engine) pop() scheduled {
 	return top
 }
 
-// popBucket removes the front event of the bucket at slot. When the
-// bucket empties it is reset — and its occupancy bit cleared — before the
-// caller runs the event, so a same-cycle Schedule from inside the
-// callback starts a fresh bucket for the current slot.
+// popBucket removes the front event of the bucket at slot and returns
+// its node to the free list, its closure cleared so the slab does not
+// retain it. When the bucket empties its occupancy bit is cleared before
+// the caller runs the event, so a same-cycle Schedule from inside the
+// callback starts a fresh list for the current slot.
 func (e *Engine) popBucket(b *bucket, slot int) scheduled {
-	s := b.ev[b.head]
-	b.ev[b.head].fn = nil
-	b.head++
-	if b.head == len(b.ev) {
-		b.ev = b.ev[:0]
-		b.head = 0
+	i := b.head
+	n := &e.nodes[i]
+	s := n.scheduled
+	b.head = n.next
+	if b.head == 0 {
+		b.tail = 0
 		e.occ[slot>>6] &^= 1 << uint(slot&63)
 	}
+	n.fn = nil
+	n.next = e.free
+	e.free = i
 	e.wheelCount--
 	return s
 }
@@ -308,8 +351,7 @@ func (e *Engine) nextWheelSlot() int {
 }
 
 func (e *Engine) slotTime(slot int) Time {
-	b := &e.wheel[slot]
-	return b.ev[b.head].at
+	return e.nodes[e.wheel[slot].head].at
 }
 
 // peekTime returns the earliest pending timestamp, or MaxTime when the
@@ -317,7 +359,7 @@ func (e *Engine) slotTime(slot int) Time {
 func (e *Engine) peekTime() Time {
 	// The current cycle's bucket being non-empty pins the wheel minimum
 	// at now without a bitmap scan (the slot cannot hold any other time).
-	if b := &e.wheel[e.now&wheelMask]; b.head < len(b.ev) {
+	if e.wheel[e.now&wheelMask].head != 0 {
 		return e.now
 	}
 	t := MaxTime
@@ -360,8 +402,8 @@ func (e *Engine) Step() bool {
 	// Fast path: the current cycle's bucket has events and no heap event
 	// orders before its head. (Equal-time events compare by (stamp, seq) —
 	// see the ordering note on Engine.)
-	if b := &e.wheel[e.now&wheelMask]; b.head < len(b.ev) {
-		if len(e.queue) == 0 || e.queue[0].at > e.now || !lessSched(&e.queue[0], &b.ev[b.head]) {
+	if b := &e.wheel[e.now&wheelMask]; b.head != 0 {
+		if len(e.queue) == 0 || e.queue[0].at > e.now || !lessSched(&e.queue[0], &e.nodes[b.head].scheduled) {
 			s := e.popBucket(b, int(e.now&wheelMask))
 			e.Executed++
 			s.fn()
@@ -386,8 +428,7 @@ func (e *Engine) Step() bool {
 	var s scheduled
 	useHeap := ht < wt
 	if ht == wt && ht != MaxTime {
-		b := &e.wheel[slot]
-		useHeap = lessSched(&e.queue[0], &b.ev[b.head])
+		useHeap = lessSched(&e.queue[0], &e.nodes[e.wheel[slot].head].scheduled)
 	}
 	if useHeap {
 		s = e.pop()

@@ -2,14 +2,17 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // refScheduler is the heap-only ordering oracle the wheel engine is
-// checked against: a plain sorted queue fired strictly in (time, sequence)
-// order. It reimplements none of the Engine's structure on purpose — any
-// ordering bug the two-level design introduces shows up as a divergence.
+// checked against: a plain sorted queue fired strictly in (time, stamp,
+// sequence) order. It reimplements none of the Engine's structure on
+// purpose — any ordering bug the two-level design introduces shows up as
+// a divergence.
 type refScheduler struct {
 	clock Time
 	seq   uint64
@@ -17,13 +20,17 @@ type refScheduler struct {
 }
 
 func (r *refScheduler) schedule(delay Time, fn Event) {
-	at := r.clock + delay
+	r.insert(r.clock+delay, r.clock, fn)
+}
+
+func (r *refScheduler) scheduleStamped(delay, back Time, fn Event) {
+	r.insert(r.clock+delay, r.clock-back, fn)
+}
+
+func (r *refScheduler) insert(at, stamp Time, fn Event) {
 	r.seq++
-	s := scheduled{at: at, seq: r.seq, fn: fn}
-	i := sort.Search(len(r.queue), func(i int) bool {
-		q := r.queue[i]
-		return q.at > s.at || (q.at == s.at && q.seq > s.seq)
-	})
+	s := scheduled{at: at, stamp: stamp, seq: r.seq, fn: fn}
+	i := sort.Search(len(r.queue), func(i int) bool { return lessSched(&s, &r.queue[i]) })
 	r.queue = append(r.queue, scheduled{})
 	copy(r.queue[i+1:], r.queue[i:])
 	r.queue[i] = s
@@ -47,22 +54,57 @@ func (r *refScheduler) reset() {
 }
 
 // testScheduler abstracts the engine under test and the oracle so one
-// workload drives both.
+// workload drives both. scheduleStamped back-dates the event's stamp by
+// back cycles (back <= now), as the window exchange does.
 type testScheduler interface {
 	schedule(delay Time, fn Event)
+	scheduleStamped(delay, back Time, fn Event)
 	step() bool
 	now() Time
 	reset()
 }
 
 // engineAdapter drives an Engine; reset discards it for a new one, so
-// nothing still queued on the old engine can fire afterwards.
-type engineAdapter struct{ e *Engine }
+// nothing still queued on the old engine can fire afterwards. lands
+// counts where each stamped wheel insert went in its slot's list, so the
+// test can check the workload reached every insert position.
+type engineAdapter struct {
+	e     *Engine
+	lands map[string]int
+}
 
 func (a *engineAdapter) schedule(delay Time, fn Event) { a.e.Schedule(delay, fn) }
 func (a *engineAdapter) step() bool                    { return a.e.Step() }
 func (a *engineAdapter) now() Time                     { return a.e.now }
 func (a *engineAdapter) reset()                        { a.e = NewEngine() }
+
+func (a *engineAdapter) scheduleStamped(delay, back Time, fn Event) {
+	e := a.e
+	at, stamp := e.now+delay, e.now-back
+	if delay < wheelSize {
+		b := e.wheel[at&wheelMask]
+		s := scheduled{at: at, stamp: stamp, seq: e.seq + 1}
+		var where string
+		switch {
+		case b.head == 0:
+			where = "empty"
+		case lessSched(&s, &e.nodes[b.head].scheduled):
+			where = "head"
+		case !lessSched(&s, &e.nodes[b.tail].scheduled):
+			where = "tail"
+		default:
+			where = "middle"
+		}
+		if delay == 0 && b.head != 0 {
+			where += " of firing"
+		}
+		if a.lands == nil {
+			a.lands = map[string]int{}
+		}
+		a.lands[where]++
+	}
+	e.ScheduleStampedAt(at, stamp, fn)
+}
 
 func (r *refScheduler) now() Time { return r.clock }
 
@@ -78,8 +120,11 @@ type fired struct {
 // clock), events schedule children from inside callbacks (same-cycle
 // included), a fraction of events are "canceled" by flag before firing,
 // and partway through the scheduler is replaced by a new one with events
-// still pending, and a second workload runs on the replacement.
-func runWorkload(s testScheduler, seed int64) []fired {
+// still pending, and a second workload runs on the replacement. With
+// stamped set, a third of the events are scheduled with a stamp
+// back-dated by up to 96 cycles, so they sort into their slot's list
+// anywhere from its head to its tail — the current cycle's included.
+func runWorkload(s testScheduler, seed int64, stamped bool) []fired {
 	rng := rand.New(rand.NewSource(seed))
 	var log []fired
 	canceled := make(map[int]bool)
@@ -107,7 +152,7 @@ func runWorkload(s testScheduler, seed int64) []fired {
 		if rng.Intn(8) == 0 {
 			canceled[id] = true
 		}
-		s.schedule(randDelay(), func() {
+		fn := func() {
 			if canceled[id] {
 				return
 			}
@@ -116,7 +161,12 @@ func runWorkload(s testScheduler, seed int64) []fired {
 				total++
 				spawn()
 			}
-		})
+		}
+		if delay := randDelay(); stamped && rng.Intn(3) == 0 {
+			s.scheduleStamped(delay, min(Time(rng.Intn(97)), s.now()), fn)
+		} else {
+			s.schedule(delay, fn)
+		}
 	}
 
 	phase := func(roots int) {
@@ -149,19 +199,33 @@ func runWorkload(s testScheduler, seed int64) []fired {
 // scheduler: under randomized delays, nested scheduling, cancellation and
 // a mid-run restart, the wheel+heap engine must fire exactly the same events
 // at exactly the same times, in exactly the same order, as a heap-only
-// reference.
+// reference — with plain schedules only, and with back-dated stamped
+// schedules mixed in. The stamped runs must have inserted at the head,
+// middle and tail of a slot's list, and into the list now firing.
 func TestWheelMatchesReferenceEngine(t *testing.T) {
-	for seed := int64(1); seed <= 12; seed++ {
-		got := runWorkload(&engineAdapter{NewEngine()}, seed)
-		want := runWorkload(&refScheduler{}, seed)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: engine fired %d events, reference %d", seed, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: firing %d diverges: engine (id=%d at=%d), reference (id=%d at=%d)",
-					seed, i, got[i].id, got[i].at, want[i].id, want[i].at)
+	lands := map[string]int{}
+	for _, stamped := range []bool{false, true} {
+		for seed := int64(1); seed <= 12; seed++ {
+			eng := &engineAdapter{e: NewEngine()}
+			got := runWorkload(eng, seed, stamped)
+			want := runWorkload(&refScheduler{}, seed, stamped)
+			for k, n := range eng.lands {
+				lands[k] += n
 			}
+			if len(got) != len(want) {
+				t.Fatalf("stamped=%v seed %d: engine fired %d events, reference %d", stamped, seed, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("stamped=%v seed %d: firing %d diverges: engine (id=%d at=%d), reference (id=%d at=%d)",
+						stamped, seed, i, got[i].id, got[i].at, want[i].id, want[i].at)
+				}
+			}
+		}
+	}
+	for _, where := range []string{"head", "middle", "tail", "middle of firing"} {
+		if lands[where] == 0 {
+			t.Errorf("no stamped insert landed at the %s of a slot's list (lands %v)", where, lands)
 		}
 	}
 }
@@ -302,4 +366,56 @@ func timesEqual(a, b []Time) bool {
 		}
 	}
 	return true
+}
+
+// TestWheelStorageFollowsPending pins what bounds the wheel's storage:
+// the most events pending at once. Every slot in turn fires a burst that
+// chains 600 events into the same cycle, one slot after another, so
+// storage kept per slot would retain a full burst in each of the
+// wheelSize slots, while storage that follows the pending events holds
+// about one burst. Retained bytes are measured on the heap, so the check
+// holds whatever the engine's layout.
+func TestWheelStorageFollowsPending(t *testing.T) {
+	const burst = 600
+	// An event costs its record plus, at most, two slab links.
+	const perEvent = uint64(unsafe.Sizeof(scheduled{})) + 8
+
+	heapInUse := func() uint64 {
+		// Two cycles: sync.Pool contents survive the first one.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	e := NewEngine()
+	before := heapInUse()
+
+	peak := 0
+	noop := Event(func() {})
+	var driver Event
+	driver = func() {
+		// The driver fires at cycle t-1 and fills cycle t's slot.
+		for i := 0; i < burst; i++ {
+			e.Schedule(1, noop)
+		}
+		peak = max(peak, e.Pending())
+		if e.Now()+1 < wheelSize {
+			e.Schedule(1, driver)
+		}
+	}
+	e.Schedule(0, driver)
+	e.Run()
+	if want := uint64(wheelSize * (burst + 1)); e.Executed != want {
+		t.Fatalf("executed %d events, want %d", e.Executed, want)
+	}
+	var retained uint64
+	if after := heapInUse(); after > before {
+		retained = after - before
+	}
+	runtime.KeepAlive(e)
+	if limit := 2 * uint64(peak) * perEvent; retained > limit {
+		t.Fatalf("engine retains %d B of event storage after a peak of %d pending events; want at most %d B (2x peak)",
+			retained, peak, limit)
+	}
 }

@@ -1,8 +1,9 @@
 package workloads
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/ir"
@@ -47,11 +48,13 @@ func Kronecker(scaleLog2 int, edgeFactor int, seed uint64) *Graph {
 		}
 		edges = append(edges, edge{u, v})
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
+	// Equal (u, v) keys are identical edges, so the unstable sort's
+	// order is fully determined.
+	slices.SortFunc(edges, func(a, b edge) int {
+		if c := cmp.Compare(a.u, b.u); c != 0 {
+			return c
 		}
-		return edges[i].v < edges[j].v
+		return cmp.Compare(a.v, b.v)
 	})
 	g := &Graph{Nodes: n, Offsets: make([]uint64, n+1)}
 	for _, e := range edges {
