@@ -301,61 +301,78 @@ func Run(m *machine.Machine, k *ir.Kernel, sys System, params Params, kparams ma
 	return res, nil
 }
 
-// runEngine drives the event loop to completion. With no sampler attached
-// it is exactly m.Run(). With one, the loop is chopped into
-// fixed-cadence epochs via RunTo — which fires the same events at the same
-// times and never advances the clock past the last event — and a snapshot
-// of IPC, bank occupancy, link utilization and offload queue depth is
-// recorded at each epoch boundary. Sampling therefore cannot perturb
-// simulated behavior, only observe it.
+// runEngine drives the machine's window loop to completion. With a
+// sampler attached, a barrier hook records one row of IPC, bank
+// occupancy, link utilization and offload queue depth at the first
+// barrier at or after each period boundary, stamped with the machine
+// clock there, plus a final row at drain. The hook only reads state — it
+// schedules nothing and moves no window edge — so a sampled run fires
+// exactly the events of an unsampled one. It is unregistered on return,
+// so repeated runs on one machine do not stack hooks.
 func runEngine(m *machine.Machine, runs []*coreRun) {
-	sam := m.Sampler
-	if sam == nil {
-		m.Run()
-		return
+	var sp *sampling
+	if m.Sampler != nil {
+		sp = &sampling{m: m, runs: runs, last: m.Now(), next: m.Now() + sim.Time(m.Sampler.Period)}
+		m.Sampler.SetCols("ipc", "bank_occ", "link_util", "offload_q")
+		remove := m.Loop.AddFlush(sp.barrier)
+		defer remove()
 	}
-	if len(sam.Cols()) == 0 {
-		sam.SetCols("ipc", "bank_occ", "link_util", "offload_q")
+	m.Run()
+	if sp != nil && sp.last < m.Now() {
+		sp.record()
 	}
-	period := sim.Time(sam.Period)
-	links := float64(m.Net.LinkCount())
-	var lastRetired, lastBusy uint64
-	lastCycle := m.Now()
-	for {
-		drained := m.RunTo(m.Now() + period)
-		now := m.Now()
-		elapsed := float64(now - lastCycle)
-		var retired uint64
-		var offq int
-		for _, cr := range runs {
-			retired += cr.core.OpsRetired
-			for _, rs := range cr.remotes {
-				if rs != nil {
-					offq += rs.inflight
-				}
-			}
-			for _, rs := range cr.extraRemotes {
+}
+
+// sampling is one run's sampler state: the next period boundary and the
+// counters at the previous row, from which each row's rates are taken.
+type sampling struct {
+	m                     *machine.Machine
+	runs                  []*coreRun
+	next, last            sim.Time
+	lastRetired, lastBusy uint64
+}
+
+// barrier is the sampler's window-barrier hook.
+func (sp *sampling) barrier(sim.Time) {
+	if now := sp.m.Now(); now >= sp.next {
+		sp.record()
+		period := sim.Time(sp.m.Sampler.Period)
+		sp.next = now - (now-sp.next)%period + period
+	}
+}
+
+// record appends one row at the machine clock.
+func (sp *sampling) record() {
+	m := sp.m
+	now := m.Now()
+	elapsed := float64(now - sp.last)
+	var retired uint64
+	var offq int
+	for _, cr := range sp.runs {
+		retired += cr.core.OpsRetired
+		for _, rs := range cr.remotes {
+			if rs != nil {
 				offq += rs.inflight
 			}
 		}
-		bankOcc := 0
-		for i := 0; i < m.Hier.Tiles(); i++ {
-			bankOcc += m.Hier.Bank(i).PendingTxns()
-		}
-		busy := m.Net.BusyLinkCycles()
-		ipc, lu := 0.0, 0.0
-		if elapsed > 0 {
-			ipc = float64(retired-lastRetired) / elapsed
-			if links > 0 {
-				lu = float64(busy-lastBusy) / (links * elapsed)
-			}
-		}
-		sam.Record(uint64(now), ipc, float64(bankOcc), lu, float64(offq))
-		lastRetired, lastBusy, lastCycle = retired, busy, now
-		if drained || m.Stopped() {
-			return
+		for _, rs := range cr.extraRemotes {
+			offq += rs.inflight
 		}
 	}
+	bankOcc := 0
+	for i := 0; i < m.Hier.Tiles(); i++ {
+		bankOcc += m.Hier.Bank(i).PendingTxns()
+	}
+	busy := m.Net.BusyLinkCycles()
+	ipc, lu := 0.0, 0.0
+	if elapsed > 0 {
+		ipc = float64(retired-sp.lastRetired) / elapsed
+		if links := float64(m.Net.LinkCount()); links > 0 {
+			lu = float64(busy-sp.lastBusy) / (links * elapsed)
+		}
+	}
+	m.Sampler.Record(uint64(now), ipc, float64(bankOcc), lu, float64(offq))
+	sp.lastRetired, sp.lastBusy, sp.last = retired, busy, now
 }
 
 // OuterTrip is kernel k's outer-loop trip count: its static trip, or

@@ -72,13 +72,12 @@ type Machine struct {
 	PFUnits []*prefetch.Unit
 	// Obs interns runtime counters (the core layer's registry); Tracer and
 	// Sampler are the machine-wide observability hooks, nil unless a run
-	// opts in via SetTracer / an attached sampler.
+	// opts in via SetTracer / an attached sampler. Both only read the
+	// machine: the sampler at window barriers (core.Run), the tracer at
+	// each instrumented site.
 	Obs     *obs.Registry
 	Tracer  *obs.Tracer
 	Sampler *obs.Sampler
-	// compTrace is the ring the cache, NoC and DRAM record into behind
-	// Tracer; FinishTrace appends it to Tracer in canonical order.
-	compTrace *obs.Tracer
 	// Attrib is the run's cycle-attribution sink, nil unless a run opts in
 	// via SetAttribution.
 	Attrib *obs.Attribution
@@ -113,32 +112,17 @@ func New(cfg Config) *Machine {
 	return m
 }
 
-// SetTracer attaches one event tracer to the machine (nil detaches). The
-// cache, NoC and DRAM record into a ring of the same capacity that
-// FinishTrace appends to tr in canonical order: the NoC records a
-// window's sends at its barrier, after the window's other events, so
-// their emission order is not time order. The components keep their own
-// pointers so the hot-path guard is a single field load + nil check.
+// SetTracer attaches one event ring to the machine (nil detaches): the
+// runtime, cache, NoC and DRAM all record into tr, in the order the one
+// engine runs them. The NoC records a window's sends at its barrier, so
+// the ring is in emission order, not strictly in time order. The
+// components keep their own pointers so the hot-path guard is a single
+// field load + nil check.
 func (m *Machine) SetTracer(tr *obs.Tracer) {
 	m.Tracer = tr
-	m.compTrace = nil
-	if tr != nil {
-		m.compTrace = obs.NewTracer(tr.Cap())
-	}
-	m.Hier.SetTracer(m.compTrace)
-	m.Net.SetTracer(m.compTrace)
-	m.Dram.SetTracer(m.compTrace)
-}
-
-// FinishTrace appends the components' ring to the attached tracer in
-// canonical order and detaches the tracer. Call it once, after the run;
-// runner.ExecuteObs does.
-func (m *Machine) FinishTrace() {
-	if m.Tracer == nil {
-		return
-	}
-	m.Tracer.AppendCanonical(m.compTrace)
-	m.SetTracer(nil)
+	m.Hier.SetTracer(tr)
+	m.Net.SetTracer(tr)
+	m.Dram.SetTracer(tr)
 }
 
 // SetAttribution attaches a cycle-attribution sink to every charge site
@@ -170,18 +154,11 @@ func (m *Machine) ExecProfile() *obs.ExecReport {
 // (the last event's cycle).
 func (m *Machine) Run() sim.Time { return m.Loop.Run() }
 
-// RunTo runs events with timestamps <= limit (the sampler's stepping
-// primitive); it reports whether the machine drained.
-func (m *Machine) RunTo(limit sim.Time) bool { return m.Loop.RunTo(limit) }
-
 // Now returns the machine clock.
 func (m *Machine) Now() sim.Time { return m.Engine.Now() }
 
 // ExecutedEvents reports the fired-event count.
 func (m *Machine) ExecutedEvents() uint64 { return m.Engine.Executed }
-
-// Stopped reports whether the engine was stopped (deadlock bail-out).
-func (m *Machine) Stopped() bool { return m.Engine.Stopped() }
 
 // Tiles returns the mesh node count.
 func (m *Machine) Tiles() int { return m.Net.Nodes() }

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -53,32 +52,6 @@ func TestTracerRingWrapAndDrop(t *testing.T) {
 		if ev.Time != uint64(i+2) {
 			t.Fatalf("event %d time = %d, want %d (oldest-first)", i, ev.Time, i+2)
 		}
-	}
-}
-
-// AppendCanonical appends the source's retained events after the
-// destination's own, sorted by every field, and counts the source's drops.
-func TestTracerAppendCanonical(t *testing.T) {
-	dst, src := NewTracer(8), NewTracer(3)
-	dst.Emit(Event{Time: 9, Kind: KindDRAM})
-	for _, ev := range []Event{
-		{Time: 1, Kind: KindDRAM}, // overwritten by the wrap
-		{Time: 5, Kind: KindNoCMsg, Tile: 2},
-		{Time: 3, Kind: KindDRAM},
-		{Time: 5, Kind: KindNoCMsg, Tile: 1},
-	} {
-		src.Emit(ev)
-	}
-	dst.AppendCanonical(src)
-	var got []string
-	for _, ev := range dst.Events() {
-		got = append(got, fmt.Sprintf("%d/%d", ev.Time, ev.Tile))
-	}
-	if want := "[9/0 3/0 5/1 5/2]"; fmt.Sprint(got) != want {
-		t.Fatalf("events %v, want %s", got, want)
-	}
-	if dst.Total() != 5 || dst.Dropped() != 0 {
-		t.Fatalf("total/dropped = %d/%d, want 5/0 (one source drop folded into the total)", dst.Total(), dst.Dropped())
 	}
 }
 

@@ -55,6 +55,9 @@ func (s *Sampler) Record(cycle uint64, vals ...float64) {
 	s.rows = append(s.rows, vals)
 }
 
+// Cycles returns each row's cycle stamp, in recording order.
+func (s *Sampler) Cycles() []uint64 { return s.times }
+
 // Len reports the number of recorded rows.
 func (s *Sampler) Len() int {
 	if s == nil {

@@ -1,7 +1,5 @@
 package obs
 
-import "sort"
-
 // Kind labels a traced event.
 type Kind uint8
 
@@ -148,35 +146,4 @@ func (t *Tracer) Cap() int {
 		return 0
 	}
 	return len(t.ring)
-}
-
-// AppendCanonical replays src's retained events into t in a canonical
-// full-field order (Time, Kind, Tile, A, B, Dur), whatever order they
-// were emitted in, and folds src's dropped events (a wrapped ring) into
-// t's drop count.
-func (t *Tracer) AppendCanonical(src *Tracer) {
-	all := src.Events()
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.Time != b.Time {
-			return a.Time < b.Time
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Tile != b.Tile {
-			return a.Tile < b.Tile
-		}
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		if a.B != b.B {
-			return a.B < b.B
-		}
-		return a.Dur < b.Dur
-	})
-	t.total += src.Dropped()
-	for _, ev := range all {
-		t.Emit(ev)
-	}
 }

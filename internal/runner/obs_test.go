@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -70,5 +71,84 @@ func TestObsOutputsDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	if n := bytes.Count(s1, []byte("\n")); n < 3 {
 		t.Errorf("samples CSV has only %d lines", n)
+	}
+}
+
+// TestSamplingLeavesResultUnchanged pins that a sampler only reads the
+// machine: a sampled job's Result equals the unsampled one field for
+// field (events included), at the default period and at a short odd one
+// that lands period boundaries inside most lookahead windows. The rows
+// are stamped at strictly increasing cycles and the last one at the end
+// of the run.
+func TestSamplingLeavesResultUnchanged(t *testing.T) {
+	jobs := []Job{
+		job("hotspot3d", core.NS),
+		job("histogram", core.NSDecouple),
+		job("pr_pull", core.NSDecouple),
+		job("bin_tree", core.NS),
+	}
+	for _, j := range jobs {
+		want, err := Execute(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, period := range []uint64{obs.DefaultSamplePeriod, 37} {
+			rec := &obs.JobRecord{Sampler: obs.NewSampler(period)}
+			got, err := ExecuteObs(j, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s at period %d: sampled result differs:\n got %+v\nwant %+v", j.Key(), period, got, want)
+			}
+			cycles := rec.Sampler.Cycles()
+			if len(cycles) < 2 {
+				t.Fatalf("%s at period %d: %d sample rows", j.Key(), period, len(cycles))
+			}
+			for i := 1; i < len(cycles); i++ {
+				if cycles[i] <= cycles[i-1] {
+					t.Fatalf("%s at period %d: row %d at cycle %d after %d", j.Key(), period, i, cycles[i], cycles[i-1])
+				}
+			}
+			if last := cycles[len(cycles)-1]; last != got.Cycles {
+				t.Errorf("%s at period %d: last row at cycle %d, run ends at %d", j.Key(), period, last, got.Cycles)
+			}
+		}
+	}
+}
+
+// TestWrappedTraceKeepsRuntimeEvents pins that the runtime's stream events
+// and the components' events share one ring: when it wraps, the ring keeps
+// the run's latest events of every kind, not the components' alone. The
+// traced Result equals the untraced one.
+func TestWrappedTraceKeepsRuntimeEvents(t *testing.T) {
+	j := job("histogram", core.NS)
+	want, err := Execute(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &obs.JobRecord{Trace: obs.NewTracer(obs.DefaultTraceEvents)}
+	got, err := ExecuteObs(j, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("traced result differs:\n got %+v\nwant %+v", got, want)
+	}
+	if rec.Trace.Dropped() == 0 {
+		t.Fatalf("ring of %d events did not wrap (%d emitted)", rec.Trace.Cap(), rec.Trace.Total())
+	}
+	kinds := map[string]int{}
+	for _, ev := range rec.Trace.Events() {
+		kinds[ev.Kind.String()]++
+	}
+	stream := 0
+	for k, n := range kinds {
+		if strings.HasPrefix(k, "stream_") {
+			stream += n
+		}
+	}
+	if stream == 0 {
+		t.Errorf("wrapped ring holds no stream_* event: %v", kinds)
 	}
 }

@@ -194,7 +194,6 @@ func simulate(m *machine.Machine, j Job, rec *obs.JobRecord) (*Result, error) {
 		out.OffloadedOps += res.OffloadedOps
 		counters = res.Stats
 	}
-	m.FinishTrace()
 	if rec != nil && rec.Attrib != nil {
 		rec.Exec = m.ExecProfile()
 	}

@@ -120,7 +120,6 @@ type Engine struct {
 	// Far level: overflow min-heap for events >= wheelSize cycles out.
 	queue []scheduled
 
-	stopped bool
 	// Executed counts events that have fired, mostly for tests and
 	// runaway-simulation guards.
 	Executed uint64
@@ -373,32 +372,16 @@ func (e *Engine) peekTime() Time {
 }
 
 // Pending reports the number of events waiting to fire, counting both
-// wheel buckets and the overflow heap. A sleeping Recurring contributes
+// wheel buckets and the overflow heap. A parked Recurring contributes
 // nothing (its tick is only queued while armed), so Pending == 0 is the
-// engine's authoritative "fully idle" test: a drained engine with sleeping
+// engine's authoritative "fully idle" test: a drained engine with parked
 // components reports zero even though those components could be re-armed
-// by a later Wake. Pending never counts already-fired events, and a
-// stopped engine still reports its queued (frozen) events.
+// by a later Wake. Pending never counts already-fired events.
 func (e *Engine) Pending() int { return e.wheelCount + len(e.queue) }
-
-// Stop makes Run and RunUntil return after the current event completes.
-// The stop is final: every later Step/Run/RunUntil call is a no-op (time
-// does not advance, events stay queued), so a stopped simulation cannot
-// silently resume. Stopped reports the state.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called. While true,
-// Step/Run/RunUntil/RunTo fire nothing and time is frozen at the stopping
-// event's cycle; Schedule/ScheduleAt still accept events (they stay
-// queued), and Pending still counts them.
-func (e *Engine) Stopped() bool { return e.stopped }
 
 // Step fires the single next event, advancing time to it. It reports false
 // when the queue is empty.
 func (e *Engine) Step() bool {
-	if e.stopped {
-		return false
-	}
 	// Fast path: the current cycle's bucket has events and no heap event
 	// orders before its head. (Equal-time events compare by (stamp, seq) —
 	// see the ordering note on Engine.)
@@ -458,49 +441,24 @@ func (e *Engine) WheelOccupancy() (buckets [occBuckets]uint64, count, sum uint64
 	return e.occHist, e.occObs, e.occSum
 }
 
-// Run fires events until the queue drains or Stop is called. It returns the
-// final simulation time.
+// Run fires events until the queue drains. It returns the final
+// simulation time.
 func (e *Engine) Run() Time {
 	for e.Step() {
 	}
 	return e.now
 }
 
-// RunUntil fires events with timestamps <= limit. Events beyond the limit
-// stay queued. Time advances to min(limit, last event), except after Stop:
-// a stopped engine stays frozen at the stopping event's time and fires
-// nothing further (see Stop). It returns true if the queue drained (no
-// work remains at or before any time).
-func (e *Engine) RunUntil(limit Time) bool {
-	for !e.stopped {
-		t := e.peekTime()
-		if t == MaxTime {
-			break
-		}
-		if t > limit {
-			e.now = limit
-			return false
-		}
-		e.Step()
-	}
-	if !e.stopped && e.now < limit {
-		e.now = limit
-	}
-	return e.Pending() == 0
-}
-
-// RunTo fires events with timestamps <= limit like RunUntil, except that
-// when the queue drains it leaves the clock at the last fired event
-// instead of advancing to limit. Observers that sample the model at a
-// fixed cadence from outside the event loop use it so the final partial
-// epoch cannot inflate a run's end time: interleaving RunTo calls with
-// snapshots fires exactly the same events at the same times as one Run.
-// It returns true if the queue drained.
+// RunTo fires events with timestamps <= limit; it is one window's step
+// of the Windowed loop. Events beyond the limit stay queued. While work
+// remains beyond limit the clock parks at limit; when the queue drains it
+// stays at the last fired event, so a run's end time is its last event's
+// cycle whatever the window edges. It returns true if the queue drained.
 func (e *Engine) RunTo(limit Time) bool {
-	for !e.stopped {
+	for {
 		t := e.peekTime()
 		if t == MaxTime {
-			break
+			return true
 		}
 		if t > limit {
 			e.now = limit
@@ -508,7 +466,6 @@ func (e *Engine) RunTo(limit Time) bool {
 		}
 		e.Step()
 	}
-	return e.Pending() == 0
 }
 
 // Recurring is a reusable periodic event: one closure is allocated at
@@ -518,26 +475,25 @@ func (e *Engine) RunTo(limit Time) bool {
 // holds one Recurring instead.
 //
 // A Recurring doubles as the idle-elision primitive: a clocked component
-// returns false from its tick function (or calls Sleep) to stop consuming
-// engine events while it has no work, and any input that could create
-// work calls Wake/WakeAt to re-arm it. Both sides are idempotent, so the
-// component never needs to know whether it is currently ticking. To avoid
-// lost wakeups the component must (1) decide "no work" only from state a
-// waker updates before calling Wake, and (2) call Wake after every such
-// update — a Wake during the tick function itself is honored even when
-// the tick returns false.
+// returns false from its tick function to stop consuming engine events
+// while it has no work, and any input that could create work calls Wake
+// to re-arm it. Wake is idempotent, so the waker never needs to know
+// whether the component is currently ticking. To avoid lost wakeups the
+// component must (1) decide "no work" only from state a waker updates
+// before calling Wake, and (2) call Wake after every such update — a Wake
+// during the tick function itself is honored even when the tick returns
+// false.
 type Recurring struct {
 	e      *Engine
 	period Time
 	fn     func() bool
 	tick   Event
-	active bool
 	queued bool
 }
 
-// NewRecurring builds a recurring event firing every period cycles once
-// started. fn reports whether the event should fire again; returning false
-// (or calling Cancel) stops the series.
+// NewRecurring builds a parked recurring event firing every period
+// cycles once woken. fn reports whether the event should fire again;
+// returning false parks the series until the next Wake.
 func (e *Engine) NewRecurring(period Time, fn func() bool) *Recurring {
 	if period == 0 {
 		panic("sim: recurring event needs a non-zero period")
@@ -545,9 +501,6 @@ func (e *Engine) NewRecurring(period Time, fn func() bool) *Recurring {
 	r := &Recurring{e: e, period: period, fn: fn}
 	r.tick = func() {
 		r.queued = false
-		if !r.active {
-			return
-		}
 		again := r.fn()
 		if r.queued {
 			// fn re-armed the series itself (a Wake reached it during
@@ -558,57 +511,17 @@ func (e *Engine) NewRecurring(period Time, fn func() bool) *Recurring {
 		if again {
 			r.queued = true
 			r.e.Schedule(r.period, r.tick)
-		} else {
-			r.active = false
 		}
 	}
 	return r
 }
 
-// Start schedules the first firing delay cycles from now and re-arms the
-// series. Starting an active series panics: the engine would fire it twice
-// per period, which is never intended. Restarting after Cancel while the
-// canceled tick is still queued resumes that tick's original timing.
-func (r *Recurring) Start(delay Time) {
-	if r.active {
-		panic("sim: recurring event started twice")
-	}
-	r.active = true
+// Wake arms the series to tick in the current cycle. It is idempotent: if
+// a tick is already queued the series keeps that tick's timing (the
+// engine has no event cancellation, so a queued tick is never moved).
+func (r *Recurring) Wake() {
 	if !r.queued {
 		r.queued = true
-		r.e.Schedule(delay, r.tick)
+		r.e.Schedule(0, r.tick)
 	}
 }
-
-// Cancel stops the series after any tick already queued; it may be
-// restarted with Start.
-func (r *Recurring) Cancel() { r.active = false }
-
-// Sleep parks the series: Cancel under the name the idle-elision protocol
-// uses. A sleeping component consumes no engine events until re-armed
-// with Wake or WakeAt.
-func (r *Recurring) Sleep() { r.active = false }
-
-// Wake re-arms the series to tick in the current cycle. Unlike Start it
-// is idempotent: waking an already-active series is a no-op, so wakers
-// need not track the sleep state.
-func (r *Recurring) Wake() { r.WakeAt(r.e.now) }
-
-// WakeAt re-arms the series with its next tick at absolute time at
-// (clamped to now). Idempotent: if a tick is already queued — the series
-// is active, or was parked after the tick was enqueued — the series
-// simply resumes with that tick's original timing; the engine has no
-// event cancellation, so an in-flight tick can never be accelerated.
-func (r *Recurring) WakeAt(at Time) {
-	if at < r.e.now {
-		at = r.e.now
-	}
-	r.active = true
-	if !r.queued {
-		r.queued = true
-		r.e.ScheduleAt(at, r.tick)
-	}
-}
-
-// Active reports whether the series is armed.
-func (r *Recurring) Active() bool { return r.active }

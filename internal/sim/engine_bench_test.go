@@ -74,7 +74,7 @@ func BenchmarkEngineRecurring(b *testing.B) {
 		n++
 		return n < b.N
 	})
-	r.Start(1)
+	r.Wake()
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()

@@ -2,11 +2,11 @@ package sim
 
 import "testing"
 
-// TestRunToStopsAtLimit pins the epoch-stepping contract the sampler
-// depends on: RunTo fires everything up to the limit, parks the clock at
-// the limit while work remains, and — crucially — does NOT advance the
-// clock to the limit once the queue drains, so external sampling epochs
-// never inflate a run's end time.
+// TestRunToStopsAtLimit pins the window step Windowed.Run is built on:
+// RunTo fires everything up to the limit, parks the clock at the limit
+// while work remains, and — crucially — does NOT advance the clock to
+// the limit once the queue drains, so window edges never inflate a run's
+// end time.
 func TestRunToStopsAtLimit(t *testing.T) {
 	e := NewEngine()
 	fired := 0
@@ -53,10 +53,10 @@ func TestEngineHotPathsAllocFree(t *testing.T) {
 		ticks++
 		return ticks%16 != 0
 	})
-	r.Start(1)
+	r.Wake()
 	e.Run() // warm: the Recurring's closure is the only allocation
 	if a := testing.AllocsPerRun(100, func() {
-		r.Start(1)
+		r.Wake()
 		e.Run()
 	}); a != 0 {
 		t.Errorf("Recurring ticks: %.1f allocs/op, want 0", a)
@@ -79,13 +79,13 @@ func TestEngineHotPathsAllocFree(t *testing.T) {
 	// So does the idle-elision protocol: parking and re-arming a
 	// Recurring is pure flag-and-queue work.
 	idler := e.NewRecurring(1, func() bool { return false })
-	idler.Start(0)
+	idler.Wake()
 	e.Run()
 	if a := testing.AllocsPerRun(1000, func() {
 		idler.Wake()
 		e.Run()
 	}); a != 0 {
-		t.Errorf("Recurring Wake/Sleep churn: %.1f allocs/op, want 0", a)
+		t.Errorf("Recurring Wake/park churn: %.1f allocs/op, want 0", a)
 	}
 }
 

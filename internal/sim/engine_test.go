@@ -72,94 +72,6 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	for _, d := range []Time{5, 10, 15, 20} {
-		d := d
-		e.Schedule(d, func() { fired = append(fired, d) })
-	}
-	drained := e.RunUntil(12)
-	if drained {
-		t.Fatal("RunUntil(12) reported drained with events pending")
-	}
-	if len(fired) != 2 {
-		t.Fatalf("fired %v, want events at 5,10 only", fired)
-	}
-	if e.Now() != 12 {
-		t.Fatalf("now = %d, want 12", e.Now())
-	}
-	if !e.RunUntil(100) {
-		t.Fatal("RunUntil(100) should drain")
-	}
-	if len(fired) != 4 {
-		t.Fatalf("fired %v, want all four", fired)
-	}
-	if e.Now() != 100 {
-		t.Fatalf("now = %d, want 100 (advanced to limit)", e.Now())
-	}
-}
-
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.Schedule(Time(i+1), func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3 (stopped)", count)
-	}
-}
-
-func TestStopIsSticky(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	e.Schedule(1, func() { count++; e.Stop() })
-	e.Schedule(2, func() { count++ })
-	e.Run()
-	if count != 1 {
-		t.Fatalf("count = %d, want 1 (stopped)", count)
-	}
-	if !e.Stopped() {
-		t.Fatal("Stopped() false after Stop")
-	}
-	// A stopped engine must not silently resume: Run, RunUntil and Step
-	// are all no-ops, with the second event still queued.
-	if e.Run(); count != 1 {
-		t.Fatal("Run resumed a stopped engine")
-	}
-	if e.RunUntil(100); count != 1 {
-		t.Fatal("RunUntil resumed a stopped engine")
-	}
-	if e.Step() {
-		t.Fatal("Step fired on a stopped engine")
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want the unfired event kept", e.Pending())
-	}
-	if e.Now() != 1 {
-		t.Fatalf("time advanced to %d on a stopped engine", e.Now())
-	}
-}
-
-func TestStopThenRunUntilDoesNotAdvanceTime(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(5, func() { e.Stop() })
-	e.Schedule(50, func() {})
-	if e.RunUntil(100) {
-		t.Fatal("RunUntil reported drained with an event pending after Stop")
-	}
-	if e.Now() != 5 {
-		t.Fatalf("now = %d, want 5 (stop freezes time)", e.Now())
-	}
-}
-
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(10, func() {
@@ -255,7 +167,7 @@ func TestRecurring(t *testing.T) {
 		at = append(at, e.Now())
 		return len(at) < 4
 	})
-	r.Start(2)
+	e.Schedule(2, r.Wake)
 	e.Run()
 	want := []Time{2, 5, 8, 11}
 	if len(at) != len(want) {
@@ -266,38 +178,7 @@ func TestRecurring(t *testing.T) {
 			t.Fatalf("fired %v, want %v", at, want)
 		}
 	}
-	if r.Active() {
-		t.Fatal("series still active after fn returned false")
+	if e.Pending() != 0 {
+		t.Fatal("series still queued after fn returned false")
 	}
-}
-
-func TestRecurringCancelAndRestart(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	r := e.NewRecurring(1, func() bool { count++; return true })
-	r.Start(1)
-	e.Schedule(5, func() { r.Cancel() })
-	e.RunUntil(20)
-	// Ticks fire at t=1..4; the cancel event carries an earlier sequence
-	// number than the t=5 tick, so it wins the t=5 cycle and the tick is a
-	// no-op.
-	if count != 4 {
-		t.Fatalf("count = %d, want 4 (canceled at t=5)", count)
-	}
-	if r.Active() {
-		t.Fatal("Active after Cancel")
-	}
-	// Restart from t=20: ticks at 21..25.
-	r.Start(1)
-	e.RunUntil(25)
-	if count != 9 {
-		t.Fatalf("count = %d after restart, want 9", count)
-	}
-	// Double Start panics.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("second Start on an active series did not panic")
-		}
-	}()
-	r.Start(1)
 }

@@ -253,23 +253,23 @@ func TestHeapBeatsWheelAtEqualTime(t *testing.T) {
 	}
 }
 
-// TestRecurringSleepWake covers the idle-elision protocol: Sleep parks
-// the series, Wake re-arms it for the current cycle, and both are
-// idempotent.
+// TestRecurringSleepWake covers the idle-elision protocol: a false
+// return parks the series, Wake re-arms it for the current cycle, and
+// Wake is idempotent.
 func TestRecurringSleepWake(t *testing.T) {
 	e := NewEngine()
 	var ticks []Time
 	r := e.NewRecurring(2, func() bool {
 		ticks = append(ticks, e.Now())
-		return len(ticks) < 2 // sleep itself after the second tick
+		return len(ticks)%2 == 1 // park after every second tick
 	})
-	r.Start(1)
+	e.Schedule(1, r.Wake)
 	e.Run()
 	if want := []Time{1, 3}; !timesEqual(ticks, want) {
-		t.Fatalf("ticks before sleep = %v, want %v", ticks, want)
+		t.Fatalf("ticks before parking = %v, want %v", ticks, want)
 	}
-	if r.Active() {
-		t.Fatal("series still active after its fn returned false")
+	if e.Pending() != 0 {
+		t.Fatal("series still queued after its fn returned false")
 	}
 
 	// Waking re-arms at the current cycle; double Wake must not double-fire.
@@ -280,51 +280,31 @@ func TestRecurringSleepWake(t *testing.T) {
 		t.Fatalf("ticks after Wake = %v, want %v", ticks, want)
 	}
 
-	// Sleep is idempotent and survives being called while parked.
-	r.Sleep()
-	r.Sleep()
-	if r.Active() {
-		t.Fatal("Sleep left the series active")
-	}
-
-	// WakeAt re-arms at an absolute time; a past time clamps to now.
-	e.Schedule(3, func() { r.WakeAt(e.Now() + 5) })
+	// A parked series stays parked: time passing alone fires nothing.
+	e.Schedule(5, func() {})
 	ticks = ticks[:0]
 	e.Run()
-	if want := []Time{20, 22}; !timesEqual(ticks, want) {
-		t.Fatalf("ticks after WakeAt = %v, want %v", ticks, want)
+	if len(ticks) != 0 {
+		t.Fatalf("parked series ticked at %v", ticks)
 	}
-	r.Sleep()
-	r.WakeAt(0) // far in the past: clamps to now instead of panicking
-	ticks = ticks[:0]
-	e.Run()
-	if len(ticks) == 0 || ticks[0] != 22 {
-		t.Fatalf("WakeAt(past) ticks = %v, want first tick at now (22)", ticks)
-	}
-	r.Sleep()
 }
 
-// TestRecurringWakeWhileTickQueued pins the resume semantics: parking a
-// series does not cancel its queued tick, and re-waking before that tick
-// fires simply resumes the original timing — no duplicate tick, no
-// acceleration (the engine has no event cancellation).
+// TestRecurringWakeWhileTickQueued pins the resume semantics: waking a
+// series whose tick is already queued keeps that tick's timing — no
+// duplicate tick, no acceleration (the engine has no event cancellation).
 func TestRecurringWakeWhileTickQueued(t *testing.T) {
 	e := NewEngine()
 	var ticks []Time
 	r := e.NewRecurring(4, func() bool {
 		ticks = append(ticks, e.Now())
-		return true
+		return e.Now() < 16
 	})
-	r.Start(4)
-	e.Schedule(5, func() {
-		r.Sleep() // tick for t=8 is already queued
-		r.Wake()  // must NOT enqueue a second tick at t=5
-	})
-	e.RunUntil(17)
+	e.Schedule(4, r.Wake)
+	e.Schedule(5, r.Wake) // tick for t=8 is already queued: must NOT enqueue a second tick at t=5
+	e.Run()
 	if want := []Time{4, 8, 12, 16}; !timesEqual(ticks, want) {
-		t.Fatalf("ticks = %v, want %v (queued tick resumed, not duplicated)", ticks, want)
+		t.Fatalf("ticks = %v, want %v (queued tick kept, not duplicated)", ticks, want)
 	}
-	r.Sleep()
 }
 
 // TestRecurringWakeDuringTick pins the lost-wakeup rule: a Wake that
@@ -333,26 +313,22 @@ func TestRecurringWakeWhileTickQueued(t *testing.T) {
 // tick returning false.
 func TestRecurringWakeDuringTick(t *testing.T) {
 	e := NewEngine()
-	ticks := 0
+	var ticks []Time
 	var r *Recurring
-	r = e.NewRecurring(1, func() bool {
-		ticks++
-		if ticks == 1 {
-			r.WakeAt(e.Now() + 3)
-			return false // "no work" — but the Wake above must win
+	r = e.NewRecurring(3, func() bool {
+		ticks = append(ticks, e.Now())
+		if len(ticks) == 1 {
+			r.Wake()
 		}
-		return false
+		return false // "no work" — but the Wake above must win
 	})
-	r.Start(2)
+	e.Schedule(2, r.Wake)
 	e.Run()
-	if ticks != 2 {
-		t.Fatalf("ticks = %d, want 2 (wake during tick was lost)", ticks)
+	if want := []Time{2, 2}; !timesEqual(ticks, want) {
+		t.Fatalf("ticks = %v, want %v (wake during tick was lost)", ticks, want)
 	}
-	if e.Now() != 5 {
-		t.Fatalf("final time %d, want 5 (second tick at 2+3)", e.Now())
-	}
-	if r.Active() {
-		t.Fatal("series active after final tick returned false with no wake")
+	if e.Pending() != 0 {
+		t.Fatal("series queued after final tick returned false with no wake")
 	}
 }
 

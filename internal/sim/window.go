@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Windowed drives one Engine in lookahead windows with barrier hooks.
 //
@@ -23,7 +26,7 @@ import "fmt"
 type Windowed struct {
 	e       *Engine
 	window  Time
-	flush   []func(limit Time)
+	flush   []*func(limit Time)
 	windows uint64
 }
 
@@ -46,19 +49,27 @@ func (w *Windowed) Window() Time { return w.window }
 // Windows reports how many windows have executed.
 func (w *Windowed) Windows() uint64 { return w.windows }
 
-// AddFlush registers a barrier hook. After every window the loop calls
-// each hook, in registration order, with the last cycle of the window
-// just executed; hooks route captured interactions and schedule their
-// deliveries (which land strictly after the window by the lookahead
-// argument).
-func (w *Windowed) AddFlush(fn func(limit Time)) { w.flush = append(w.flush, fn) }
+// AddFlush registers a barrier hook and returns the function that
+// unregisters it. After every window the loop calls each hook, in
+// registration order, with the last cycle of the window just executed;
+// hooks route captured interactions and schedule their deliveries (which
+// land strictly after the window by the lookahead argument). A hook that
+// only reads the model — a sampler — observes it at every barrier without
+// changing which events fire or when.
+func (w *Windowed) AddFlush(fn func(limit Time)) (remove func()) {
+	h := &fn
+	w.flush = append(w.flush, h)
+	return func() {
+		w.flush = slices.DeleteFunc(w.flush, func(x *func(Time)) bool { return x == h })
+	}
+}
 
 // runWindow fires the engine's events through limit, then runs the
 // barrier hooks.
 func (w *Windowed) runWindow(limit Time) {
 	w.e.RunTo(limit)
 	for _, fn := range w.flush {
-		fn(limit)
+		(*fn)(limit)
 	}
 	w.windows++
 }
@@ -73,38 +84,14 @@ func (w *Windowed) windowEnd(start Time) Time {
 	return end
 }
 
-// Run executes windows until the engine drains (or is stopped) and
-// returns its final time, the timestamp of the last fired event, as
-// Engine.Run does.
+// Run executes windows until the engine drains and returns its final
+// time, the timestamp of the last fired event, as Engine.Run does.
 func (w *Windowed) Run() Time {
-	for !w.e.Stopped() {
+	for {
 		start := w.e.peekTime()
 		if start == MaxTime {
-			break
+			return w.e.Now()
 		}
 		w.runWindow(w.windowEnd(start))
 	}
-	return w.e.Now()
-}
-
-// RunTo executes windows covering events with timestamps <= limit,
-// leaving the clock at the last fired event when the engine drains, or
-// at limit when work remains beyond it — the windowed analogue of
-// Engine.RunTo, used by samplers that snapshot the model at a fixed
-// cadence. It reports whether the engine drained.
-func (w *Windowed) RunTo(limit Time) bool {
-	for !w.e.Stopped() {
-		start := w.e.peekTime()
-		if start == MaxTime || start > limit {
-			break
-		}
-		w.runWindow(min(w.windowEnd(start), limit))
-	}
-	drained := w.e.Pending() == 0
-	if !drained && !w.e.Stopped() {
-		// Work remains beyond limit and none at or before it: RunUntil
-		// fires nothing and just advances the idle clock there.
-		w.e.RunUntil(limit)
-	}
-	return drained
 }

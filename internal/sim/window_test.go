@@ -197,31 +197,32 @@ func TestScheduleStampedAtOrdering(t *testing.T) {
 	e.ScheduleStampedAt(6, 7, func() {})
 }
 
-// TestWindowedRunTo checks the sampler contract: interleaving RunTo
-// windows with snapshots fires the same events as one Run, the clock lands
-// on the limit while undrained and on the last event once drained.
-func TestWindowedRunTo(t *testing.T) {
-	w := NewWindowed(NewEngine(), toyWindow)
-	e := w.Engine()
-	var fired []Time
-	e.ScheduleAt(3, func() { fired = append(fired, 3) })
-	e.ScheduleAt(40, func() { fired = append(fired, 40) })
-	if w.RunTo(10) {
-		t.Fatal("RunTo(10) should not drain with an event at 40 pending")
-	}
-	if e.Now() != 10 {
-		t.Fatalf("undrained RunTo must advance the clock to the limit, got %d", e.Now())
-	}
-	if !w.RunTo(100) {
-		t.Fatal("RunTo(100) should drain")
-	}
-	if e.Now() != 40 {
-		t.Fatalf("drained clock = %d, want 40 (last event)", e.Now())
-	}
-	if fmt.Sprint(fired) != "[3 40]" {
-		t.Fatalf("fired %v", fired)
-	}
-	if w.Windows() == 0 {
-		t.Fatal("window counter never advanced")
+// TestWindowedReadOnlyHook checks the sampler contract: a barrier hook
+// that only reads the model leaves every event at its cycle, never sees
+// the clock past the window just run, and stops being called once
+// unregistered.
+func TestWindowedReadOnlyHook(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		ref := runToyModel(newWindowedToy(), seed)
+		wt := newWindowedToy()
+		barriers, off := 0, 0
+		remove := wt.w.AddFlush(func(limit Time) {
+			barriers++
+			if now := wt.w.Engine().Now(); now > limit {
+				t.Fatalf("barrier at %d with the clock at %d", limit, now)
+			}
+		})
+		got := runToyModel(wt, seed)
+		diffLogs(t, ref, got, "unobserved", "observed")
+		if barriers == 0 || uint64(barriers) != wt.w.Windows() {
+			t.Fatalf("hook ran at %d of %d barriers", barriers, wt.w.Windows())
+		}
+		remove()
+		wt.w.AddFlush(func(Time) { off++ })
+		wt.w.Engine().Schedule(3, func() {})
+		wt.w.Run()
+		if barriers != int(wt.w.Windows())-1 || off != 1 {
+			t.Fatalf("removed hook ran: %d calls for %d windows", barriers, wt.w.Windows())
+		}
 	}
 }
