@@ -40,12 +40,16 @@ perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench: regenerate the tracked bench/BENCH_sim.json performance baseline.
-# Macro benchmarks (BenchmarkMatrix: whole figure pipelines) run once per
-# sub-benchmark; micro benchmarks (engine, cache bank, NoC, flatmap hot
-# paths, trace generation) run with Go's auto benchtime for stable ns/op
-# and allocs/op. benchjson records them with the host's CPU count and
+# Macro benchmarks (figure, matrix, workload and big-mesh pipelines) run
+# once per sub-benchmark; the static-table benchmarks (Table*,
+# AreaOverhead) and the micro benchmarks (engine, cache bank, NoC, flatmap
+# hot paths, trace generation) run with Go's auto benchtime for stable
+# ns/op and allocs/op — one cold call of a microsecond-scale table is
+# mostly noise. benchjson records them with the host's CPU count and
 # GOMAXPROCS. End-to-end wall time is perfbench's job (bash
 # perfbench/run.sh), which measures it with a spread protocol.
+BENCH_MACRO = ^Benchmark(Fig|Matrix|Workload|BigMesh)
+BENCH_STATIC = ^Benchmark(Table|AreaOverhead)
 BENCH_MICRO_PKGS = ./internal/sim ./internal/cache ./internal/noc ./internal/flatmap ./internal/core ./internal/cpu
 BENCH_DIR = bench
 # BENCH_THRESHOLD is the max tolerated new/old ns-per-op (and allocs)
@@ -55,7 +59,8 @@ BENCH_THRESHOLD ?= 1.10
 
 bench:
 	mkdir -p $(BENCH_DIR)
-	$(GO) test -run=^$$ -bench=. -benchmem -benchtime=1x . | tee $(BENCH_DIR)/macro.txt
+	$(GO) test -run=^$$ -bench='$(BENCH_MACRO)' -benchmem -benchtime=1x . | tee $(BENCH_DIR)/macro.txt
+	$(GO) test -run=^$$ -bench='$(BENCH_STATIC)' -benchmem . | tee -a $(BENCH_DIR)/macro.txt
 	$(GO) test -run=^$$ -bench=. -benchmem $(BENCH_MICRO_PKGS) | tee $(BENCH_DIR)/micro.txt
 	$(GO) run ./cmd/benchjson -o $(BENCH_DIR)/BENCH_sim.json $(BENCH_DIR)/macro.txt $(BENCH_DIR)/micro.txt
 
@@ -68,7 +73,8 @@ bench:
 # bytes in tier1.
 benchcmp:
 	mkdir -p $(BENCH_DIR)
-	$(GO) test -run=^$$ -bench=. -benchmem -benchtime=1x . | tee $(BENCH_DIR)/macro.new.txt
+	$(GO) test -run=^$$ -bench='$(BENCH_MACRO)' -benchmem -benchtime=1x . | tee $(BENCH_DIR)/macro.new.txt
+	$(GO) test -run=^$$ -bench='$(BENCH_STATIC)' -benchmem . | tee -a $(BENCH_DIR)/macro.new.txt
 	$(GO) test -run=^$$ -bench=. -benchmem $(BENCH_MICRO_PKGS) | tee $(BENCH_DIR)/micro.new.txt
 	$(GO) run ./cmd/benchjson -o $(BENCH_DIR)/BENCH_new.json $(BENCH_DIR)/macro.new.txt $(BENCH_DIR)/micro.new.txt
 	$(GO) run ./cmd/benchjson -compare -threshold $(BENCH_THRESHOLD) $(BENCH_DIR)/BENCH_sim.json $(BENCH_DIR)/BENCH_new.json

@@ -113,10 +113,19 @@ type coreRun struct {
 	chains       []*chainStream
 	lastAcc      map[string]uint64
 
-	// cursor indexes trace.Words and addrCursor trace.Addrs; ent is the
-	// scratch entry decode fills.
-	cursor     int
+	// The replay's place in the trace (see decode): body is the kernel's
+	// replay schedule, depth the running loop level (-1 once the nest is
+	// done), left[L] the iterations level L's running instance has yet
+	// to start and pos[L] the next step of its body. tripCursor,
+	// addrCursor and elemCursor[sid] index trace.Trips, trace.Addrs and
+	// trace.StreamElems[sid]; ent is the scratch entry decode fills.
+	body       [][]ir.ValueRef
+	depth      int
+	left       []uint32
+	pos        []int
+	tripCursor int
 	addrCursor int
+	elemCursor []int
 	ent        traceEntry
 	seq        uint64 // next sequence number (push order == fetch order)
 	// queue[qhead:] is the fetch backlog; the head index (instead of
@@ -222,6 +231,7 @@ func Run(m *machine.Machine, k *ir.Kernel, sys System, params Params, kparams ma
 	runs := make([]*coreRun, 0, cores)
 	remainingCores := 0
 	var tb TraceBuilder
+	body := replayBody(k)
 	for c := 0; c < cores; c++ {
 		lo, hi := parts[c][0], parts[c][1]
 		if lo >= hi {
@@ -237,6 +247,7 @@ func Run(m *machine.Machine, k *ir.Kernel, sys System, params Params, kparams ma
 			lastSeq: make([]uint64, len(k.Ops)),
 			haveSeq: make([]bool, len(k.Ops)),
 		}
+		cr.startReplay(body)
 		nsid := cr.nextSidBound()
 		cr.modes = make([]streamMode, nsid)
 		cr.remotes = make([]*remoteStream, nsid)

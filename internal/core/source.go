@@ -18,14 +18,15 @@ func (s *coreSource) Next() (*cpu.MicroOp, cpu.FetchResult) {
 	for cr.qhead >= len(cr.queue) {
 		cr.queue = cr.queue[:0]
 		cr.qhead = 0
-		if cr.cursor >= len(cr.trace.Words) {
+		ent := cr.decode()
+		if ent == nil {
 			if !cr.endEmitted {
 				cr.emitEnd()
 				continue
 			}
 			return nil, cpu.FetchDone
 		}
-		cr.emitEntry(cr.decode())
+		cr.emitEntry(ent)
 	}
 	op := cr.queue[cr.qhead]
 	cr.queue[cr.qhead] = nil
@@ -33,23 +34,87 @@ func (s *coreSource) Next() (*cpu.MicroOp, cpu.FetchResult) {
 	return op, cpu.FetchOp
 }
 
-// decode unpacks the trace word under the cursor into the coreRun's
-// scratch entry, taking a memory entry's address from the address cursor.
-// The entry is valid until the next call.
+// enterNext marks, in a level's replay body, where one instance of the
+// next deeper level runs.
+const enterNext = ir.NoValue
+
+// replayBody returns kernel k's replay schedule: body[L] is one iteration
+// of level L — its prologue, enterNext when a deeper level exists, then
+// its epilogue (ir.Kernel.LevelOps). Run builds it once and shares it
+// across its cores.
+func replayBody(k *ir.Kernel) [][]ir.ValueRef {
+	pro, epi := k.LevelOps()
+	body := make([][]ir.ValueRef, len(pro))
+	for L := range body {
+		b := make([]ir.ValueRef, 0, len(pro[L])+1+len(epi[L]))
+		b = append(b, pro[L]...)
+		if L+1 < len(body) {
+			b = append(b, enterNext)
+		}
+		body[L] = append(b, epi[L]...)
+	}
+	return body
+}
+
+// startReplay points the replay at the start of the trace: level 0's
+// instance, before its first iteration (a finished body).
+func (cr *coreRun) startReplay(body [][]ir.ValueRef) {
+	cr.body = body
+	cr.left = make([]uint32, len(body))
+	cr.pos = make([]int, len(body))
+	cr.elemCursor = make([]int, len(cr.trace.StreamElems))
+	cr.depth = 0
+	cr.left[0] = cr.trace.Trips[0]
+	cr.tripCursor = 1
+	cr.pos[0] = len(body[0])
+}
+
+// decode replays the next entry of the trace into the coreRun's scratch
+// entry, or returns nil at the end of the trace. It walks the loop nest:
+// each iteration of level L yields an iteration entry, then the ops of
+// body[L], running one instance of level L+1 (its trip count read from
+// Trips) at enterNext. A memory op's address comes from its stream's
+// element list when it is the stream's primary access, from Addrs
+// otherwise. The entry is valid until the next call.
 func (cr *coreRun) decode() *traceEntry {
-	w := cr.trace.Words[cr.cursor]
-	cr.cursor++
-	ent := &cr.ent
-	if w == iterWord {
-		*ent = traceEntry{kind: entIter}
+	for cr.depth >= 0 {
+		L := cr.depth
+		body := cr.body[L]
+		if cr.pos[L] == len(body) {
+			if cr.left[L] == 0 {
+				cr.depth--
+				continue
+			}
+			cr.left[L]--
+			cr.pos[L] = 0
+			cr.ent = traceEntry{kind: entIter}
+			return &cr.ent
+		}
+		id := body[cr.pos[L]]
+		cr.pos[L]++
+		if id == enterNext {
+			cr.depth++
+			cr.left[L+1] = cr.trace.Trips[cr.tripCursor]
+			cr.tripCursor++
+			cr.pos[L+1] = len(cr.body[L+1])
+			continue
+		}
+		ent := &cr.ent
+		*ent = traceEntry{kind: entOp, id: id}
+		switch kind := cr.k.Ops[id].Kind; kind {
+		case ir.OpLoad, ir.OpStore, ir.OpAtomic:
+			ent.write = kind != ir.OpLoad
+			if st := primaryStream(cr.plan, id); st != nil {
+				ent.pa = cr.trace.StreamElems[st.Sid][cr.elemCursor[st.Sid]].pa
+				cr.elemCursor[st.Sid]++
+			} else {
+				ent.pa = cr.trace.Addrs[cr.addrCursor]
+				cr.addrCursor++
+			}
+		}
 		return ent
 	}
-	*ent = traceEntry{kind: entOp, id: ir.ValueRef(w >> wordIDShift), write: w&wordWrite != 0}
-	if w&wordMem != 0 {
-		ent.pa = cr.trace.Addrs[cr.addrCursor]
-		cr.addrCursor++
-	}
-	return ent
+	return nil
 }
 
 // Recycle implements cpu.OpRecycler: the core has finished reading op.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/compiler"
 	"repro/internal/ir"
@@ -17,8 +18,8 @@ const (
 )
 
 // traceEntry is one dynamic event from the functional interpretation of a
-// kernel partition, decoded from its packed trace word (see Trace). Only
-// what micro-op emission reads survives the packing.
+// kernel partition, as the core's replay of the trace yields it (see
+// coreRun.decode). Only what micro-op emission reads is kept.
 type traceEntry struct {
 	kind  entryKind
 	write bool        // entOp with a memory kind: a store or writing atomic
@@ -26,40 +27,30 @@ type traceEntry struct {
 	pa    uint64      // entOp with a memory kind
 }
 
-// Trace word layout: an op entry is id<<wordIDShift | wordMem | wordWrite,
-// where wordMem marks an entry that owns the next Addrs slot. A write is
-// always a memory access, so the write bit alone (iterWord) is free to
-// mark the start of a loop iteration.
-const (
-	wordWrite   uint32 = 1 << 0
-	wordMem     uint32 = 1 << 1
-	wordIDShift        = 2
-	iterWord           = wordWrite
-	// maxTraceOps bounds a kernel's op count so every ValueRef fits the
-	// word's id field.
-	maxTraceOps = 1 << (32 - wordIDShift)
-)
-
 // Trace is a per-core dynamic trace: the functional execution is
 // timing-independent (kernels are data-race free, §IV-B), so one trace
 // drives every system variant. Run builds every core's trace before
 // simulating and keeps them live until the run ends, so trace bytes set
-// the simulator's live heap; the encoding is therefore packed: one 4-byte
-// word per dynamic entry plus one 8-byte physical address per memory
-// entry.
+// the simulator's live heap. A trace therefore stores only what cannot
+// be recomputed: the IR has no conditional execution, so the op sequence
+// follows from the kernel (ir.Kernel.LevelOps) and each loop instance's
+// trip count, and the core replays it (coreRun.decode). What remains is
+// one 4-byte count per loop instance and one 8-byte physical address per
+// memory access, each stored once.
 type Trace struct {
-	// Words holds one word per dynamic entry, in program order.
-	Words []uint32
-	// Addrs holds the physical address of each memory entry, in the order
-	// of the wordMem words that own them.
+	// Trips holds the iteration count of every loop instance in the
+	// order the instances are entered: level 0's instance first, then
+	// each nested instance as it starts, zero-trip instances included.
+	Trips []uint32
+	// Addrs holds, in program order, the physical address of every
+	// memory access that is not a stream's primary access; those are in
+	// StreamElems.
 	Addrs []uint64
 	// DynOps counts dynamic ops by compiler category.
 	DynOps [compiler.CatConfig + 1]uint64
 	// StreamElems[sid] is the ordered element list of each stream, for
 	// every sid below the plan's Sids (all empty without a plan).
 	StreamElems [][]streamElem
-	// Iters is the number of innermost iterations.
-	Iters uint64
 	// Accs carries the functional reduction results.
 	Accs map[string]uint64
 }
@@ -81,7 +72,7 @@ type streamElem struct {
 // what keeps geometric regrowth from nil (growslice memmove) out of the
 // interpreter's wall-clock. The zero value is ready to use.
 type TraceBuilder struct {
-	words []uint32
+	trips []uint32
 	addrs []uint64
 	elems [][]streamElem // per sid
 }
@@ -97,10 +88,14 @@ func exactCopy[T any](s []T) []T {
 	return c
 }
 
-// checkTraceOps reports a kernel with more ops than a trace word can name.
-func checkTraceOps(name string, nops int) error {
-	if nops > maxTraceOps {
-		return fmt.Errorf("core: kernel %q has %d ops; trace words address at most %d", name, nops, maxTraceOps)
+// primaryStream returns the stream whose element list holds op id's
+// address — the stream's primary access — or nil when Addrs holds it.
+func primaryStream(p *compiler.Plan, id ir.ValueRef) *compiler.Stream {
+	if p == nil {
+		return nil
+	}
+	if s := p.StreamOf(id); s != nil && s.AccessOp == id {
+		return s
 	}
 	return nil
 }
@@ -110,9 +105,6 @@ func checkTraceOps(name string, nops int) error {
 // The entries are recorded in b's buffers, which the returned Trace does
 // not share: b may build the next trace straight away.
 func GenTrace(b *TraceBuilder, m *machine.Machine, k *ir.Kernel, p *compiler.Plan, params map[string]uint64, d *ir.Data, outerLo, outerHi uint64) (*Trace, error) {
-	if err := checkTraceOps(k.Name, len(k.Ops)); err != nil {
-		return nil, err
-	}
 	nsid := 0
 	if p != nil {
 		nsid = p.Sids
@@ -120,18 +112,15 @@ func GenTrace(b *TraceBuilder, m *machine.Machine, k *ir.Kernel, p *compiler.Pla
 	for len(b.elems) < nsid {
 		b.elems = append(b.elems, nil)
 	}
-	b.words, b.addrs = b.words[:0], b.addrs[:0]
+	b.trips, b.addrs = b.trips[:0], b.addrs[:0]
 	elems := b.elems[:nsid]
 	for sid := range elems {
 		elems[sid] = elems[sid][:0]
 	}
-	tr := &Trace{}
-	innermost := len(k.Loops) - 1
 	// Classification is static per op: resolve it once up front into
 	// dense tables instead of map lookups per dynamic instruction, and
 	// count dynamic ops in a small array (the category space is tiny).
 	classes := make([]compiler.Category, len(k.Ops))
-	streams := make([]*compiler.Stream, len(k.Ops))
 	for i := range k.Ops {
 		id := ir.ValueRef(i)
 		if p == nil {
@@ -144,58 +133,61 @@ func GenTrace(b *TraceBuilder, m *machine.Machine, k *ir.Kernel, p *compiler.Pla
 			continue
 		}
 		classes[i] = p.ClassOf(id)
-		streams[i] = p.StreamOf(id)
 	}
 	var dynOps [compiler.CatConfig + 1]uint64
 	// instances[L] counts how many times loop level L has been entered
-	// (distinct dynamic instances — chains for while loops).
+	// (distinct dynamic instances — chains for while loops); open[L] is
+	// the Trips slot of level L's running instance. Level 0's one
+	// instance takes the first slot, and each iteration of level L opens
+	// the slot of the level L+1 instance it runs.
 	instances := make([]uint32, len(k.Loops))
+	open := make([]int, len(k.Loops))
+	b.trips = append(b.trips, 0)
+	wrapped := false
 	hooks := &ir.Hooks{
 		OnIter: func(level int, idx uint64) {
 			if idx == 0 {
 				instances[level]++
 			}
-			if level == innermost {
-				tr.Iters++
+			b.trips[open[level]]++
+			wrapped = wrapped || b.trips[open[level]] == 0
+			if level+1 < len(open) {
+				open[level+1] = len(b.trips)
+				b.trips = append(b.trips, 0)
 			}
-			b.words = append(b.words, iterWord)
 		},
 		OnOp: func(id ir.ValueRef, op *ir.Op) {
-			if op.Kind == ir.OpLoad || op.Kind == ir.OpStore || op.Kind == ir.OpAtomic {
-				return // recorded by OnMem with the address attached
-			}
 			dynOps[classes[id]]++
-			b.words = append(b.words, uint32(id)<<wordIDShift)
 		},
 		OnMem: func(ev ir.MemEvent) {
-			dynOps[classes[ev.OpID]]++
 			pa := m.Translate(ev.Addr)
-			w := uint32(ev.OpID)<<wordIDShift | wordMem
-			if ev.Write {
-				w |= wordWrite
-			}
-			b.words = append(b.words, w)
-			b.addrs = append(b.addrs, pa)
 			// One stream element per iteration, recorded at the primary
 			// access: chase field loads and the store half of merged RMW
-			// streams share the primary's element.
-			if s := streams[ev.OpID]; s != nil && ev.OpID == s.AccessOp {
-				changed := ev.Changed
-				if s.MergedStore != ir.NoValue {
-					changed = true // the merged store will modify the line
-				}
-				elems[s.Sid] = append(elems[s.Sid], streamElem{
-					pa: pa, chain: instances[s.Level], size: uint8(ev.Size),
-					changed: changed,
-				})
+			// streams share the primary's element. Its address is stored
+			// there only.
+			s := primaryStream(p, ev.OpID)
+			if s == nil {
+				b.addrs = append(b.addrs, pa)
+				return
 			}
+			changed := ev.Changed
+			if s.MergedStore != ir.NoValue {
+				changed = true // the merged store will modify the line
+			}
+			elems[s.Sid] = append(elems[s.Sid], streamElem{
+				pa: pa, chain: instances[s.Level], size: uint8(ev.Size),
+				changed: changed,
+			})
 		},
 	}
 	accs, err := ir.Exec(k, d, params, outerLo, outerHi, hooks)
 	if err != nil {
 		return nil, fmt.Errorf("core: trace generation: %w", err)
 	}
-	tr.Words = exactCopy(b.words)
+	if wrapped {
+		return nil, fmt.Errorf("core: trace generation: kernel %q has a loop instance of more than %d iterations", k.Name, uint32(math.MaxUint32))
+	}
+	tr := &Trace{Trips: exactCopy(b.trips)}
 	tr.Addrs = exactCopy(b.addrs)
 	tr.DynOps = dynOps
 	tr.StreamElems = make([][]streamElem, nsid)

@@ -82,10 +82,9 @@ type interp struct {
 	accs     []uint64
 	accSet   []bool
 	accNames []string
-	// prologue[L] and epilogue[L] are op index ranges for level L: ops
-	// before/after the first deeper-level op.
-	prologue [][]int
-	epilogue [][]int
+	// prologue[L] and epilogue[L] are level L's ops (see LevelOps).
+	prologue [][]ValueRef
+	epilogue [][]ValueRef
 	// accResets[L+1] lists, in op order, the reduce ops whose accumulators
 	// reset at each entry to level L (L = -1: kernel-wide, once).
 	accResets [][]int
@@ -160,32 +159,14 @@ func (in *interp) resolve(params map[string]uint64) {
 	}
 }
 
-// splitLevels partitions each level's ops into prologue (before any
-// deeper op) and epilogue (after).
+// splitLevels takes each level's prologue and epilogue from LevelOps and
+// lists the reduce ops whose accumulators each level resets.
 func (in *interp) splitLevels() {
-	levels := len(in.k.Loops)
-	in.prologue = make([][]int, levels)
-	in.epilogue = make([][]int, levels)
-	in.accResets = make([][]int, levels+1)
+	in.prologue, in.epilogue = in.k.LevelOps()
+	in.accResets = make([][]int, len(in.k.Loops)+1)
 	for i := range in.k.Ops {
 		if op := &in.k.Ops[i]; op.Kind == OpReduce { // Exec validated AccLevel
 			in.accResets[op.AccLevel+1] = append(in.accResets[op.AccLevel+1], i)
-		}
-	}
-	for L := 0; L < levels; L++ {
-		seenDeeper := false
-		for i, op := range in.k.Ops {
-			if op.Level > L {
-				seenDeeper = true
-				continue
-			}
-			if op.Level == L {
-				if seenDeeper {
-					in.epilogue[L] = append(in.epilogue[L], i)
-				} else {
-					in.prologue[L] = append(in.prologue[L], i)
-				}
-			}
 		}
 	}
 }
@@ -270,7 +251,7 @@ func (in *interp) runWhile(L int) error {
 
 func (in *interp) runBody(L int) error {
 	for _, i := range in.prologue[L] {
-		if err := in.eval(ValueRef(i)); err != nil {
+		if err := in.eval(i); err != nil {
 			return err
 		}
 	}
@@ -280,7 +261,7 @@ func (in *interp) runBody(L int) error {
 		}
 	}
 	for _, i := range in.epilogue[L] {
-		if err := in.eval(ValueRef(i)); err != nil {
+		if err := in.eval(i); err != nil {
 			return err
 		}
 	}

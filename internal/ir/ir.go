@@ -256,6 +256,31 @@ type Kernel struct {
 // NumLevels returns the loop-nest depth.
 func (k *Kernel) NumLevels() int { return len(k.Loops) }
 
+// LevelOps splits each loop level's ops, in op order, into its prologue
+// (the ops before the first op of a deeper level) and its epilogue (the
+// ops after it). The IR has no conditional execution: one iteration of
+// level L runs prologue[L], one whole instance of level L+1 (when there
+// is one), then epilogue[L].
+func (k *Kernel) LevelOps() (prologue, epilogue [][]ValueRef) {
+	levels := len(k.Loops)
+	prologue = make([][]ValueRef, levels)
+	epilogue = make([][]ValueRef, levels)
+	for L := 0; L < levels; L++ {
+		seenDeeper := false
+		for i := range k.Ops {
+			switch lv := k.Ops[i].Level; {
+			case lv > L:
+				seenDeeper = true
+			case lv == L && seenDeeper:
+				epilogue[L] = append(epilogue[L], ValueRef(i))
+			case lv == L:
+				prologue[L] = append(prologue[L], ValueRef(i))
+			}
+		}
+	}
+	return prologue, epilogue
+}
+
 // ArrayByName finds an array declaration.
 func (k *Kernel) ArrayByName(name string) (ArrayDecl, bool) {
 	for _, a := range k.Arrays {
