@@ -224,6 +224,6 @@ func BenchmarkBigMesh16x16(b *testing.B) {
 				})
 			}
 		}
-		m.Run()
+		m.Engine.Run()
 	}
 }

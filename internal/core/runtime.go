@@ -312,23 +312,23 @@ func Run(m *machine.Machine, k *ir.Kernel, sys System, params Params, kparams ma
 	return res, nil
 }
 
-// runEngine drives the machine's window loop to completion. With a
-// sampler attached, a barrier hook records one row of IPC, bank
+// runEngine runs the machine's engine to completion. With a sampler
+// attached, an end-of-cycle hook records one row of IPC, bank
 // occupancy, link utilization and offload queue depth at the first
-// barrier at or after each period boundary, stamped with the machine
-// clock there, plus a final row at drain. The hook only reads state — it
-// schedules nothing and moves no window edge — so a sampled run fires
-// exactly the events of an unsampled one. It is unregistered on return,
-// so repeated runs on one machine do not stack hooks.
+// active cycle at or after each period boundary, stamped with that
+// cycle, plus a final row at drain. The hook only reads state — it
+// schedules nothing — so a sampled run fires exactly the events of an
+// unsampled one. It is unregistered on return, so repeated runs on one
+// machine do not stack hooks.
 func runEngine(m *machine.Machine, runs []*coreRun) {
 	var sp *sampling
 	if m.Sampler != nil {
 		sp = &sampling{m: m, runs: runs, last: m.Now(), next: m.Now() + sim.Time(m.Sampler.Period)}
 		m.Sampler.SetCols("ipc", "bank_occ", "link_util", "offload_q")
-		remove := m.Loop.AddFlush(sp.barrier)
+		remove := m.Engine.AtCycleEnd(sp.cycleEnd)
 		defer remove()
 	}
-	m.Run()
+	m.Engine.Run()
 	if sp != nil && sp.last < m.Now() {
 		sp.record()
 	}
@@ -343,8 +343,8 @@ type sampling struct {
 	lastRetired, lastBusy uint64
 }
 
-// barrier is the sampler's window-barrier hook.
-func (sp *sampling) barrier(sim.Time) {
+// cycleEnd is the sampler's end-of-cycle hook.
+func (sp *sampling) cycleEnd() {
 	if now := sp.m.Now(); now >= sp.next {
 		sp.record()
 		period := sim.Time(sp.m.Sampler.Period)

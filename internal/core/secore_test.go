@@ -24,7 +24,7 @@ func TestInCoreStreamConsumeDelivers(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		ics.consume(i, func(sim.Time) { got++ })
 	}
-	cr.m.Run()
+	cr.m.Engine.Run()
 	if got != 32 {
 		t.Fatalf("delivered %d/32 elements", got)
 	}
@@ -40,14 +40,14 @@ func TestInCoreStreamPrefetchesAhead(t *testing.T) {
 	if ics.issued > cr.params.FIFODepth+1 {
 		t.Fatalf("issued %d exceeds FIFO depth %d", ics.issued, cr.params.FIFODepth)
 	}
-	cr.m.Run()
+	cr.m.Engine.Run()
 }
 
 func TestInCoreStreamSecondConsumeIsFast(t *testing.T) {
 	cr, ics := mkInCore(t, 32, false)
 	var first sim.Time
 	ics.consume(0, func(at sim.Time) { first = at })
-	cr.m.Run()
+	cr.m.Engine.Run()
 	// Element 1 shares element 0's line: its FIFO-ready time must be
 	// within a couple of cycles of element 0's (one line fetch serves
 	// both; delivery times are clamped to "now", so inspect ready[]).
@@ -70,7 +70,7 @@ func TestInCoreSerialChaseOrder(t *testing.T) {
 	if ics.issued > 2 {
 		t.Fatalf("serial chase issued %d immediately", ics.issued)
 	}
-	cr.m.Run()
+	cr.m.Engine.Run()
 	for i := range ics.done {
 		if !ics.done[i] && i <= 7 {
 			t.Fatalf("element %d never completed", i)
@@ -93,7 +93,7 @@ func TestInCoreIndirectWaitsForBase(t *testing.T) {
 	if done {
 		t.Fatal("indirect element completed before base data arrived")
 	}
-	cr.m.Run()
+	cr.m.Engine.Run()
 	if !done {
 		t.Fatal("indirect element never completed")
 	}

@@ -147,10 +147,10 @@ var goldenSubset = []string{"pathfinder", "histogram", "pr_pull", "hash_join"}
 // engine's event-ordering contract across event-queue and cache/NoC
 // data-structure rewrites, which must keep every figure byte-identical.
 //
-// The digests were last regenerated when the NoC moved to routing each
-// lookahead window's sends at its barrier: same-cycle sends are routed in
-// canonical (send time, src node, per-src sequence) order instead of the
-// engine's global insertion order, so the digests also pin that order.
+// The digests were last regenerated when the NoC adopted its canonical
+// routing order: same-cycle sends are routed in (src node, per-src
+// sequence) order at the end of the cycle instead of in the engine's
+// global insertion order, so the digests also pin that order.
 const goldenPath = "figure_digests.json"
 
 // TestFigureDigestsMatchGolden renders every figure at CI scale over the

@@ -60,11 +60,9 @@ func CI() Config {
 // that actually hold events.
 type Machine struct {
 	Cfg Config
-	// Engine is the machine's event engine. Loop drives it in windows of
-	// the NoC's lookahead, routing each window's sends at its barrier in
-	// canonical order (see noc.Network.AttachWindows).
+	// Engine is the machine's event engine; the NoC routes each cycle's
+	// sends at the cycle's end, in canonical order.
 	Engine  *sim.Engine
-	Loop    *sim.Windowed
 	Net     *noc.Network
 	Dram    *mem.Memory
 	Hier    *cache.Hierarchy
@@ -73,8 +71,8 @@ type Machine struct {
 	// Obs interns runtime counters (the core layer's registry); Tracer and
 	// Sampler are the machine-wide observability hooks, nil unless a run
 	// opts in via SetTracer / an attached sampler. Both only read the
-	// machine: the sampler at window barriers (core.Run), the tracer at
-	// each instrumented site.
+	// machine: the sampler at cycle ends (core.Run), the tracer at each
+	// instrumented site.
 	Obs     *obs.Registry
 	Tracer  *obs.Tracer
 	Sampler *obs.Sampler
@@ -86,15 +84,12 @@ type Machine struct {
 // New assembles a machine.
 func New(cfg Config) *Machine {
 	engine := sim.NewEngine()
-	loop := sim.NewWindowed(engine, noc.Lookahead(cfg.NoC))
 	net := noc.New(engine, cfg.NoC)
-	net.AttachWindows(loop)
 	dram := mem.New(engine, cfg.Mem)
 	hier := cache.New(engine, net, dram, cfg.Cache)
 	m := &Machine{
 		Cfg:    cfg,
 		Engine: engine,
-		Loop:   loop,
 		Net:    net,
 		Dram:   dram,
 		Hier:   hier,
@@ -114,8 +109,8 @@ func New(cfg Config) *Machine {
 
 // SetTracer attaches one event ring to the machine (nil detaches): the
 // runtime, cache, NoC and DRAM all record into tr, in the order the one
-// engine runs them. The NoC records a window's sends at its barrier, so
-// the ring is in emission order, not strictly in time order. The
+// engine runs them. The NoC records a cycle's sends at the cycle's end,
+// so the ring is in emission order, not strictly in time order. The
 // components keep their own pointers so the hot-path guard is a single
 // field load + nil check.
 func (m *Machine) SetTracer(tr *obs.Tracer) {
@@ -136,11 +131,11 @@ func (m *Machine) SetAttribution(a *obs.Attribution) {
 }
 
 // ExecProfile snapshots the execution-dependent side of a run's profile:
-// windows, idle-cycle elision and wheel occupancy. It describes how the
+// idle-cycle elision and wheel occupancy. It describes how the
 // engine ran, not the simulated machine, so it belongs in the report's
 // non-canonical Exec section, never in canonical output.
 func (m *Machine) ExecProfile() *obs.ExecReport {
-	rep := &obs.ExecReport{Windows: m.Loop.Windows(), IdleElidedCycles: m.Engine.IdleElided}
+	rep := &obs.ExecReport{IdleElidedCycles: m.Engine.IdleElided}
 	var occ obs.Hist
 	occ.Buckets, occ.Count, occ.Sum = m.Engine.WheelOccupancy()
 	if occ.Count > 0 {
@@ -149,10 +144,6 @@ func (m *Machine) ExecProfile() *obs.ExecReport {
 	}
 	return rep
 }
-
-// Run drains the machine, window by window, and returns the final time
-// (the last event's cycle).
-func (m *Machine) Run() sim.Time { return m.Loop.Run() }
 
 // Now returns the machine clock.
 func (m *Machine) Now() sim.Time { return m.Engine.Now() }

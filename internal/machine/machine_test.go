@@ -54,7 +54,7 @@ func TestCollectStatsMergesTraffic(t *testing.T) {
 	done := false
 	// An address homed at bank 5, accessed from tile 0, crosses the mesh.
 	m.Hier.Tile(0).Access(0x200000+64*5, false, 0, func(cache.Level) { done = true })
-	m.Run()
+	m.Engine.Run()
 	if !done {
 		t.Fatal("access incomplete")
 	}

@@ -82,16 +82,14 @@ func TestSendAllocFreeWithAttribution(t *testing.T) {
 	}
 }
 
-// TestWindowedSendAllocFree extends the contract to a network attached
-// to a window loop — the path machine.New builds. Sends from inside a
-// window are captured to the outbox and routed at the barrier, and
-// neither the capture nor the barrier's canonical ordering of the
-// window's sends may allocate. That includes a fire-and-forget multicast
-// with no same-node member: its destinations are copied into the
-// exchange's reused buffer.
-func TestWindowedSendAllocFree(t *testing.T) {
-	loop, n := windowedNet(4, 4)
-	e := loop.Engine()
+// TestCycleFlushSendAllocFree extends the contract to sends made from
+// events, the path a machine runs: each is captured to the outbox and
+// routed by the end-of-cycle hook, and neither the capture nor the
+// canonical ordering of the cycle's sends may allocate. That includes a
+// fire-and-forget multicast with no same-node member: its destinations
+// are copied into the exchange's reused buffer.
+func TestCycleFlushSendAllocFree(t *testing.T) {
+	e, n := testNet(4, 4)
 	msgs := [4]Message{
 		{Src: 0, Dst: 15, Bytes: 64, Class: TrafficData},
 		{Src: 5, Dst: 3, Bytes: 8, Class: TrafficControl},
@@ -105,14 +103,14 @@ func TestWindowedSendAllocFree(t *testing.T) {
 		}
 		n.Multicast(6, mcDsts, 8, TrafficControl, nil)
 	}
-	window := func() {
+	cycle := func() {
 		e.Schedule(1, send)
-		loop.Run()
+		e.Run()
 	}
 	for i := 0; i < 64; i++ { // warm the outboxes and engine queue
-		window()
+		cycle()
 	}
-	if a := testing.AllocsPerRun(200, window); a != 0 {
-		t.Errorf("4-send, 1-multicast window on a windowed network: %.2f allocs/op, want 0", a)
+	if a := testing.AllocsPerRun(200, cycle); a != 0 {
+		t.Errorf("4-send, 1-multicast cycle: %.2f allocs/op, want 0", a)
 	}
 }

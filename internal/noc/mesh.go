@@ -126,6 +126,11 @@ type Network struct {
 	drainAt   sim.Time
 	horizonQd bool
 	horizonEv sim.Event
+	// silent holds the fire-and-forget arrivals routed in the current
+	// window, the cycles before windowEnd; they reach the drain horizon
+	// at the window's edge (see endCycle).
+	silent    []sim.Time
+	windowEnd sim.Time
 	// Delivered counts total messages for sanity checks.
 	Delivered uint64
 	// reg holds the interned message counters, including the per-class
@@ -138,40 +143,28 @@ type Network struct {
 	// attrib (usually nil) receives link-backpressure charges from
 	// deliveryTimeAt.
 	attrib *obs.Attribution
-	// ex holds the sends awaiting routing. Once AttachWindows has bound
-	// the network to a window loop (windowed), they wait for the window
-	// barrier; otherwise each is routed as it is sent (see exchange).
-	ex       exchange
-	windowed bool
+	// ex holds the current cycle's sends, routed at the cycle's end (see
+	// exchange).
+	ex exchange
 }
 
 // exchange is the send path of a network: Send and Multicast capture
-// their message here and flush decides its link timing.
+// their message here, and the engine's end-of-cycle hook routes the
+// cycle's sends (see endCycle).
 //
 // Link reservation (deliveryTimeAt) is global, non-causal state: a send
-// from any node advances nextFree on every link of its route. A windowed
-// network appends each window's sends to an outbox, and at the window
-// barrier the loop's flush hook routes them all in canonical (send time,
-// src node, per-src sequence) order, scheduling each delivery with the
-// send time as its stamp, which restores the position an immediate
-// schedule would have had (see sim.Engine.ScheduleStampedAt). The
-// canonical order, not the emission order, decides link contention among
-// same-cycle sends; it is part of the model the golden digests pin.
+// from any node advances nextFree on every link of its route. The sends
+// of one cycle are routed in canonical (src node, per-src sequence)
+// order, so the emission order of same-cycle sends never decides link
+// contention; the canonical order is part of the model the golden
+// digests pin. Each delivery is scheduled at the end of its send cycle,
+// after every event that cycle scheduled and before any later cycle's.
 //
-// The outbox holds that order almost by construction: sends append at
-// the engine's clock, which never decreases, so the outbox is in time
-// order and each src's sends are in sequence order. Only a run of
-// same-cycle sends needs ordering, by src and stably (see order).
-//
-// Same-node messages bypass the exchange for timing (they use no links
-// and their router-only latency may be below the lookahead) and are
-// scheduled at capture; only their accounting waits for routing.
-//
-// A network without a window loop routes each send as it is captured,
-// so its order is the emission order.
+// Same-node messages bypass the exchange for timing (they use no links)
+// and are scheduled at capture; only their accounting waits for routing.
 type exchange struct {
 	outbox []pendingSend
-	// mcasts holds the window's multicast payloads, named by their
+	// mcasts holds the cycle's multicast payloads, named by their
 	// pendingSend's dst; their destinations lie back to back in dsts.
 	mcasts []pendingMulticast
 	dsts   []int32
@@ -227,6 +220,7 @@ func New(engine *sim.Engine, cfg Config) *Network {
 		n.horizonQd = false
 	}
 	n.buildRoutes()
+	engine.AtCycleEnd(n.endCycle)
 	return n
 }
 
@@ -240,33 +234,17 @@ func (n *Network) SetTracer(tr *obs.Tracer) { n.tracer = tr }
 // histogram.
 func (n *Network) SetAttribution(a *obs.Attribution) { n.attrib = a }
 
-// Lookahead returns the barrier window a mesh supports: the minimum
-// latency of any cross-node message, two router
-// traversals plus one link hop (serialization contributes at least one
-// further cycle, absorbed by the -1 in the delivery-time formula). A
-// degenerate zero-latency configuration clamps to one cycle; barrier
-// windows then still interleave correctly up to same-cycle ordering ties.
+// Lookahead returns the minimum latency of any cross-node message, two
+// router traversals plus one link hop (serialization contributes at
+// least one further cycle, absorbed by the -1 in the delivery-time
+// formula), clamped to at least one cycle. It is the width of the
+// windows the drain horizon is extended at (see endCycle).
 func Lookahead(cfg Config) sim.Time {
 	la := 2*cfg.RouterLatency + cfg.LinkLatency
 	if la < 1 {
 		la = 1
 	}
 	return la
-}
-
-// AttachWindows binds the network to a window loop driving its engine:
-// from then on cross-node deliveries are routed at window barriers (see
-// exchange). The loop's window must not exceed the mesh's Lookahead, or
-// deliveries could land inside a window that already executed.
-func (n *Network) AttachWindows(w *sim.Windowed) {
-	if w.Window() > Lookahead(n.cfg) {
-		panic(fmt.Sprintf("noc: window %d exceeds mesh lookahead %d", w.Window(), Lookahead(n.cfg)))
-	}
-	if w.Engine() != n.engine {
-		panic("noc: window loop drives another engine")
-	}
-	n.windowed = true
-	w.AddFlush(func(limit sim.Time) { n.flush(limit + 1) })
 }
 
 // Registry returns the network's counter registry (message counts and
@@ -400,8 +378,9 @@ func (n *Network) serializationCycles(bytes int) sim.Time {
 
 // Send routes a message, charges traffic, and schedules OnDeliver at the
 // arrival time. Local (src==dst) messages are delivered after the router
-// latency with no link traffic. On a windowed network cross-node routing
-// is captured and deferred to the window barrier (see exchange).
+// latency with no link traffic. Cross-node routing happens at the end of
+// the send cycle (see exchange); a send made outside an event is routed
+// when the engine next ends a cycle or drains.
 func (n *Network) Send(m *Message) {
 	n.check(m.Src)
 	n.check(m.Dst)
@@ -410,30 +389,14 @@ func (n *Network) Send(m *Message) {
 		src: int32(m.Src), dst: int32(m.Dst), bytes: int32(m.Bytes),
 		class: uint8(m.Class)}
 	if m.Src == m.Dst {
-		// Same-node: no link state touched, and the router-only latency
-		// may undercut the lookahead window — deliver now, deferring only
+		// Same-node: no link state touched — deliver now, deferring only
 		// the accounting.
 		p.local = true
 		if m.OnDeliver != nil {
 			n.engine.ScheduleAt(now+n.cfg.RouterLatency, m.OnDeliver)
 		}
 	}
-	n.capture(&p)
-}
-
-// capture queues one send for routing at the window barrier on a
-// windowed network, and routes it at once otherwise.
-func (n *Network) capture(p *pendingSend) {
-	ex := &n.ex
-	if n.windowed {
-		ex.outbox = append(ex.outbox, *p)
-		return
-	}
-	n.routeOne(p, p.at)
-	if p.multicast {
-		clear(ex.mcasts)
-		ex.mcasts, ex.dsts = ex.mcasts[:0], ex.dsts[:0]
-	}
+	n.ex.outbox = append(n.ex.outbox, p)
 }
 
 // deliveryTimeAt computes the arrival time of a message sent at now,
@@ -497,8 +460,8 @@ func (n *Network) Utilization() float64 {
 // Multicast sends one payload to several destinations along a shared X-Y
 // tree: links common to multiple destinations are charged once, modelling
 // the router multicast support of Table V. OnDeliver (if non-nil) runs once
-// per destination. On a windowed network remote deliveries are deferred
-// to the window barrier like Send's.
+// per destination. Remote deliveries are routed at the end of the cycle,
+// like Send's.
 func (n *Network) Multicast(src int, dsts []int, bytes int, class TrafficClass, onDeliver func(dst int)) {
 	n.check(src)
 	if len(dsts) == 0 {
@@ -518,7 +481,7 @@ func (n *Network) Multicast(src int, dsts []int, bytes int, class TrafficClass, 
 			n.engine.ScheduleAt(now+n.cfg.RouterLatency, func() { onDeliver(d) })
 		}
 	}
-	n.capture(&p)
+	ex.outbox = append(ex.outbox, p)
 }
 
 // multicastTraffic charges a multicast tree's traffic: links shared by
@@ -543,52 +506,53 @@ func (n *Network) multicastTraffic(src int, dsts []int32, bytes int, class Traff
 	n.ctrMulticasts.Inc()
 }
 
-// flush routes the captured sends in canonical order against the link
-// state, scheduling each remote delivery stamped with its send time. On a
-// windowed network it is the barrier hook, and earliest is the cycle
-// after the window just executed; deliveries never land before it.
-func (n *Network) flush(earliest sim.Time) {
-	ex := &n.ex
-	for _, k := range ex.order() {
-		n.routeOne(&ex.outbox[uint32(k)], earliest)
+// endCycle is the network's end-of-cycle hook: it routes the cycle's
+// sends in canonical order, scheduling each remote delivery.
+//
+// It also extends the drain horizon in Lookahead-wide windows: a window
+// opens at the first active cycle past the last one's end, and the
+// fire-and-forget arrivals routed in it reach the horizon, in routing
+// order, only once no event is left inside it. How often the horizon
+// event fires depends on those edges, and that count is part of every
+// run's event total, which the recorded result digests pin.
+func (n *Network) endCycle() {
+	now := n.engine.Now()
+	if now >= n.windowEnd {
+		n.windowEnd = now + Lookahead(n.cfg)
 	}
-	clear(ex.outbox) // release closure references
-	clear(ex.mcasts)
-	ex.outbox, ex.mcasts, ex.dsts = ex.outbox[:0], ex.mcasts[:0], ex.dsts[:0]
+	ex := &n.ex
+	if len(ex.outbox) > 0 {
+		for _, k := range ex.order() {
+			n.routeOne(&ex.outbox[uint32(k)])
+		}
+		clear(ex.outbox) // release closure references
+		clear(ex.mcasts)
+		ex.outbox, ex.mcasts, ex.dsts = ex.outbox[:0], ex.mcasts[:0], ex.dsts[:0]
+	}
+	if len(n.silent) > 0 && n.engine.NextTime() >= n.windowEnd {
+		for _, arrive := range n.silent {
+			n.deferHorizon(arrive, n.windowEnd)
+		}
+		n.silent = n.silent[:0]
+	}
 }
 
-// order returns the outbox in canonical (send time, src node, per-src
-// sequence) order as keys src<<32|position. The outbox is already in
-// time order and in per-src sequence order, so only each run of
-// same-cycle sends is sorted, by src; the position in the key keeps
-// same-src sends in append (sequence) order.
+// order returns the outbox in canonical (src node, per-src sequence)
+// order as keys src<<32|position: the position keeps same-src sends in
+// append (sequence) order.
 func (ex *exchange) order() []uint64 {
-	buf := ex.outbox
 	keys := ex.keys[:0]
-	for i := range buf {
-		keys = append(keys, uint64(buf[i].src)<<32|uint64(i))
+	for i := range ex.outbox {
+		keys = append(keys, uint64(ex.outbox[i].src)<<32|uint64(i))
 	}
-	for lo := 0; lo < len(buf); {
-		at := buf[lo].at
-		hi := lo + 1
-		for hi < len(buf) && buf[hi].at == at {
-			hi++
-		}
-		if hi < len(buf) && buf[hi].at < at {
-			panic(fmt.Sprintf("noc: send at cycle %d captured after one at %d", buf[hi].at, at))
-		}
-		if hi-lo > 1 {
-			slices.Sort(keys[lo:hi])
-		}
-		lo = hi
-	}
+	slices.Sort(keys)
 	ex.keys = keys
 	return keys
 }
 
 // routeOne charges one captured message's traffic, reserves its links
 // and schedules its deliveries.
-func (n *Network) routeOne(p *pendingSend, earliest sim.Time) {
+func (n *Network) routeOne(p *pendingSend) {
 	class := TrafficClass(p.class)
 	if p.multicast {
 		mc := &n.ex.mcasts[p.dst]
@@ -603,13 +567,13 @@ func (n *Network) routeOne(p *pendingSend, earliest sim.Time) {
 			n.Delivered++
 			switch {
 			case mc.fn == nil:
-				n.deferHorizon(arrive, earliest)
+				n.silent = append(n.silent, arrive)
 			case d == p.src:
 				// Delivered at capture time; accounted here.
 			default:
 				d := int(d)
 				mfn := mc.fn
-				n.engine.ScheduleStampedAt(arrive, p.at, func() { mfn(d) })
+				n.engine.ScheduleAt(arrive, func() { mfn(d) })
 			}
 		}
 		return
@@ -625,19 +589,19 @@ func (n *Network) routeOne(p *pendingSend, earliest sim.Time) {
 	n.Delivered++
 	switch {
 	case p.fn == nil:
-		n.deferHorizon(arrive, earliest)
+		n.silent = append(n.silent, arrive)
 	case p.local:
 		// Delivered at capture time; accounted here.
 	default:
-		n.engine.ScheduleStampedAt(arrive, p.at, p.fn)
+		n.engine.ScheduleAt(arrive, p.fn)
 	}
 }
 
 // deferHorizon extends the drain horizon for a fire-and-forget delivery:
 // instead of one nop event per message, the chasing horizon event keeps
-// the clock open through the latest such arrival. At a barrier the
-// engine may have run past the arrival already, so the event fires no
-// earlier than earliest.
+// the clock open through the latest such arrival. At a window's edge
+// the engine may have run past the arrival already, so the event fires
+// no earlier than earliest.
 func (n *Network) deferHorizon(arrive, earliest sim.Time) {
 	if arrive > n.drainAt {
 		n.drainAt = arrive

@@ -190,8 +190,6 @@ func ReportHist(name string, h *Hist) HistogramReport {
 // how the engine ran the job rather than what the simulated machine did.
 // Canonical() strips it, exactly like JobTiming and RunEnv.
 type ExecReport struct {
-	// Windows is the number of barrier-synchronized windows executed.
-	Windows uint64 `json:"windows,omitempty"`
 	// IdleElidedCycles is the total idle cycles the engine's time wheel
 	// skipped instead of ticking through.
 	IdleElidedCycles uint64 `json:"idle_elided_cycles,omitempty"`
@@ -299,11 +297,8 @@ func WriteStalls(w io.Writer, a *AttributionReport, top int) {
 		fmt.Fprintf(w, "  hist %-24s count=%d sum=%d mean=%.1f\n",
 			h.Name, h.Count, h.Sum, histMean(h))
 	}
-	if ex := a.Exec; ex != nil && (ex.IdleElidedCycles > 0 || ex.Windows > 0) {
-		// Every machine runs on one engine; the shards=1 token keeps the
-		// line's format for readers that parse it.
-		fmt.Fprintf(w, "  exec: shards=1 windows=%d idle_elided_cycles=%d\n",
-			ex.Windows, ex.IdleElidedCycles)
+	if ex := a.Exec; ex != nil && ex.IdleElidedCycles > 0 {
+		fmt.Fprintf(w, "  exec: idle_elided_cycles=%d\n", ex.IdleElidedCycles)
 	}
 }
 

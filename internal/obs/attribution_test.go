@@ -126,7 +126,7 @@ func TestRunReportCanonicalStripsExec(t *testing.T) {
 			Attribution: &AttributionReport{
 				Schema: AttributionSchema,
 				Stalls: []StallEntry{{Reason: "mshr_merge", Component: "cache", Count: 3}},
-				Exec:   &ExecReport{Windows: 9, IdleElidedCycles: 4},
+				Exec:   &ExecReport{IdleElidedCycles: 4},
 			},
 		}},
 	}
@@ -152,7 +152,7 @@ func TestWriteStallTableRendersChargesAndExec(t *testing.T) {
 				{Reason: "dram_queue", Component: "mem", Count: 2, Cycles: 40},
 			},
 			Hists: []HistogramReport{{Name: "dram_queue_wait_cycles", Count: 2, Sum: 40}},
-			Exec:  &ExecReport{Windows: 5, IdleElidedCycles: 9},
+			Exec:  &ExecReport{IdleElidedCycles: 9},
 		},
 	}, {Key: "no-attrib"}}}
 	var buf bytes.Buffer
@@ -164,7 +164,7 @@ func TestWriteStallTableRendersChargesAndExec(t *testing.T) {
 		"histogram|NS",
 		"dram_queue", "100.0", // all cycles on one reason
 		"hist dram_queue_wait_cycles", "mean=20.0",
-		"  exec: shards=1 windows=5 idle_elided_cycles=9\n",
+		"  exec: idle_elided_cycles=9\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stall table missing %q:\n%s", want, out)

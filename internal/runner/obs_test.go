@@ -77,7 +77,7 @@ func TestObsOutputsDeterministicAcrossWorkerCounts(t *testing.T) {
 // TestSamplingLeavesResultUnchanged pins that a sampler only reads the
 // machine: a sampled job's Result equals the unsampled one field for
 // field (events included), at the default period and at a short odd one
-// that lands period boundaries inside most lookahead windows. The rows
+// that samples every few active cycles. The rows
 // are stamped at strictly increasing cycles and the last one at the end
 // of the run.
 func TestSamplingLeavesResultUnchanged(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Time is a simulation timestamp in core clock cycles.
@@ -23,28 +24,16 @@ type Event func()
 // scheduled is one queued event. Events live by value inside the engine's
 // wheel slab and overflow heap: once those have grown to the most events
 // pending at once, Schedule neither allocates nor boxes through any.
-//
-// stamp is the event's logical scheduling time: the cycle the cause of the
-// event happened. Plain Schedule/ScheduleAt set stamp = now, so ordering
-// by (at, stamp, seq) is exactly the classic (at, seq) FIFO. The window
-// barrier exchange (ScheduleStampedAt) back-dates stamp to the send time,
-// which slots a deferred delivery at the position it would have had if
-// scheduled the moment it was sent (see Windowed).
 type scheduled struct {
-	at    Time
-	stamp Time
-	seq   uint64
-	fn    Event
+	at  Time
+	seq uint64
+	fn  Event
 }
 
-// lessSched orders events by (at, stamp, seq): FIFO within a cycle for
-// same-stamp events, causal-time order across stamps.
+// lessSched orders events by (at, seq): FIFO within a cycle.
 func lessSched(a, b *scheduled) bool {
 	if a.at != b.at {
 		return a.at < b.at
-	}
-	if a.stamp != b.stamp {
-		return a.stamp < b.stamp
 	}
 	return a.seq < b.seq
 }
@@ -72,7 +61,7 @@ type node struct {
 }
 
 // bucket is one wheel slot: the head and tail of a singly linked list of
-// slab nodes in (stamp, seq) order. Because all wheel events lie in a
+// slab nodes in seq order. Because all wheel events lie in a
 // window of exactly wheelSize cycles, a slot never holds two distinct
 // timestamps at once.
 type bucket struct {
@@ -92,14 +81,11 @@ type bucket struct {
 // wheelSize). An occupancy bitmap over the wheel slots makes "find the
 // next non-empty cycle" a handful of word scans.
 //
-// The ordering contract generalizes the heap-only engine's: events fire
-// in (time, stamp, sequence) order, where stamp is the cycle the event was
-// scheduled (back-dated by ScheduleStampedAt for barrier-routed
-// deliveries). For events scheduled through plain Schedule/ScheduleAt the
-// stamp is the monotone engine clock, so (time, stamp, sequence) order
-// coincides exactly with the classic (time, sequence) FIFO-within-a-cycle
-// order; at equal timestamps heap and wheel events are compared by
-// (stamp, sequence) explicitly rather than by structural position.
+// Events fire in (time, sequence) order, FIFO within a cycle; at equal
+// timestamps heap and wheel events are compared by sequence explicitly
+// rather than by structural position. Once a cycle that fired an event
+// has none left, the engine runs its end-of-cycle hooks (see AtCycleEnd)
+// before the clock moves on.
 //
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
@@ -119,6 +105,11 @@ type Engine struct {
 
 	// Far level: overflow min-heap for events >= wheelSize cycles out.
 	queue []scheduled
+
+	// cycleEnd holds the end-of-cycle hooks; live is set while the
+	// current cycle has fired an event its hooks have not yet followed.
+	cycleEnd []*func()
+	live     bool
 
 	// Executed counts events that have fired, mostly for tests and
 	// runaway-simulation guards.
@@ -166,12 +157,11 @@ func (e *Engine) ScheduleAt(at Time, fn Event) {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", at, e.now))
 	}
 	e.seq++
-	s := scheduled{at: at, stamp: e.now, seq: e.seq, fn: fn}
+	s := scheduled{at: at, seq: e.seq, fn: fn}
 	if at-e.now < wheelSize {
-		// Plain schedules carry stamp = now, and now is monotone, so a
-		// bucket's (stamp, seq) order is append order: no sorted insert.
+		// seq only grows, so a bucket's order is append order.
 		slot := int(at & wheelMask)
-		e.link(slot, e.wheel[slot].tail, e.alloc(s))
+		e.link(slot, e.alloc(s))
 		return
 	}
 	e.queue = append(e.queue, s)
@@ -194,66 +184,20 @@ func (e *Engine) alloc(s scheduled) int32 {
 	return i
 }
 
-// link inserts node i into the bucket at slot right after node prev (0:
-// at the head) and marks the slot occupied.
-func (e *Engine) link(slot int, prev, i int32) {
+// link appends node i to the bucket at slot and marks the slot occupied.
+func (e *Engine) link(slot int, i int32) {
 	b := &e.wheel[slot]
-	n := &e.nodes[i]
-	if prev == 0 {
-		n.next = b.head
+	if b.tail == 0 {
 		b.head = i
 	} else {
-		p := &e.nodes[prev]
-		n.next = p.next
-		p.next = i
+		e.nodes[b.tail].next = i
 	}
-	if n.next == 0 {
-		b.tail = i
-	}
+	b.tail = i
 	e.occ[slot>>6] |= 1 << uint(slot&63)
 	e.wheelCount++
 }
 
-// ScheduleStampedAt runs fn at absolute time at with a back-dated logical
-// scheduling time stamp <= at. It exists for the window exchange: a
-// message captured at send time stamp and routed at a window barrier is
-// delivered in exactly the order it would have occupied had it been
-// scheduled the moment it was sent, because events fire in
-// (at, stamp, seq) order and plain schedules stamp with the engine clock.
-// Scheduling in the past (at < now) or with stamp > at panics.
-func (e *Engine) ScheduleStampedAt(at, stamp Time, fn Event) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %d before now %d", at, e.now))
-	}
-	if stamp > at {
-		panic(fmt.Sprintf("sim: stamp %d after event time %d", stamp, at))
-	}
-	e.seq++
-	s := scheduled{at: at, stamp: stamp, seq: e.seq, fn: fn}
-	if at-e.now < wheelSize {
-		// A back-dated stamp may order before events already listed; s
-		// goes right after the last node that does not order after it.
-		// Barrier deliveries for one cycle arrive in canonical order, so
-		// the tail usually is that node.
-		slot := int(at & wheelMask)
-		b := &e.wheel[slot]
-		prev := b.tail
-		if prev != 0 && lessSched(&s, &e.nodes[prev].scheduled) {
-			prev = 0
-			for i := b.head; i != 0; i = e.nodes[i].next {
-				if !lessSched(&s, &e.nodes[i].scheduled) {
-					prev = i
-				}
-			}
-		}
-		e.link(slot, prev, e.alloc(s))
-		return
-	}
-	e.queue = append(e.queue, s)
-	e.siftUp(len(e.queue) - 1)
-}
-
-// less orders the heap by (time, stamp, sequence).
+// less orders the heap by (time, sequence).
 func (e *Engine) less(i, j int) bool {
 	return lessSched(&e.queue[i], &e.queue[j])
 }
@@ -353,9 +297,9 @@ func (e *Engine) slotTime(slot int) Time {
 	return e.nodes[e.wheel[slot].head].at
 }
 
-// peekTime returns the earliest pending timestamp, or MaxTime when the
+// NextTime returns the earliest pending timestamp, or MaxTime when the
 // engine is idle.
-func (e *Engine) peekTime() Time {
+func (e *Engine) NextTime() Time {
 	// The current cycle's bucket being non-empty pins the wheel minimum
 	// at now without a bitmap scan (the slot cannot hold any other time).
 	if e.wheel[e.now&wheelMask].head != 0 {
@@ -379,21 +323,44 @@ func (e *Engine) peekTime() Time {
 // by a later Wake. Pending never counts already-fired events.
 func (e *Engine) Pending() int { return e.wheelCount + len(e.queue) }
 
-// Step fires the single next event, advancing time to it. It reports false
-// when the queue is empty.
+// AtCycleEnd registers fn as an end-of-cycle hook and returns the
+// function that unregisters it. Once a cycle that fired an event has no
+// event left — wheel, zero-delay or overflow-heap — the engine calls
+// every hook, in registration order, before the clock advances; Run
+// calls them once more when the queue drains. An event a hook schedules
+// at Now fires before the clock advances, and the hooks then run again
+// after it. A hook that only reads the model — a sampler — observes it
+// once per active cycle without changing which events fire or when.
+func (e *Engine) AtCycleEnd(fn func()) (remove func()) {
+	h := &fn
+	e.cycleEnd = append(e.cycleEnd, h)
+	return func() {
+		e.cycleEnd = slices.DeleteFunc(e.cycleEnd, func(x *func()) bool { return x == h })
+	}
+}
+
+// endCycle runs the end-of-cycle hooks.
+func (e *Engine) endCycle() {
+	e.live = false
+	for _, fn := range e.cycleEnd {
+		(*fn)()
+	}
+}
+
+// Step fires the single next event, advancing time to it. When the
+// current cycle has no event left it runs the end-of-cycle hooks first.
+// It reports false when the queue is empty.
 func (e *Engine) Step() bool {
 	// Fast path: the current cycle's bucket has events and no heap event
-	// orders before its head. (Equal-time events compare by (stamp, seq) —
-	// see the ordering note on Engine.)
+	// orders before its head.
 	if b := &e.wheel[e.now&wheelMask]; b.head != 0 {
-		if len(e.queue) == 0 || e.queue[0].at > e.now || !lessSched(&e.queue[0], &e.nodes[b.head].scheduled) {
+		if len(e.queue) == 0 || !lessSched(&e.queue[0], &e.nodes[b.head].scheduled) {
 			s := e.popBucket(b, int(e.now&wheelMask))
 			e.Executed++
+			e.live = true
 			s.fn()
 			return true
 		}
-	} else if e.wheelCount == 0 && len(e.queue) == 0 {
-		return false
 	}
 	// Slow path: advance to the earliest pending event across both levels.
 	slot := e.nextWheelSlot()
@@ -405,12 +372,21 @@ func (e *Engine) Step() bool {
 	if len(e.queue) > 0 {
 		ht = e.queue[0].at
 	}
+	if e.live && min(wt, ht) != e.now {
+		// The cycle is over. Its hooks may schedule more; if they do,
+		// look again, since an event at now fires before the clock moves.
+		seq := e.seq
+		e.endCycle()
+		if e.seq != seq {
+			return e.Step()
+		}
+	}
 	if ht == MaxTime && wt == MaxTime {
 		return false
 	}
 	var s scheduled
 	useHeap := ht < wt
-	if ht == wt && ht != MaxTime {
+	if ht == wt {
 		useHeap = lessSched(&e.queue[0], &e.nodes[e.wheel[slot].head].scheduled)
 	}
 	if useHeap {
@@ -428,6 +404,7 @@ func (e *Engine) Step() bool {
 	e.occObs++
 	e.now = s.at
 	e.Executed++
+	e.live = true
 	s.fn()
 	return true
 }
@@ -441,30 +418,17 @@ func (e *Engine) WheelOccupancy() (buckets [occBuckets]uint64, count, sum uint64
 	return e.occHist, e.occObs, e.occSum
 }
 
-// Run fires events until the queue drains. It returns the final
-// simulation time.
+// Run fires events until the queue drains, then runs the end-of-cycle
+// hooks once more, and repeats while they schedule events. It returns
+// the final simulation time, the last fired event's cycle.
 func (e *Engine) Run() Time {
-	for e.Step() {
-	}
-	return e.now
-}
-
-// RunTo fires events with timestamps <= limit; it is one window's step
-// of the Windowed loop. Events beyond the limit stay queued. While work
-// remains beyond limit the clock parks at limit; when the queue drains it
-// stays at the last fired event, so a run's end time is its last event's
-// cycle whatever the window edges. It returns true if the queue drained.
-func (e *Engine) RunTo(limit Time) bool {
 	for {
-		t := e.peekTime()
-		if t == MaxTime {
-			return true
+		for e.Step() {
 		}
-		if t > limit {
-			e.now = limit
-			return false
+		e.endCycle()
+		if e.Pending() == 0 {
+			return e.now
 		}
-		e.Step()
 	}
 }
 

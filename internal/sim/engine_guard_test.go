@@ -1,32 +1,66 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"slices"
+	"testing"
+)
 
-// TestRunToStopsAtLimit pins the window step Windowed.Run is built on:
-// RunTo fires everything up to the limit, parks the clock at the limit
-// while work remains, and — crucially — does NOT advance the clock to
-// the limit once the queue drains, so window edges never inflate a run's
-// end time.
-func TestRunToStopsAtLimit(t *testing.T) {
+// TestCycleEndHookTiming pins when the end-of-cycle hooks run: once per
+// active cycle, after every event of that cycle — wheel events, zero-delay
+// schedules made during the cycle, and overflow-heap events due then —
+// and once more when Run drains. An event a hook schedules at the current
+// cycle fires before the clock advances, and the hooks follow it again.
+// Splitting a cycle into two hook calls (say, whenever the current wheel
+// bucket empties while heap events are still due) would split one
+// cycle's NoC sends into two routing batches.
+func TestCycleEndHookTiming(t *testing.T) {
 	e := NewEngine()
-	fired := 0
-	e.Schedule(5, func() { fired++ })
-	e.Schedule(15, func() { fired++ })
-	if e.RunTo(10) {
-		t.Fatal("RunTo(10) reported drained with an event pending at 15")
+	var log []string
+	ev := func(name string) Event {
+		return func() { log = append(log, fmt.Sprintf("%s@%d", name, e.Now())) }
 	}
-	if e.Now() != 10 || fired != 1 {
-		t.Fatalf("after RunTo(10): now=%d fired=%d, want now=10 fired=1", e.Now(), fired)
+	hookCalls := 0
+	remove := e.AtCycleEnd(func() {
+		log = append(log, fmt.Sprintf("hook@%d", e.Now()))
+		if hookCalls++; hookCalls == 1 {
+			e.Schedule(0, ev("from-hook"))
+		}
+	})
+	e.Schedule(3, func() {
+		ev("a1")()
+		e.Schedule(0, ev("zero"))
+	})
+	e.Schedule(3, ev("a2"))
+	// Two overflow-heap events share cycle 2000 with a wheel event
+	// scheduled at 1990; the first heap event adds a zero-delay event.
+	e.ScheduleAt(2000, func() {
+		ev("h1")()
+		e.Schedule(0, ev("h-zero"))
+	})
+	e.ScheduleAt(2000, ev("h2"))
+	e.ScheduleAt(1990, func() {
+		ev("w-sched")()
+		e.Schedule(10, ev("w"))
+	})
+	e.Run()
+	want := []string{
+		"a1@3", "a2@3", "zero@3", "hook@3", "from-hook@3", "hook@3",
+		"w-sched@1990", "hook@1990",
+		"h1@2000", "h2@2000", "w@2000", "h-zero@2000", "hook@2000",
+		"hook@2000", // drain
 	}
-	if !e.RunTo(100) {
-		t.Fatal("RunTo(100) did not drain the queue")
+	if !slices.Equal(log, want) {
+		t.Fatalf("firing log\n got %v\nwant %v", log, want)
 	}
-	if e.Now() != 15 || fired != 2 {
-		t.Fatalf("after drain: now=%d fired=%d, want now=15 (last event, not the limit) fired=2", e.Now(), fired)
-	}
-	// An already-empty queue reports drained without touching the clock.
-	if !e.RunTo(200) || e.Now() != 15 {
-		t.Fatalf("RunTo on empty queue moved the clock to %d", e.Now())
+
+	// An unregistered hook no longer runs.
+	remove()
+	log = log[:0]
+	e.Schedule(5, ev("late"))
+	e.Run()
+	if !slices.Equal(log, []string{"late@2005"}) {
+		t.Fatalf("after remove: %v", log)
 	}
 }
 
