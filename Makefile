@@ -42,15 +42,15 @@ perfbench:
 # bench: regenerate the tracked bench/BENCH_sim.json performance baseline.
 # Macro benchmarks (figure, matrix, workload and big-mesh pipelines) run
 # once per sub-benchmark; the static-table benchmarks (Table*,
-# AreaOverhead) and the micro benchmarks (engine, cache bank, NoC, flatmap
-# hot paths, trace generation) run with Go's auto benchtime for stable
+# AreaOverhead) and the micro benchmarks (engine, cache bank, NoC hot
+# paths, trace generation) run with Go's auto benchtime for stable
 # ns/op and allocs/op — one cold call of a microsecond-scale table is
 # mostly noise. benchjson records them with the host's CPU count and
 # GOMAXPROCS. End-to-end wall time is perfbench's job (bash
 # perfbench/run.sh), which measures it with a spread protocol.
 BENCH_MACRO = ^Benchmark(Fig|Matrix|Workload|BigMesh)
 BENCH_STATIC = ^Benchmark(Table|AreaOverhead)
-BENCH_MICRO_PKGS = ./internal/sim ./internal/cache ./internal/noc ./internal/flatmap ./internal/core ./internal/cpu
+BENCH_MICRO_PKGS = ./internal/sim ./internal/cache ./internal/noc ./internal/core ./internal/cpu
 BENCH_DIR = bench
 # BENCH_THRESHOLD is the max tolerated new/old ns-per-op (and allocs)
 # ratio benchcmp accepts; CI overrides it upward because shared runners
@@ -83,7 +83,7 @@ benchcmp:
 tier1: build test
 
 # tier2: vet + race over the full suite — including the pooled event
-# queue, lock pool, and flatmap tables, which must stay engine-local
+# queue, lock pool, and per-line tables, which must stay engine-local
 # (never shared across runner workers), and internal/serve's overlapping
 # submit/cancel/drain traffic; run before merging runner/harness/serve or
 # pooling changes.

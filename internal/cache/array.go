@@ -60,8 +60,9 @@ type Line struct {
 	lru uint64
 	// sharers and owner are the full-map directory state of an L3 line
 	// (private caches leave them unused): a bitmask of the tiles holding
-	// Shared copies, and the tile holding E/M or -1. Bank.install sets
-	// them when the line enters the L3.
+	// Shared copies (see sharerBit: tiles from 63 up share bit 63), and the
+	// tile holding E/M or -1. Bank.install sets them when the line enters
+	// the L3.
 	sharers uint64
 	owner   int
 	State   LineState

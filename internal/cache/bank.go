@@ -1,11 +1,26 @@
 package cache
 
 import (
-	"repro/internal/flatmap"
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
+
+// coarseTile is the last sharer bit: Line.sharers is a full-map vector for
+// tiles below it, and tiles from coarseTile up share its bit as one
+// coarse-vector entry. Setting that bit records that some of them may
+// hold a copy, and invalidating it reaches all of them. On a mesh of at
+// most 64 tiles the bit stands for tile 63 alone.
+const coarseTile = 63
+
+// sharerBit returns tile t's bit in Line.sharers.
+func sharerBit(t int) uint64 { return 1 << uint(min(t, coarseTile)) }
+
+// ownsSharerBit reports whether tile t's sharer bit stands for t alone, so
+// that t dropping its copy may clear it.
+func (h *Hierarchy) ownsSharerBit(t int) bool {
+	return t < coarseTile || len(h.tiles) <= coarseTile+1
+}
 
 // txnWork is one queued per-line transaction body.
 type txnWork func(release func())
@@ -14,11 +29,9 @@ type txnWork func(release func())
 // transaction serializer, and the line-lock unit used by streaming atomics
 // (§IV-C).
 //
-// The serializer and lock unit are deliberately map-free on their hot
-// paths: busy lines and their waiting transactions live in one
-// open-addressed table (presence = line busy), and lock state lives in a
-// pooled slice indexed through a second table, both sized from the cache
-// geometry at construction.
+// Busy lines and their waiting transactions live in one map (presence =
+// line busy), and lock state lives in a pooled slice indexed through a
+// second map, both sized from the cache geometry at construction.
 type Bank struct {
 	id int
 	h  *Hierarchy
@@ -29,10 +42,10 @@ type Bank struct {
 	array  *Array
 	// txns serializes transactions per line: a present entry means the
 	// line is busy, and holds the FIFO of waiting transaction bodies.
-	txns flatmap.Map[[]txnWork]
+	txns map[uint64][]txnWork
 	// locks indexes line -> lockPool slot; freed slots recycle through
 	// lockFree so steady-state locking allocates nothing.
-	locks    flatmap.Map[int32]
+	locks    map[uint64]int32
 	lockPool []lineLock
 	lockFree []int32
 }
@@ -62,19 +75,19 @@ func (b *Bank) Probe(line uint64) *Line {
 
 // PendingTxns reports how many lines currently hold or queue transactions
 // at this bank (the sampler's bank-occupancy metric).
-func (b *Bank) PendingTxns() int { return b.txns.Len() }
+func (b *Bank) PendingTxns() int { return len(b.txns) }
 
 // submit serializes transactions per line: work runs when the line is
 // free and must call release exactly once. Waiting transactions queue in
 // FIFO order on the line's txns entry and are handed the line directly at
 // release, with no re-submission round trip.
 func (b *Bank) submit(line uint64, work txnWork) {
-	if q, busy := b.txns.Get(line); busy {
+	if q, busy := b.txns[line]; busy {
 		b.ob.attrib.Charge(obs.StallBankConflict, 0)
-		b.txns.Put(line, append(q, work))
+		b.txns[line] = append(q, work)
 		return
 	}
-	b.txns.Put(line, nil)
+	b.txns[line] = nil
 	b.runTxn(line, work)
 }
 
@@ -87,12 +100,12 @@ func (b *Bank) runTxn(line uint64, work txnWork) {
 			panic("cache: double release of bank line")
 		}
 		released = true
-		q, _ := b.txns.Get(line)
+		q := b.txns[line]
 		if len(q) == 0 {
-			b.txns.Delete(line)
+			delete(b.txns, line)
 			return
 		}
-		b.txns.Put(line, q[1:])
+		b.txns[line] = q[1:]
 		b.runTxn(line, q[0])
 	})
 }
@@ -143,7 +156,7 @@ func (b *Bank) install(line uint64) {
 		dsts = append(dsts, victim.owner)
 	}
 	for t := 0; t < h.Tiles(); t++ {
-		if victim.sharers&(1<<uint(t)) != 0 {
+		if victim.sharers&sharerBit(t) != 0 {
 			dsts = append(dsts, t)
 		}
 	}
@@ -223,7 +236,7 @@ func (b *Bank) serveRead(line uint64, l *Line, kind reqKind, requester int, from
 			grant = Exclusive
 			l.owner = requester
 		} else {
-			l.sharers |= 1 << uint(requester)
+			l.sharers |= sharerBit(requester)
 		}
 		respond(grant, fromMem)
 		release()
@@ -235,7 +248,7 @@ func (b *Bank) serveRead(line uint64, l *Line, kind reqKind, requester int, from
 		return
 	default:
 		l.owner = -1
-		l.sharers |= 1 << uint(requester)
+		l.sharers |= sharerBit(requester)
 	}
 	grantAndGo()
 }
@@ -256,7 +269,7 @@ func (b *Bank) downgradeOwner(line uint64, owner int, then func()) {
 						if wasDirty {
 							l.Dirty = true
 						}
-						l.sharers |= 1 << uint(owner)
+						l.sharers |= sharerBit(owner)
 						l.owner = -1
 					}
 					then()
@@ -292,7 +305,7 @@ func (b *Bank) invalidateOthers(line uint64, l *Line, requester int, done func()
 		dsts = append(dsts, l.owner)
 	}
 	for t := 0; t < h.Tiles(); t++ {
-		if t != requester && l.sharers&(1<<uint(t)) != 0 {
+		if t != requester && l.sharers&sharerBit(t) != 0 {
 			dsts = append(dsts, t)
 		}
 	}
@@ -330,7 +343,9 @@ func (b *Bank) handleWriteback(line uint64, from int) {
 				if l.owner == from {
 					l.owner = -1
 				}
-				l.sharers &^= 1 << uint(from)
+				if h.ownsSharerBit(from) {
+					l.sharers &^= sharerBit(from)
+				}
 			} else {
 				// Raced with an L3 eviction: forward straight to DRAM.
 				h.writeToMem(b.id, line)

@@ -3,7 +3,6 @@ package cache
 import (
 	"fmt"
 
-	"repro/internal/flatmap"
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/obs"
@@ -139,9 +138,10 @@ func New(engine *sim.Engine, net *noc.Network, dram *mem.Memory, cfg Config) *Hi
 	for i := 0; i < n; i++ {
 		h.tiles = append(h.tiles, &Tile{
 			id: i, h: h, engine: engine, ob: h.ob,
-			l1:      NewArray(cfg.L1, uint64(i)*2+1),
-			l2:      NewArray(cfg.L2, uint64(i)*2+2),
-			accFree: -1,
+			l1:       NewArray(cfg.L1, uint64(i)*2+1),
+			l2:       NewArray(cfg.L2, uint64(i)*2+2),
+			inflight: make(map[uint64]mshr),
+			accFree:  -1,
 		})
 		b := &Bank{
 			id: i, h: h, engine: engine, ob: h.ob,
@@ -150,8 +150,8 @@ func New(engine *sim.Engine, net *noc.Network, dram *mem.Memory, cfg Config) *Hi
 		// Size the per-line tables from the geometry: concurrent
 		// transactions at one bank are bounded by the tiles' outstanding
 		// misses, a small multiple of the tile count.
-		b.txns = *flatmap.New[[]txnWork](4 * n)
-		b.locks = *flatmap.New[int32](n)
+		b.txns = make(map[uint64][]txnWork, 4*n)
+		b.locks = make(map[uint64]int32, n)
 		h.banks = append(h.banks, b)
 	}
 	return h
@@ -203,9 +203,9 @@ type Tile struct {
 	l1, l2 *Array
 	// inflight merges concurrent misses to the same line: a present entry
 	// is an outstanding request, holding the chain of demand accesses
-	// waiting on it. Open-addressed: MSHR occupancy is bounded and
-	// churn-heavy, so the table stays warm and allocation-free.
-	inflight flatmap.Map[mshr]
+	// waiting on it. MSHR occupancy is bounded, so once warm the map
+	// allocates nothing.
+	inflight map[uint64]mshr
 	// accs pools the tile's demand-access contexts, indexed by int32;
 	// accFree heads the free chain (-1 when empty, see getAccess).
 	accs    []*tileAccess
@@ -414,7 +414,7 @@ func (t *Tile) requestLine(kind reqKind, a *tileAccess) {
 	// merged read completion does not grant write permission). To stay
 	// simple and conservative, merge everything and re-check permission:
 	// a merged access re-runs from its L1 lookup when the line arrives.
-	if q, ok := t.inflight.Get(line); ok {
+	if q, ok := t.inflight[line]; ok {
 		t.ob.attrib.Charge(obs.StallMSHRMerge, 0)
 		if q.head < 0 {
 			q.head = a.idx
@@ -422,13 +422,13 @@ func (t *Tile) requestLine(kind reqKind, a *tileAccess) {
 			t.accs[q.tail].next = a.idx
 		}
 		q.tail = a.idx
-		t.inflight.Put(line, q)
+		t.inflight[line] = q
 		return
 	}
-	t.inflight.Put(line, mshr{head: -1, tail: -1})
+	t.inflight[line] = mshr{head: -1, tail: -1}
 	if tr := t.ob.tracer; tr.Enabled() {
 		tr.Emit(obs.Event{Time: uint64(t.engine.Now()), Kind: obs.KindMSHR,
-			Tile: int32(t.id), A: uint64(t.inflight.Len()), B: line})
+			Tile: int32(t.id), A: uint64(len(t.inflight)), B: line})
 	}
 	a.kind = kind
 	h := t.h
@@ -489,11 +489,11 @@ func (t *Tile) completeFill(a *tileAccess) {
 		lv = ServedMem
 	}
 	a.finish(lv)
-	q, _ := t.inflight.Get(line)
-	t.inflight.Delete(line)
+	q := t.inflight[line]
+	delete(t.inflight, line)
 	if tr := t.ob.tracer; tr.Enabled() {
 		tr.Emit(obs.Event{Time: uint64(t.engine.Now()), Kind: obs.KindMSHR,
-			Tile: int32(t.id), A: uint64(t.inflight.Len()), B: line})
+			Tile: int32(t.id), A: uint64(len(t.inflight)), B: line})
 	}
 	// Re-run each merged access: permissions may still be insufficient
 	// (e.g. a read brought S, this one needs M). A re-run may merge into a
@@ -514,7 +514,7 @@ func (t *Tile) Prefetch(addr uint64) {
 	if t.l1.Peek(line) != nil || t.l2.Peek(line) != nil {
 		return
 	}
-	if t.inflight.Contains(line) {
+	if _, ok := t.inflight[line]; ok {
 		return
 	}
 	t.ob.ctr.prefetchIssued.Inc()

@@ -10,10 +10,13 @@ import (
 
 // testMachine builds a small 4-tile hierarchy with tiny caches so tests can
 // force evictions cheaply.
-func testMachine() (*sim.Engine, *Hierarchy) {
+func testMachine() (*sim.Engine, *Hierarchy) { return testMesh(2, 2) }
+
+// testMesh builds a width x height hierarchy with testMachine's caches.
+func testMesh(width, height int) (*sim.Engine, *Hierarchy) {
 	e := sim.NewEngine()
 	ncfg := noc.DefaultConfig()
-	ncfg.Width, ncfg.Height = 2, 2
+	ncfg.Width, ncfg.Height = width, height
 	net := noc.New(e, ncfg)
 	dram := mem.New(e, mem.DefaultConfig())
 	cfg := Config{
@@ -104,16 +107,35 @@ func TestSharedGrantWithTwoReaders(t *testing.T) {
 	}
 }
 
+// TestWriteInvalidatesSharers reads a line from two tiles (the first gets
+// E, the second's read downgrades it, leaving both sharers) and writes it
+// from a third. On the 16x16 mesh the second reader, tile 100, is past the
+// 64-bit sharer vector and must still lose its copy.
 func TestWriteInvalidatesSharers(t *testing.T) {
-	e, h := testMachine()
-	access(e, h, 0, 0x1000, false)
-	access(e, h, 1, 0x1000, false)
-	access(e, h, 2, 0x1000, true)
-	if h.Tile(0).HasLine(0x1000) || h.Tile(1).HasLine(0x1000) {
-		t.Fatal("sharers not invalidated by remote write")
-	}
-	if l := h.Tile(2).L1().Peek(0x1000); l == nil || l.State != Modified {
-		t.Fatalf("writer got %v, want M", l)
+	for _, c := range []struct {
+		name          string
+		width, height int
+		readers       [2]int
+		writer        int
+	}{
+		{"2x2", 2, 2, [2]int{0, 1}, 2},
+		{"16x16", 16, 16, [2]int{0, 100}, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e, h := testMesh(c.width, c.height)
+			for _, r := range c.readers {
+				access(e, h, r, 0x1000, false)
+			}
+			access(e, h, c.writer, 0x1000, true)
+			for _, r := range c.readers {
+				if h.Tile(r).HasLine(0x1000) {
+					t.Fatalf("sharer tile %d not invalidated by tile %d's write", r, c.writer)
+				}
+			}
+			if l := h.Tile(c.writer).L1().Peek(0x1000); l == nil || l.State != Modified {
+				t.Fatalf("writer got %v, want M", l)
+			}
+		})
 	}
 }
 

@@ -110,7 +110,7 @@ func (b *Bank) lockAt(idx int32) *lineLock { return &b.lockPool[idx] }
 // lockFor returns the pool index of line's lock, allocating from the free
 // list (or growing the pool) when the line is unlocked.
 func (b *Bank) lockFor(line uint64) int32 {
-	if idx, ok := b.locks.Get(line); ok {
+	if idx, ok := b.locks[line]; ok {
 		return idx
 	}
 	var idx int32
@@ -121,7 +121,7 @@ func (b *Bank) lockFor(line uint64) int32 {
 		b.lockPool = append(b.lockPool, lineLock{writer: noHolder})
 		idx = int32(len(b.lockPool) - 1)
 	}
-	b.locks.Put(line, idx)
+	b.locks[line] = idx
 	return idx
 }
 
@@ -133,7 +133,7 @@ func (b *Bank) releaseIdleLock(line uint64, idx int32) {
 	l.wcount = 0
 	l.readers = l.readers[:0]
 	l.waiters = l.waiters[:0]
-	b.locks.Delete(line)
+	delete(b.locks, line)
 	b.lockFree = append(b.lockFree, idx)
 }
 
@@ -191,7 +191,7 @@ func (b *Bank) tryLock(idx int32, key int, asWriter bool) bool {
 
 // ReleaseLock drops one hold on the line lock and wakes waiters.
 func (b *Bank) ReleaseLock(line uint64, key int, modifies bool, mode LockMode) {
-	idx, ok := b.locks.Get(line)
+	idx, ok := b.locks[line]
 	if !ok {
 		panic("cache: release of unheld line lock")
 	}
@@ -216,7 +216,7 @@ func (b *Bank) ReleaseLock(line uint64, key int, modifies bool, mode LockMode) {
 	for _, w := range waiters {
 		w()
 	}
-	if idx, ok := b.locks.Get(line); ok {
+	if idx, ok := b.locks[line]; ok {
 		if l := b.lockAt(idx); l.idle() {
 			b.releaseIdleLock(line, idx)
 		}
@@ -225,7 +225,7 @@ func (b *Bank) ReleaseLock(line uint64, key int, modifies bool, mode LockMode) {
 
 // LockHeld reports whether any holder owns the line lock (tests).
 func (b *Bank) LockHeld(line uint64) bool {
-	idx, ok := b.locks.Get(line)
+	idx, ok := b.locks[line]
 	if !ok {
 		return false
 	}

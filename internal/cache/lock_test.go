@@ -152,8 +152,8 @@ func TestLockPoolRecycles(t *testing.T) {
 	if got := len(b.lockPool); got != 1 {
 		t.Fatalf("lock pool grew to %d entries for serial lock traffic, want 1", got)
 	}
-	if b.locks.Len() != 0 {
-		t.Fatalf("%d lock table entries leaked", b.locks.Len())
+	if len(b.locks) != 0 {
+		t.Fatalf("%d lock table entries leaked", len(b.locks))
 	}
 }
 

@@ -53,10 +53,10 @@ func (cr *coreRun) instRoundTrip(s *compiler.Stream, n int) func(done func()) {
 					if remaining > 0 {
 						return
 					}
-					at := maxT(latest, m.Engine.Now())
+					at := max(latest, m.Engine.Now())
 					// Compute at the meet, then write the target in place.
 					if cr.plan != nil && (len(s.ComputeOps) > 0 || s.Atomic) {
-						at = computeAt(cr.scmAt(target), cr.params, s.Atomic && len(s.ComputeOps) <= 2, maxi(len(s.ComputeOps), 1), s.Vector, at)
+						at = computeAt(cr.scmAt(target), cr.params, s.Atomic && len(s.ComputeOps) <= 2, max(len(s.ComputeOps), 1), s.Vector, at)
 					}
 					m.Engine.ScheduleAt(at, func() {
 						m.Hier.Bank(target).StreamWrite(line, func(bool) {
@@ -148,7 +148,7 @@ func (cr *coreRun) perElemRoundTrip(s *compiler.Stream, n int) func(done func())
 				}
 				m.Hier.Bank(bank).StreamRead(line, func(bool) {
 					at := m.Engine.Now()
-					at = computeAt(cr.scmAt(bank), cr.params, true, maxi(len(s.ComputeOps), 1), s.Vector, at)
+					at = computeAt(cr.scmAt(bank), cr.params, true, max(len(s.ComputeOps), 1), s.Vector, at)
 					finishWith(at)
 				})
 			}})

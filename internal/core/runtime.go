@@ -6,7 +6,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/compiler"
 	"repro/internal/cpu"
-	"repro/internal/flatmap"
 	"repro/internal/ir"
 	"repro/internal/isa"
 	"repro/internal/machine"
@@ -87,7 +86,7 @@ func newRunCounters(r *obs.Registry) runCounters {
 type runShared struct {
 	m       *machine.Machine
 	scms    []*SCM
-	sePages []flatmap.Map[struct{}] // per-bank SE_L3 translation cache, keyed by huge page
+	sePages []map[uint64]struct{} // per-bank SE_L3 translation cache, keyed by huge page
 	ctr     runCounters
 	// attrib receives the SE_L3 stall charges (nil = off).
 	attrib *obs.Attribution
@@ -132,7 +131,7 @@ type coreRun struct {
 	// re-slicing the front) lets the drained slice be reused in place.
 	queue   []*cpu.MicroOp
 	qhead   int
-	actions flatmap.Map[func(done func())]
+	actions map[uint64]func(done func())
 	// memFree heads the memCtx freelist (see memCtx).
 	memFree *memCtx
 	// lastSeq/haveSeq map IR values to the seq of their last emitted
@@ -185,12 +184,12 @@ func (cr *coreRun) decoupledCore() bool {
 // seTLBLookup models the SE_L3-colocated TLB: one access per page, cached
 // thereafter (§IV-B). Returns extra latency and hit status.
 func (cr *coreRun) seTLBLookup(bank int, pa uint64) (sim.Time, bool) {
-	pages := &cr.shared.sePages[bank]
+	pages := cr.shared.sePages[bank]
 	page := pa >> tlb.HugePageBits
-	if pages.Contains(page) {
+	if _, ok := pages[page]; ok {
 		return 0, true
 	}
-	pages.Put(page, struct{}{})
+	pages[page] = struct{}{}
 	cr.shared.ctr.setlbMisses.Inc()
 	return 8, false
 }
@@ -221,10 +220,11 @@ func Run(m *machine.Machine, k *ir.Kernel, sys System, params Params, kparams ma
 	}
 	parts := Partition(total, cores)
 
-	shared := &runShared{m: m, scms: make([]*SCM, m.Tiles()), sePages: make([]flatmap.Map[struct{}], m.Tiles()), ctr: newRunCounters(m.Obs)}
+	shared := &runShared{m: m, scms: make([]*SCM, m.Tiles()), sePages: make([]map[uint64]struct{}, m.Tiles()), ctr: newRunCounters(m.Obs)}
 	shared.attrib = m.Attrib
 	for i := range shared.scms {
 		shared.scms[i] = NewSCM(m.Engine, params)
+		shared.sePages[i] = make(map[uint64]struct{})
 	}
 
 	res := &RunResult{DynOps: map[compiler.Category]uint64{}, Plan: plan}
@@ -246,6 +246,7 @@ func Run(m *machine.Machine, k *ir.Kernel, sys System, params Params, kparams ma
 			params: params, plan: plan, k: k, trace: tr,
 			lastSeq: make([]uint64, len(k.Ops)),
 			haveSeq: make([]bool, len(k.Ops)),
+			actions: make(map[uint64]func(done func())),
 		}
 		cr.startReplay(body)
 		nsid := cr.nextSidBound()
@@ -755,8 +756,8 @@ func (cr *coreRun) streamFinished() {
 func (cr *coreRun) memFunc(seq uint64, ref cpu.MemRef, at sim.Time, done func()) {
 	mc := cr.getMemCtx()
 	mc.done = done
-	if act, ok := cr.actions.Get(seq); ok {
-		cr.actions.Delete(seq)
+	if act, ok := cr.actions[seq]; ok {
+		delete(cr.actions, seq)
 		mc.act = act
 		cr.m.Engine.ScheduleAt(at, mc.actEv)
 		return

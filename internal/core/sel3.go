@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/cache"
 	"repro/internal/compiler"
-	"repro/internal/flatmap"
 	"repro/internal/isa"
 	"repro/internal/noc"
 	"repro/internal/obs"
@@ -72,12 +71,11 @@ type remoteStream struct {
 
 	// lineDone caches per-line availability; linePend queues callbacks
 	// while a line access is outstanding; lineWritten coalesces store
-	// writebacks per line. Flat open-addressed tables: these are probed
-	// per element, and the pend slices recycle through pendPool so a
+	// writebacks per line. The pend slices recycle through pendPool so a
 	// steady state allocates nothing.
-	lineDone    flatmap.Map[sim.Time]
-	linePend    flatmap.Map[[]func(at sim.Time)]
-	lineWritten flatmap.Map[struct{}]
+	lineDone    map[uint64]sim.Time
+	linePend    map[uint64][]func(at sim.Time)
+	lineWritten map[uint64]struct{}
 	pendPool    [][]func(at sim.Time)
 
 	// Range-sync state. Commits pipeline: nextCommit is the next window
@@ -106,7 +104,7 @@ type remoteStream struct {
 
 	// Scratch for commitWindow's per-window line dedup, reused across
 	// windows (only ever used synchronously within one commit delivery).
-	commitSeen  flatmap.Map[struct{}]
+	commitSeen  map[uint64]struct{}
 	commitLines []uint64
 
 	finished   bool
@@ -139,6 +137,10 @@ func newRemoteStream(cr *coreRun, s *compiler.Stream, elems []streamElem) *remot
 		cr: cr, s: s, elems: elems,
 		done:         make([]bool, len(elems)),
 		visitedBanks: make([]bool, cr.m.Tiles()),
+		lineDone:     make(map[uint64]sim.Time),
+		linePend:     make(map[uint64][]func(at sim.Time)),
+		lineWritten:  make(map[uint64]struct{}),
+		commitSeen:   make(map[uint64]struct{}),
 		curBank:      -1,
 		stepExempt:   s.Kind == isa.KindPointerChase,
 	}
@@ -445,7 +447,7 @@ func (rs *remoteStream) afterMigrate(i int, line uint64, bank int) {
 // ensureLine resolves a line's availability at its bank, paying the bank
 // access once per line.
 func (rs *remoteStream) ensureLine(bank int, line uint64, cb func(at sim.Time)) {
-	if t, ok := rs.lineDone.Get(line); ok {
+	if t, ok := rs.lineDone[line]; ok {
 		now := rs.cr.m.Engine.Now()
 		if t < now {
 			t = now
@@ -453,8 +455,8 @@ func (rs *remoteStream) ensureLine(bank int, line uint64, cb func(at sim.Time)) 
 		cb(t + 1) // buffered element access
 		return
 	}
-	if pend, ok := rs.linePend.Get(line); ok {
-		rs.linePend.Put(line, append(pend, cb))
+	if pend, ok := rs.linePend[line]; ok {
+		rs.linePend[line] = append(pend, cb)
 		return
 	}
 	var pend []func(sim.Time)
@@ -464,12 +466,12 @@ func (rs *remoteStream) ensureLine(bank int, line uint64, cb func(at sim.Time)) 
 	} else {
 		pend = make([]func(sim.Time), 0, 4)
 	}
-	rs.linePend.Put(line, append(pend, cb))
+	rs.linePend[line] = append(pend, cb)
 	rs.cr.m.Hier.Bank(bank).StreamRead(line, func(bool) {
 		at := rs.cr.m.Engine.Now()
-		rs.lineDone.Put(line, at)
-		pend, _ := rs.linePend.Get(line)
-		rs.linePend.Delete(line)
+		rs.lineDone[line] = at
+		pend := rs.linePend[line]
+		delete(rs.linePend, line)
 		for _, fn := range pend {
 			fn(at)
 		}
@@ -537,7 +539,7 @@ func (ec *elemCtx) complete(at sim.Time) {
 	if rs.cr.pol.offloadCompute && (len(rs.s.ComputeOps) > 0 || (rs.s.ScalarOp != isa.OpNone && rs.s.ScalarOp != isa.OpFunc)) {
 		scm := rs.cr.scmAt(ec.bank)
 		scalarOK := rs.s.ScalarOp != isa.OpNone && rs.s.ScalarOp != isa.OpFunc && len(rs.s.ComputeOps) <= 2
-		at = computeAt(scm, rs.cr.params, scalarOK, maxi(len(rs.s.ComputeOps), 1), rs.s.Vector, at)
+		at = computeAt(scm, rs.cr.params, scalarOK, max(len(rs.s.ComputeOps), 1), rs.s.Vector, at)
 		rs.cr.shared.ctr.remoteCompute.Inc()
 	}
 	rs.cr.m.Engine.ScheduleAt(at, ec.doneEv)
@@ -571,11 +573,11 @@ func (ec *elemCtx) atomicLine(at sim.Time) {
 	}
 	// The first atomic to a line claims it in the L3 (clearing private
 	// copies); later same-line atomics update in place in a cycle.
-	if rs.lineWritten.Contains(ec.line) {
+	if _, ok := rs.lineWritten[ec.line]; ok {
 		m.Engine.ScheduleAt(at, ec.relComp1Ev)
 		return
 	}
-	rs.lineWritten.Put(ec.line, struct{}{})
+	rs.lineWritten[ec.line] = struct{}{}
 	m.Hier.Bank(ec.bank).StreamWrite(ec.line, ec.wrRelCB)
 }
 
@@ -619,11 +621,11 @@ func (rs *remoteStream) accessElem(i int, line uint64, bank int) {
 			return
 		}
 		// Stores coalesce in the stream buffer and write back per line.
-		if rs.lineWritten.Contains(line) {
+		if _, ok := rs.lineWritten[line]; ok {
 			ec.complete(m.Engine.Now() + 1)
 			return
 		}
-		rs.lineWritten.Put(line, struct{}{})
+		rs.lineWritten[line] = struct{}{}
 		b.StreamWrite(line, ec.writeCB)
 	default:
 		rs.ensureLine(bank, line, ec.completeCB)
@@ -814,12 +816,12 @@ func (rs *remoteStream) commitWindow(win, endElem int) {
 			// touched inside this synchronous loop, so pipelined commits
 			// reuse it safely.
 			startElem := win * cr.params.RangeWindow
-			rs.commitSeen.Clear()
+			clear(rs.commitSeen)
 			lines := rs.commitLines[:0]
 			for i := startElem; i < endElem; i++ {
 				line := cr.m.Hier.LineAddr(rs.elems[i].pa)
-				if !rs.commitSeen.Contains(line) {
-					rs.commitSeen.Put(line, struct{}{})
+				if _, seen := rs.commitSeen[line]; !seen {
+					rs.commitSeen[line] = struct{}{}
 					lines = append(lines, line)
 				}
 			}
@@ -913,18 +915,4 @@ func (cr *coreRun) lockModeKind() cache.LockMode {
 		return cache.LockMRSW
 	}
 	return cache.LockExclusive
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -152,7 +152,7 @@ func (cr *coreRun) push(op *cpu.MicroOp, action func(done func())) uint64 {
 		if op.Mem == nil {
 			op.Mem = &cpu.MemRef{}
 		}
-		cr.actions.Put(seq, action)
+		cr.actions[seq] = action
 	}
 	cr.queue = append(cr.queue, op)
 	return seq
@@ -263,7 +263,7 @@ func (cr *coreRun) emitPrefetchOrCore(id ir.ValueRef, ent *traceEntry, st *compi
 			sl.ExtraLatency = 1
 			seq := cr.push(sl, func(done func()) {
 				ics.consume(elem, func(at sim.Time) {
-					cr.m.Engine.ScheduleAt(maxT(at, cr.m.Engine.Now()), done)
+					cr.m.Engine.ScheduleAt(max(at, cr.m.Engine.Now()), done)
 				})
 			})
 			cr.setSeq(id, seq)
@@ -272,13 +272,6 @@ func (cr *coreRun) emitPrefetchOrCore(id ir.ValueRef, ent *traceEntry, st *compi
 		}
 	}
 	cr.emitCoreOp(id, ent)
-}
-
-func maxT(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // emitCoreOp lowers one IR op to a core micro-op with dependences.

@@ -195,8 +195,8 @@ func NewCore(engine *sim.Engine, cfg Config, source OpSource, mem MemFunc) *Core
 		robMask:   uint64(ring - 1),
 		rob:       make([]robEntry, ring),
 		doneTimes: make([]sim.Time, ring),
-		loadRing:  make([]sim.Time, maxInt(cfg.LQ, 1)),
-		storeRing: make([]sim.Time, maxInt(cfg.SQ, 1)),
+		loadRing:  make([]sim.Time, max(cfg.LQ, 1)),
+		storeRing: make([]sim.Time, max(cfg.SQ, 1)),
 	}
 	c.loadMem = c.newMemSlots(len(c.loadRing))
 	c.storeMem = c.newMemSlots(len(c.storeRing))
@@ -612,11 +612,4 @@ func fuFor(class OpClass) fuKind {
 	default:
 		panic("cpu: unknown op class")
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

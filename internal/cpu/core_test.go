@@ -426,8 +426,8 @@ func newRefCore(engine *sim.Engine, cfg Config, source OpSource, mem MemFunc) *r
 		robMask:   uint64(ring - 1),
 		rob:       make([]refEntry, ring),
 		doneTimes: make([]sim.Time, ring),
-		loadRing:  make([]sim.Time, maxInt(cfg.LQ, 1)),
-		storeRing: make([]sim.Time, maxInt(cfg.SQ, 1)),
+		loadRing:  make([]sim.Time, max(cfg.LQ, 1)),
+		storeRing: make([]sim.Time, max(cfg.SQ, 1)),
 	}
 	for k := range c.fu {
 		c.fu[k] = make([]sim.Time, cfg.FUCount[k])

@@ -6,7 +6,6 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/energy"
-	"repro/internal/flatmap"
 	"repro/internal/ir"
 	"repro/internal/isa"
 	"repro/internal/machine"
@@ -160,12 +159,13 @@ func idealTraffic(m *machine.Machine, w *workloads.Workload, plan *compiler.Plan
 			forwarded[s.BaseSid] = true
 		}
 	}
+	lru := newByteLRU(budget)
 	for c := 0; c < cores; c++ {
 		lo, hi := parts[c][0], parts[c][1]
 		if lo >= hi {
 			continue
 		}
-		lru := newByteLRU(budget)
+		lru.reset()
 		hooks := &ir.Hooks{OnMem: func(ev ir.MemEvent) {
 			pa := m.Translate(ev.Addr)
 			bank := m.Hier.HomeBank(pa)
@@ -195,16 +195,16 @@ func idealTraffic(m *machine.Machine, w *workloads.Workload, plan *compiler.Plan
 
 // byteLRU is a byte-budget LRU over element addresses (the "perfect
 // private cache" of Figure 1b). Entries are intrusively linked nodes in
-// one grow-only slice, recycled through a freelist and indexed by a flat
-// open-addressed map, so a steady-state touch — hit, miss, or eviction —
-// allocates nothing. The container/list version this replaces allocated a
-// node plus a map cell per miss, which was nearly all of the Fig1b
-// benchmark's garbage.
+// one grow-only slice, recycled through a freelist and indexed by a map,
+// so a steady-state touch — hit, miss, or eviction — allocates nothing
+// (TestByteLRUSteadyStateNoAllocs). The container/list version this
+// replaces allocated a node plus a map cell per miss, which was nearly
+// all of the Fig1b benchmark's garbage.
 type byteLRU struct {
 	budget int
 	used   int
 	nodes  []lruNode
-	idx    *flatmap.Map[int32]
+	idx    map[uint64]int32
 	head   int32 // most recently used, -1 when empty
 	tail   int32 // least recently used, -1 when empty
 	free   int32 // freelist head threaded through next, -1 when empty
@@ -217,7 +217,17 @@ type lruNode struct {
 }
 
 func newByteLRU(budget int) *byteLRU {
-	return &byteLRU{budget: budget, idx: flatmap.New[int32](1024), head: -1, tail: -1, free: -1}
+	return &byteLRU{budget: budget, idx: make(map[uint64]int32, 1024), head: -1, tail: -1, free: -1}
+}
+
+// reset empties l for the next core, keeping its node and index storage:
+// a grown map holds many tables, and building one per core allocated
+// them all again.
+func (l *byteLRU) reset() {
+	l.used = 0
+	l.nodes = l.nodes[:0]
+	clear(l.idx)
+	l.head, l.tail, l.free = -1, -1, -1
 }
 
 func (l *byteLRU) unlink(i int32) {
@@ -248,7 +258,7 @@ func (l *byteLRU) pushFront(i int32) {
 
 // touch returns true on a hit; misses insert and evict LRU bytes.
 func (l *byteLRU) touch(addr uint64, size int) bool {
-	if i, ok := l.idx.Get(addr); ok {
+	if i, ok := l.idx[addr]; ok {
 		if i != l.head {
 			l.unlink(i)
 			l.pushFront(i)
@@ -264,13 +274,13 @@ func (l *byteLRU) touch(addr uint64, size int) bool {
 	}
 	l.nodes[i] = lruNode{addr: addr, size: int32(size)}
 	l.pushFront(i)
-	l.idx.Put(addr, i)
+	l.idx[addr] = i
 	l.used += size
 	for l.used > l.budget && l.tail >= 0 {
 		t := l.tail
 		victim := l.nodes[t]
 		l.unlink(t)
-		l.idx.Delete(victim.addr)
+		delete(l.idx, victim.addr)
 		l.used -= int(victim.size)
 		l.nodes[t].next = l.free
 		l.free = t

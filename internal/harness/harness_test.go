@@ -79,6 +79,37 @@ func TestFig1bOrdering(t *testing.T) {
 	}
 }
 
+// TestByteLRUSteadyStateNoAllocs checks Figure 1b's byteLRU: once warm, a
+// touch that misses and evicts, or hits away from the head, allocates
+// nothing. The lines cycle through twice the budget, so every new line
+// misses and evicts the least recent one.
+func TestByteLRUSteadyStateNoAllocs(t *testing.T) {
+	const size, lines = 64, 128
+	const cycle = 2 * lines * size
+	l := newByteLRU(lines * size)
+	addr := uint64(0)
+	round := func() {
+		prev := addr
+		addr = (addr + size) % cycle
+		if l.touch(addr, size) {
+			t.Fatalf("line %#x hit, want a miss past the budget", addr)
+		}
+		if !l.touch(prev, size) || !l.touch(addr, size) {
+			t.Fatalf("lines %#x and %#x must both still be resident", prev, addr)
+		}
+	}
+	l.touch(addr, size)
+	for i := 0; i < 2*lines; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(1000, round); allocs != 0 {
+		t.Fatalf("steady-state touches: %v allocs/op, want 0", allocs)
+	}
+	if l.used != lines*size {
+		t.Fatalf("LRU holds %d bytes, want the %d-byte budget", l.used, lines*size)
+	}
+}
+
 func TestFig9ShapeOnQuickSet(t *testing.T) {
 	tab, err := sharedExp.Fig9(quick)
 	if err != nil {

@@ -183,7 +183,7 @@ func pathfinder(scale Scale) *Workload {
 		Check: func(d *ir.Data, accs map[string]uint64) error {
 			w, s, dst := d.Array("wall"), d.Array("src"), d.Array("dst")
 			for _, i := range []uint64{0, n / 2, n - 1} {
-				want := s.Get(i) + min3(w.Get(i), w.Get(i+1), w.Get(i+2))
+				want := s.Get(i) + min(w.Get(i), w.Get(i+1), w.Get(i+2))
 				if dst.Get(i) != want {
 					return fmt.Errorf("pathfinder: dst[%d]=%d want %d", i, dst.Get(i), want)
 				}
@@ -191,17 +191,6 @@ func pathfinder(scale Scale) *Workload {
 			return nil
 		},
 	}
-}
-
-func min3(a, b, c uint64) uint64 {
-	m := a
-	if b < m {
-		m = b
-	}
-	if c < m {
-		m = c
-	}
-	return m
 }
 
 // stencil2D builds a 5-point stencil kernel out[r][c] =
