@@ -234,14 +234,3 @@ func (a *Array) CountValid() int {
 	}
 	return n
 }
-
-// ForEach visits every valid line.
-func (a *Array) ForEach(fn func(*Line)) {
-	for _, set := range a.lines {
-		for i := range set {
-			if set[i].Valid() {
-				fn(&set[i])
-			}
-		}
-	}
-}

@@ -91,10 +91,8 @@ type Stream struct {
 	RetBytes int
 
 	// Reduction state.
-	ReduceBin ir.BinKind
-	AccName   string
-	AccLevel  int
-	AccInit   uint64
+	AccName  string
+	AccLevel int
 
 	// Nested marks inner-loop streams re-instantiated per outer
 	// iteration (Figure 4d). TripVal, when not NoValue, is the outer op

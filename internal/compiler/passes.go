@@ -1,6 +1,8 @@
 package compiler
 
 import (
+	"slices"
+
 	"repro/internal/ir"
 	"repro/internal/isa"
 )
@@ -12,7 +14,6 @@ type sliceResult struct {
 	leaves   []*Stream     // streams whose data the slice consumes
 	accReads []ir.ValueRef // accumulator reads (claimed by the consumer)
 	vector   bool
-	hasIndex bool // slice reads a loop index (SE supplies it)
 }
 
 // slice walks backward from root. The slice is valid when every leaf is a
@@ -31,11 +32,8 @@ func (cs *compileState) slice(root, consumer ir.ValueRef) (*sliceResult, bool) {
 		}
 		op := &cs.k.Ops[id]
 		switch op.Kind {
-		case ir.OpConst, ir.OpParam:
-			return // configuration inputs, not slice members
-		case ir.OpIndex:
-			res.hasIndex = true
-			return
+		case ir.OpConst, ir.OpParam, ir.OpIndex:
+			return // configuration inputs and SE-supplied indices, not slice members
 		case ir.OpLoad, ir.OpAtomic, ir.OpChaseVar:
 			s := cs.plan.Claimed[id]
 			if s == nil {
@@ -244,10 +242,8 @@ func (cs *compileState) assignReductions() {
 		s.CT = isa.ComputeReduce
 		s.Level = op.Level
 		s.Type = op.Type
-		s.ReduceBin = op.Bin
 		s.AccName = op.Acc
 		s.AccLevel = op.AccLevel
-		s.AccInit = op.Imm
 		s.RetBytes = op.Type.Size()
 		s.Vector = res.vector || op.Vector
 		s.ComputeOps = append(res.interior, ir.ValueRef(i))
@@ -337,7 +333,7 @@ func (cs *compileState) assignStoreValues() {
 		for sid := range leafSet {
 			s.ValueDepSids = append(s.ValueDepSids, sid)
 		}
-		sortInts(s.ValueDepSids)
+		slices.Sort(s.ValueDepSids)
 		s.Vector = s.Vector || vector
 		if len(allInterior) > 0 {
 			if s.ScalarOp == isa.OpNone {
@@ -483,7 +479,7 @@ func (cs *compileState) assignLoadClosures() {
 		for id := range set {
 			ids = append(ids, id)
 		}
-		sortRefs(ids)
+		slices.Sort(ids)
 		s.ComputeOps = append(s.ComputeOps, ids...)
 		s.CT = isa.ComputeLoad
 		s.RetBytes = cs.k.Ops[final].Type.Size()
@@ -522,16 +518,6 @@ func (cs *compileState) inputsConfigurable(op *ir.Op, s *Stream) bool {
 // streamBySid finds a live stream by sid.
 func (cs *compileState) streamBySid(sid int) *Stream {
 	for _, s := range cs.plan.Streams {
-		if s.Sid == sid {
-			return s
-		}
-	}
-	return nil
-}
-
-// StreamBySid finds a stream by sid in a finished plan.
-func (p *Plan) StreamBySid(sid int) *Stream {
-	for _, s := range p.Streams {
 		if s.Sid == sid {
 			return s
 		}
@@ -578,20 +564,4 @@ func (cs *compileState) analyzeDecoupling() {
 		}
 	}
 	cs.plan.FullyDecoupled = true
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-func sortRefs(xs []ir.ValueRef) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

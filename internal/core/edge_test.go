@@ -94,12 +94,11 @@ func TestSingleElementStreams(t *testing.T) {
 func TestSCMLatencyMonotone(t *testing.T) {
 	// Figure 13's premise at unit level: higher SE_L3→SCM issue latency
 	// never decreases compute completion time.
-	e := sim.NewEngine()
 	var prev sim.Time
 	for _, lat := range []uint64{1, 4, 16} {
 		p := DefaultParams(16)
 		p.SCMIssueLatency = lat
-		scm := NewSCM(e, p)
+		scm := NewSCM(p)
 		done := scm.Submit(8, true, 0)
 		if done < prev {
 			t.Fatalf("latency %d finished earlier (%d < %d)", lat, done, prev)
@@ -112,10 +111,9 @@ func TestSCMROBBoundsOverlap(t *testing.T) {
 	// Figure 14's premise: with a tiny ROB, many concurrent instances of
 	// a large function serialize; a big ROB overlaps them.
 	run := func(rob int) sim.Time {
-		e := sim.NewEngine()
 		p := DefaultParams(16)
 		p.SCCROB = rob
-		scm := NewSCM(e, p)
+		scm := NewSCM(p)
 		var last sim.Time
 		for i := 0; i < 32; i++ {
 			if d := scm.Submit(16, true, 0); d > last {
@@ -132,10 +130,9 @@ func TestSCMROBBoundsOverlap(t *testing.T) {
 
 func TestSCMThroughputScalesWithSCCs(t *testing.T) {
 	run := func(sccs int) sim.Time {
-		e := sim.NewEngine()
 		p := DefaultParams(16)
 		p.SCCCount = sccs
-		scm := NewSCM(e, p)
+		scm := NewSCM(p)
 		var last sim.Time
 		for i := 0; i < 64; i++ {
 			if d := scm.Submit(8, false, 0); d > last {
@@ -150,9 +147,8 @@ func TestSCMThroughputScalesWithSCCs(t *testing.T) {
 }
 
 func TestScalarPEBypassesSCM(t *testing.T) {
-	e := sim.NewEngine()
 	p := DefaultParams(16)
-	scm := NewSCM(e, p)
+	scm := NewSCM(p)
 	withPE := computeAt(scm, p, true, 1, false, 100)
 	p2 := p
 	p2.ScalarPE = false

@@ -1,7 +1,5 @@
 package core
 
-import "repro/internal/sim"
-
 // RangeTable is SE_core's alias-check structure (§IV-B): offloaded streams
 // report conservative physical address ranges [min, max) per window; when
 // the core commits a load or store, the address is checked against every
@@ -20,11 +18,10 @@ type RangeTable struct {
 type streamRange struct {
 	sid      int
 	min, max uint64 // [min, max)
-	validAt  sim.Time
 }
 
 // Update installs or widens the range of stream sid.
-func (rt *RangeTable) Update(sid int, min, max uint64, at sim.Time) {
+func (rt *RangeTable) Update(sid int, min, max uint64) {
 	for i := range rt.ranges {
 		if rt.ranges[i].sid == sid {
 			if min < rt.ranges[i].min {
@@ -33,11 +30,10 @@ func (rt *RangeTable) Update(sid int, min, max uint64, at sim.Time) {
 			if max > rt.ranges[i].max {
 				rt.ranges[i].max = max
 			}
-			rt.ranges[i].validAt = at
 			return
 		}
 	}
-	rt.ranges = append(rt.ranges, streamRange{sid: sid, min: min, max: max, validAt: at})
+	rt.ranges = append(rt.ranges, streamRange{sid: sid, min: min, max: max})
 }
 
 // Release drops stream sid's range (stream ended or terminated).

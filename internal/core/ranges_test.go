@@ -9,8 +9,8 @@ import (
 
 func TestRangeTableAliasDetection(t *testing.T) {
 	var rt RangeTable
-	rt.Update(1, 0x1000, 0x2000, 0)
-	rt.Update(2, 0x8000, 0x8100, 0)
+	rt.Update(1, 0x1000, 0x2000)
+	rt.Update(2, 0x8000, 0x8100)
 	cases := []struct {
 		addr  uint64
 		size  int
@@ -36,8 +36,8 @@ func TestRangeTableAliasDetection(t *testing.T) {
 
 func TestRangeTableWidens(t *testing.T) {
 	var rt RangeTable
-	rt.Update(1, 0x1000, 0x1100, 0)
-	rt.Update(1, 0x0800, 0x0900, 5) // widens downward
+	rt.Update(1, 0x1000, 0x1100)
+	rt.Update(1, 0x0800, 0x0900) // widens downward
 	if _, alias := rt.Check(0x810, 8); !alias {
 		t.Fatal("widened range missed")
 	}
@@ -48,8 +48,8 @@ func TestRangeTableWidens(t *testing.T) {
 
 func TestRangeTableRelease(t *testing.T) {
 	var rt RangeTable
-	rt.Update(1, 0, 100, 0)
-	rt.Update(2, 200, 300, 0)
+	rt.Update(1, 0, 100)
+	rt.Update(2, 200, 300)
 	rt.Release(1)
 	if _, alias := rt.Check(50, 8); alias {
 		t.Fatal("released range still aliases")
@@ -74,7 +74,7 @@ func TestRangeConservatismProperty(t *testing.T) {
 		}
 		lo, hi := rangeOfWindow(elems, 0, len(elems))
 		var rt RangeTable
-		rt.Update(0, lo, hi, 0)
+		rt.Update(0, lo, hi)
 		for _, e := range elems {
 			if _, alias := rt.Check(e.pa, int(e.size)); !alias {
 				return false // an element escaped its own range

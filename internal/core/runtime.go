@@ -150,7 +150,6 @@ type coreRun struct {
 	pendingStreams int
 	barrierWaiters []func()
 	endEmitted     bool
-	doneEmitted    bool
 
 	offloadedDyn uint64
 }
@@ -223,7 +222,7 @@ func Run(m *machine.Machine, k *ir.Kernel, sys System, params Params, kparams ma
 	shared := &runShared{m: m, scms: make([]*SCM, m.Tiles()), sePages: make([]map[uint64]struct{}, m.Tiles()), ctr: newRunCounters(m.Obs)}
 	shared.attrib = m.Attrib
 	for i := range shared.scms {
-		shared.scms[i] = NewSCM(m.Engine, params)
+		shared.scms[i] = NewSCM(params)
 		shared.sePages[i] = make(map[uint64]struct{})
 	}
 
@@ -434,9 +433,17 @@ func (cr *coreRun) decideModes() {
 
 // streamGroups partitions streams into dependence-connected components:
 // offloading decisions are made per group so producers move with
-// consumers.
+// consumers. Groups come in order of their union-find root sid, members
+// in p.Streams order; SINGLE chains start in this order, so it fixes the
+// order of simulation events.
 func streamGroups(p *compiler.Plan) [][]*compiler.Stream {
-	parent := map[int]int{}
+	parent := make([]int, p.Sids) // -1: no stream of p has this sid
+	for i := range parent {
+		parent[i] = -1
+	}
+	for _, s := range p.Streams {
+		parent[s.Sid] = s.Sid
+	}
 	var find func(x int) int
 	find = func(x int) int {
 		if parent[x] != x {
@@ -444,35 +451,26 @@ func streamGroups(p *compiler.Plan) [][]*compiler.Stream {
 		}
 		return parent[x]
 	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-	for _, s := range p.Streams {
-		parent[s.Sid] = s.Sid
+	union := func(a, b int) {
+		if b >= 0 && parent[b] >= 0 {
+			parent[find(a)] = find(b)
+		}
 	}
 	for _, s := range p.Streams {
-		if s.BaseSid >= 0 {
-			if _, ok := parent[s.BaseSid]; ok {
-				union(s.Sid, s.BaseSid)
-			}
-		}
+		union(s.Sid, s.BaseSid)
 		for _, d := range s.ValueDepSids {
-			if _, ok := parent[d]; ok {
-				union(s.Sid, d)
-			}
+			union(s.Sid, d)
 		}
 	}
-	byRoot := map[int][]*compiler.Stream{}
+	byRoot := make([][]*compiler.Stream, p.Sids)
 	for _, s := range p.Streams {
 		r := find(s.Sid)
 		byRoot[r] = append(byRoot[r], s)
 	}
-	out := make([][]*compiler.Stream, 0, len(byRoot))
-	// Deterministic order: by smallest sid.
-	for sid := 0; sid < len(p.Streams)*2+16; sid++ {
-		for root, g := range byRoot {
-			if root == sid {
-				out = append(out, g)
-				delete(byRoot, root)
-			}
+	out := make([][]*compiler.Stream, 0, len(p.Streams))
+	for _, g := range byRoot {
+		if g != nil {
+			out = append(out, g)
 		}
 	}
 	return out

@@ -18,7 +18,6 @@ import (
 // insensitive to ROB size, SIMD-heavy stencils need a larger window to
 // hide the SE_L3→SCM issue latency.
 type SCM struct {
-	engine *sim.Engine
 	params Params
 
 	// Per-SCC state.
@@ -33,13 +32,12 @@ type SCM struct {
 const sccIssueWidth = 2
 
 // NewSCM builds a tile's SCM.
-func NewSCM(engine *sim.Engine, params Params) *SCM {
+func NewSCM(params Params) *SCM {
 	n := params.SCCCount
 	if n <= 0 {
 		n = 1
 	}
 	s := &SCM{
-		engine:    engine,
 		params:    params,
 		nextIssue: make([]sim.Time, n),
 		inflight:  make([][]sim.Time, n),

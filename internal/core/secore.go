@@ -15,10 +15,7 @@ import (
 type inCoreStream struct {
 	cr    *coreRun
 	elems []streamElem
-
-	ready   []sim.Time
-	done    []bool
-	waiters map[int][]func(at sim.Time)
+	fifo  elemWaits // element i's data is in the FIFO
 
 	issued   int
 	consumed int
@@ -33,7 +30,7 @@ type inCoreStream struct {
 	// on the next blocked element — a self-sustaining cascade that
 	// dominated the simulator's allocation profile.
 	basePending bool
-	pumpFn      func(sim.Time)
+	pumpFn      func()
 
 	// Per-line dedupe: consecutive elements on one line share a fetch;
 	// linePend queues the element indices waiting on the owner's fill.
@@ -44,13 +41,11 @@ type inCoreStream struct {
 func newInCoreStream(cr *coreRun, elems []streamElem, serial bool) *inCoreStream {
 	ics := &inCoreStream{
 		cr: cr, elems: elems, serial: serial,
-		ready:    make([]sim.Time, len(elems)),
-		done:     make([]bool, len(elems)),
-		waiters:  map[int][]func(at sim.Time){},
+		fifo:     elemWaits{done: make([]bool, len(elems))},
 		lineDone: map[uint64]sim.Time{},
 		linePend: map[uint64][]int{},
 	}
-	ics.pumpFn = func(sim.Time) {
+	ics.pumpFn = func() {
 		ics.basePending = false
 		ics.pump()
 	}
@@ -58,7 +53,7 @@ func newInCoreStream(cr *coreRun, elems []streamElem, serial bool) *inCoreStream
 }
 
 // consume is the s_load: done fires when element i's data is in the FIFO.
-func (ics *inCoreStream) consume(i int, done func(at sim.Time)) {
+func (ics *inCoreStream) consume(i int, done func()) {
 	if i >= len(ics.elems) {
 		panic("core: s_load past end of stream")
 	}
@@ -66,15 +61,7 @@ func (ics *inCoreStream) consume(i int, done func(at sim.Time)) {
 		ics.consumed = i + 1
 	}
 	ics.pump()
-	if ics.done[i] {
-		at := ics.ready[i]
-		if now := ics.cr.m.Engine.Now(); now > at {
-			at = now
-		}
-		done(at)
-		return
-	}
-	ics.waiters[i] = append(ics.waiters[i], done)
+	ics.fifo.wait(i, done)
 }
 
 // pump issues prefetches up to the FIFO depth ahead of consumption.
@@ -82,12 +69,12 @@ func (ics *inCoreStream) pump() {
 	depth := ics.cr.params.FIFODepth
 	for ics.issued < len(ics.elems) && ics.issued < ics.consumed+depth {
 		i := ics.issued
-		if ics.serial && i > 0 && !ics.done[i-1] && ics.elems[i].chain == ics.elems[i-1].chain {
+		if ics.serial && i > 0 && !ics.fifo.done[i-1] && ics.elems[i].chain == ics.elems[i-1].chain {
 			return // pointer chase: the next node's address needs this one
 		}
 		if ics.base != nil {
 			bi := min(i, len(ics.base.elems)-1)
-			if bi >= 0 && !ics.base.done[bi] {
+			if bi >= 0 && !ics.base.fifo.done[bi] {
 				// Indirect: the index must arrive first; piggyback on the
 				// base stream's FIFO fill.
 				if !ics.basePending {
@@ -136,12 +123,7 @@ const sePrefetchPC uint64 = 0x5E0
 
 func (ics *inCoreStream) complete(i int, at sim.Time) {
 	ics.cr.m.Engine.ScheduleAt(at, func() {
-		ics.ready[i] = ics.cr.m.Engine.Now()
-		ics.done[i] = true
-		for _, w := range ics.waiters[i] {
-			w(ics.ready[i])
-		}
-		delete(ics.waiters, i)
+		ics.fifo.finish(i)
 		ics.pump()
 	})
 }

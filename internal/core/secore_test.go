@@ -22,7 +22,7 @@ func TestInCoreStreamConsumeDelivers(t *testing.T) {
 	cr, ics := mkInCore(t, 32, false)
 	got := 0
 	for i := 0; i < 32; i++ {
-		ics.consume(i, func(sim.Time) { got++ })
+		ics.consume(i, func() { got++ })
 	}
 	cr.m.Engine.Run()
 	if got != 32 {
@@ -33,7 +33,7 @@ func TestInCoreStreamConsumeDelivers(t *testing.T) {
 func TestInCoreStreamPrefetchesAhead(t *testing.T) {
 	cr, ics := mkInCore(t, 64, false)
 	// Consuming element 0 should trigger prefetches up to the FIFO depth.
-	ics.consume(0, func(sim.Time) {})
+	ics.consume(0, func() {})
 	if ics.issued <= 1 {
 		t.Fatalf("issued only %d; SE should run ahead of consumption", ics.issued)
 	}
@@ -45,16 +45,18 @@ func TestInCoreStreamPrefetchesAhead(t *testing.T) {
 
 func TestInCoreStreamSecondConsumeIsFast(t *testing.T) {
 	cr, ics := mkInCore(t, 32, false)
-	var first sim.Time
-	ics.consume(0, func(at sim.Time) { first = at })
-	cr.m.Engine.Run()
+	var first, second sim.Time
+	ics.consume(0, func() { first = cr.m.Engine.Now() })
 	// Element 1 shares element 0's line: its FIFO-ready time must be
 	// within a couple of cycles of element 0's (one line fetch serves
-	// both; delivery times are clamped to "now", so inspect ready[]).
-	if !ics.done[1] {
+	// both). A plain wait does not advance consumption, so it observes
+	// the prefetch that consuming element 0 started.
+	ics.fifo.wait(1, func() { second = cr.m.Engine.Now() })
+	cr.m.Engine.Run()
+	if !ics.fifo.done[1] {
 		t.Fatal("element 1 not prefetched alongside element 0")
 	}
-	if second := ics.ready[1]; second > first+8 {
+	if second > first+8 {
 		t.Fatalf("same-line element slow: first=%d second=%d", first, second)
 	}
 }
@@ -64,15 +66,15 @@ func TestInCoreSerialChaseOrder(t *testing.T) {
 	// chain) completed.
 	cr, ics := mkInCore(t, 8, true)
 	// Elements 0..3 are chain 0, 4..7 chain 1 (from mkInCore).
-	ics.consume(7, func(sim.Time) {})
+	ics.consume(7, func() {})
 	// Only chain-boundary overlap allowed: issued counts stay small
 	// until completions land.
 	if ics.issued > 2 {
 		t.Fatalf("serial chase issued %d immediately", ics.issued)
 	}
 	cr.m.Engine.Run()
-	for i := range ics.done {
-		if !ics.done[i] && i <= 7 {
+	for i, done := range ics.fifo.done {
+		if !done && i <= 7 {
 			t.Fatalf("element %d never completed", i)
 		}
 	}
@@ -87,7 +89,7 @@ func TestInCoreIndirectWaitsForBase(t *testing.T) {
 	ind := newInCoreStream(cr, elems, false)
 	ind.base = base
 	done := false
-	ind.consume(0, func(sim.Time) { done = true })
+	ind.consume(0, func() { done = true })
 	// The indirect fetch needs base element 0 first; nothing can be done
 	// until events run.
 	if done {
@@ -97,7 +99,7 @@ func TestInCoreIndirectWaitsForBase(t *testing.T) {
 	if !done {
 		t.Fatal("indirect element never completed")
 	}
-	if !base.done[0] {
+	if !base.fifo.done[0] {
 		t.Fatal("base element not fetched")
 	}
 }
@@ -109,5 +111,5 @@ func TestInCoreConsumePastEndPanics(t *testing.T) {
 			t.Fatal("consume past end should panic")
 		}
 	}()
-	ics.consume(4, func(sim.Time) {})
+	ics.consume(4, func() {})
 }

@@ -31,20 +31,11 @@ type remoteStream struct {
 	// elems is the dynamic element sequence from the trace.
 	elems []streamElem
 
-	// Per-element completion state at the bank. waiter holds each
-	// element's (almost always single) completion callback in a dense
-	// slot — consumer streams re-register their advance event per
-	// element, which made a map of slices the hottest allocation site in
-	// the simulator; registrations beyond the first overflow to waiterOv.
-	done     []bool
-	waiter   []func()         // lazily sized to len(elems)
-	waiterOv map[int][]func() // rare: second and later waiters
-
-	// respAt/respDone track per-element responses at the core.
-	respAt    []sim.Time
-	respDone  []bool
-	respWtr   []func(sim.Time) // dense, like waiter
-	respWtrOv map[int][]func(sim.Time)
+	// avail is element completion at the bank; resp is each element's
+	// response arriving at the core (resp.done is nil when the stream
+	// returns nothing).
+	avail elemWaits
+	resp  elemWaits
 
 	// Value dependences (forwarded operands) and indirect base.
 	deps []*remoteStream
@@ -62,7 +53,7 @@ type remoteStream struct {
 	// allocate on the stream's hottest path.
 	advanceEv sim.Event
 
-	// parked dedups elemReady registrations on a producer: advance is
+	// parked dedups avail.wait registrations on a producer: advance is
 	// re-entered from many sources while blocked on the same element, and
 	// re-registering each time piled up no-op callbacks. parkedFire is
 	// the bound wakeup that clears the flag before advancing.
@@ -135,7 +126,7 @@ func (rs *remoteStream) lockKey() int {
 func newRemoteStream(cr *coreRun, s *compiler.Stream, elems []streamElem) *remoteStream {
 	rs := &remoteStream{
 		cr: cr, s: s, elems: elems,
-		done:         make([]bool, len(elems)),
+		avail:        elemWaits{done: make([]bool, len(elems))},
 		visitedBanks: make([]bool, cr.m.Tiles()),
 		lineDone:     make(map[uint64]sim.Time),
 		linePend:     make(map[uint64][]func(at sim.Time)),
@@ -145,8 +136,7 @@ func newRemoteStream(cr *coreRun, s *compiler.Stream, elems []streamElem) *remot
 		stepExempt:   s.Kind == isa.KindPointerChase,
 	}
 	if s.RetBytes > 0 || !cr.pol.offloadCompute {
-		rs.respAt = make([]sim.Time, len(elems))
-		rs.respDone = make([]bool, len(elems))
+		rs.resp.done = make([]bool, len(elems))
 	}
 	if cr.pol.rangeSync {
 		rs.rangeArrived = make([]bool, rs.numWindows()+1)
@@ -220,47 +210,6 @@ func (rs *remoteStream) creditOK(i int) bool {
 	return rs.windowOf(i)-rs.winCommitted < rs.cr.params.CreditWindows
 }
 
-// elemReady registers a callback for element i's availability at its bank.
-func (rs *remoteStream) elemReady(i int, fn func()) {
-	if rs.done[i] {
-		fn()
-		return
-	}
-	if rs.waiter == nil {
-		rs.waiter = make([]func(), len(rs.elems))
-	}
-	if rs.waiter[i] == nil {
-		rs.waiter[i] = fn
-		return
-	}
-	if rs.waiterOv == nil {
-		rs.waiterOv = map[int][]func(){}
-	}
-	rs.waiterOv[i] = append(rs.waiterOv[i], fn)
-}
-
-// respReady registers a callback for element i's response at the core.
-func (rs *remoteStream) respReady(i int, fn func(at sim.Time)) {
-	if i >= len(rs.respDone) {
-		panic("core: respReady on stream without responses")
-	}
-	if rs.respDone[i] {
-		fn(rs.respAt[i])
-		return
-	}
-	if rs.respWtr == nil {
-		rs.respWtr = make([]func(sim.Time), len(rs.elems))
-	}
-	if rs.respWtr[i] == nil {
-		rs.respWtr[i] = fn
-		return
-	}
-	if rs.respWtrOv == nil {
-		rs.respWtrOv = map[int][]func(sim.Time){}
-	}
-	rs.respWtrOv[i] = append(rs.respWtrOv[i], fn)
-}
-
 // Suspend stops issuing elements and calls onDrained once in-flight work
 // and commit round trips complete — the Figure 7b/§V drain that makes the
 // stream's progress architectural state.
@@ -319,24 +268,24 @@ func (rs *remoteStream) advance() {
 			return
 		}
 		if rs.base != nil {
-			bi := min(i, len(rs.base.done)-1)
-			if bi >= 0 && !rs.base.done[bi] {
+			bi := min(i, len(rs.base.elems)-1)
+			if bi >= 0 && !rs.base.avail.done[bi] {
 				if !rs.parked {
 					rs.parked = true
 					rs.cr.shared.attrib.Charge(obs.StallElementWait, 0)
-					rs.base.elemReady(bi, rs.parkedFire)
+					rs.base.avail.wait(bi, rs.parkedFire)
 				}
 				return
 			}
 		}
 		blocked := false
 		for _, dep := range rs.deps {
-			di := min(i, len(dep.done)-1)
-			if di >= 0 && !dep.done[di] {
+			di := min(i, len(dep.elems)-1)
+			if di >= 0 && !dep.avail.done[di] {
 				if !rs.parked {
 					rs.parked = true
 					rs.cr.shared.attrib.Charge(obs.StallElementWait, 0)
-					dep.elemReady(di, rs.parkedFire)
+					dep.avail.wait(di, rs.parkedFire)
 				}
 				blocked = true
 				break
@@ -646,23 +595,11 @@ func (rs *remoteStream) releaseLock(bank int, line uint64) {
 // elemDone finalizes element i: responses, window bookkeeping, pipeline
 // refill.
 func (rs *remoteStream) elemDone(i int, line uint64, bank int) {
-	rs.done[i] = true
 	rs.inflight--
 	rs.elemsProcessed++
-	if rs.waiter != nil {
-		if w := rs.waiter[i]; w != nil {
-			rs.waiter[i] = nil
-			w()
-			if ws, ok := rs.waiterOv[i]; ok {
-				delete(rs.waiterOv, i)
-				for _, w := range ws {
-					w()
-				}
-			}
-		}
-	}
+	rs.avail.finish(i)
 
-	if rs.respAt != nil && rs.s.CT != isa.ComputeReduce {
+	if rs.resp.done != nil && rs.s.CT != isa.ComputeReduce {
 		bytes := rs.s.RetBytes
 		if !rs.cr.pol.offloadCompute && !rs.s.Write {
 			// Address-only offload forwards the raw element to the core.
@@ -671,8 +608,7 @@ func (rs *remoteStream) elemDone(i int, line uint64, bank int) {
 		if bytes > 0 {
 			rs.sendResponse(i, bank, bytes)
 		} else {
-			rs.respAt[i] = rs.cr.m.Engine.Now()
-			rs.respDone[i] = true
+			rs.resp.finish(i)
 		}
 	}
 
@@ -694,7 +630,7 @@ func (rs *remoteStream) doneThroughWindow(w int) bool {
 		end = len(rs.elems)
 	}
 	for i := w * rs.cr.params.RangeWindow; i < end; i++ {
-		if !rs.done[i] {
+		if !rs.avail.done[i] {
 			return false
 		}
 	}
@@ -703,23 +639,7 @@ func (rs *remoteStream) doneThroughWindow(w int) bool {
 
 func (rs *remoteStream) sendResponse(i, bank, bytes int) {
 	rs.cr.net().Send(&noc.Message{Src: bank, Dst: rs.cr.coreID, Bytes: bytes,
-		Class: noc.TrafficOffload, OnDeliver: func() {
-			at := rs.cr.m.Engine.Now()
-			rs.respAt[i] = at
-			rs.respDone[i] = true
-			if rs.respWtr != nil {
-				if w := rs.respWtr[i]; w != nil {
-					rs.respWtr[i] = nil
-					w(at)
-					if ws, ok := rs.respWtrOv[i]; ok {
-						delete(rs.respWtrOv, i)
-						for _, w := range ws {
-							w(at)
-						}
-					}
-				}
-			}
-		}})
+		Class: noc.TrafficOffload, OnDeliver: func() { rs.resp.finish(i) }})
 }
 
 // windowProcessed handles end-of-window protocol actions (Figure 7a).
@@ -739,14 +659,14 @@ func (rs *remoteStream) windowProcessed(win, bank int) {
 	if needRangeMsg {
 		cr.net().Send(&noc.Message{Src: bank, Dst: cr.coreID, Bytes: rangeBytes,
 			Class: noc.TrafficOffload, OnDeliver: func() {
-				cr.ranges.Update(rs.s.Sid, lo, hi, cr.m.Engine.Now())
+				cr.ranges.Update(rs.s.Sid, lo, hi)
 				rs.rangeArrived[win] = true
 				rs.tryCommit()
 			}})
 	} else {
 		// Affine ranges generated at SE_core (Figure 15 default): no
 		// traffic, duplicate address generation is SE-local work.
-		cr.ranges.Update(rs.s.Sid, lo, hi, cr.m.Engine.Now())
+		cr.ranges.Update(rs.s.Sid, lo, hi)
 		rs.rangeArrived[win] = true
 		rs.tryCommit()
 	}

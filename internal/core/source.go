@@ -5,7 +5,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/ir"
 	"repro/internal/isa"
-	"repro/internal/sim"
 )
 
 // coreSource adapts a coreRun to the cpu.OpSource interface; micro-ops are
@@ -205,7 +204,7 @@ func (cr *coreRun) emitEntry(ent *traceEntry) {
 				cr.push(step, nil)
 			}
 			// A later core consumer of this element must s_load it.
-			if rs != nil && rs.respAt != nil {
+			if rs != nil && rs.resp.done != nil {
 				cr.haveSeq[id] = false
 			}
 		}
@@ -262,9 +261,7 @@ func (cr *coreRun) emitPrefetchOrCore(id ir.ValueRef, ent *traceEntry, st *compi
 			sl := cr.newOp(cpu.Load)
 			sl.ExtraLatency = 1
 			seq := cr.push(sl, func(done func()) {
-				ics.consume(elem, func(at sim.Time) {
-					cr.m.Engine.ScheduleAt(max(at, cr.m.Engine.Now()), done)
-				})
+				ics.consume(elem, func() { cr.m.Engine.Schedule(0, done) })
 			})
 			cr.setSeq(id, seq)
 			cr.shared.ctr.sload.Inc()
@@ -376,17 +373,17 @@ func (cr *coreRun) addDep(mop *cpu.MicroOp, r ir.ValueRef) {
 	// FIFO (s_load).
 	if st := cr.streamOf(r); st != nil && cr.modes[st.Sid] == modeRemote {
 		rs := cr.remotes[st.Sid]
-		if rs != nil && rs.respAt != nil && r == st.AccessOp {
+		if rs != nil && rs.resp.done != nil && r == st.AccessOp {
 			idx := cr.consumeCount[st.Sid]
 			cr.consumeCount[st.Sid] = idx + 1
-			if idx >= len(rs.respAt) {
-				idx = len(rs.respAt) - 1
+			if idx >= len(rs.resp.done) {
+				idx = len(rs.resp.done) - 1
 			}
 			elem := idx
 			sl := cr.newOp(cpu.Load)
 			sl.ExtraLatency = 1
 			seq := cr.push(sl, func(done func()) {
-				rs.respReady(elem, func(sim.Time) { done() })
+				rs.resp.wait(elem, done)
 			})
 			cr.setSeq(r, seq)
 			cr.shared.ctr.sloadRemote.Inc()

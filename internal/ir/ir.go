@@ -253,9 +253,6 @@ type Kernel struct {
 	Params map[string]uint64
 }
 
-// NumLevels returns the loop-nest depth.
-func (k *Kernel) NumLevels() int { return len(k.Loops) }
-
 // LevelOps splits each loop level's ops, in op order, into its prologue
 // (the ops before the first op of a deeper level) and its epilogue (the
 // ops after it). The IR has no conditional execution: one iteration of
@@ -279,16 +276,6 @@ func (k *Kernel) LevelOps() (prologue, epilogue [][]ValueRef) {
 		}
 	}
 	return prologue, epilogue
-}
-
-// ArrayByName finds an array declaration.
-func (k *Kernel) ArrayByName(name string) (ArrayDecl, bool) {
-	for _, a := range k.Arrays {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return ArrayDecl{}, false
 }
 
 // Validate checks structural invariants: operands must reference earlier

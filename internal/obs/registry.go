@@ -105,15 +105,6 @@ func (r *Registry) SetHelp(name, text string) {
 // Help returns the HELP text registered for name ("" if none).
 func (r *Registry) Help(name string) string { return r.help[name] }
 
-// ExportHists feeds every non-empty histogram to add, in interning order.
-func (r *Registry) ExportHists(add func(name string, h *Hist)) {
-	for i := range r.hists {
-		if r.hists[i].Count != 0 {
-			add(r.hnames[i], &r.hists[i])
-		}
-	}
-}
-
 // Counter is a dense-id handle into a Registry. Incrementing is a slice
 // element add: no map access, no allocation.
 type Counter struct {
